@@ -15,7 +15,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults
+	go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
 
 bench:
 	go test -bench=. -benchmem

@@ -99,7 +99,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/server"
 	"repro/internal/server/wire"
-	"repro/internal/vfs"
 )
 
 func main() {
@@ -114,103 +113,25 @@ func main() {
 // devKey is the well-known demo encryption key (16 bytes of hex).
 const devKey = "30313233343536373839616263646566"
 
-// fleetCfg carries everything needed to open one generation's fleet of
-// shard engines — the boot path opens the authoritative generation with
-// it, and the reshard controller opens target generations.
-type fleetCfg struct {
+// daemon is what the flags resolve to, shared by both serving modes: the
+// fleet description (internal/server's Fleet owns opening, resharding,
+// promoting, and closing it), the scheduler and front-end settings, and
+// the process plumbing.
+type daemon struct {
 	out     io.Writer
-	dataDir string // empty = in-memory engines
-	seed    uint64
+	stop    <-chan os.Signal
+	onReady func(net.Addr)
+	addr    string
+	drain   time.Duration
 
-	oram func(seed uint64) aboram.Options // per-shard options, seed filled in
-
-	snapEvery    int
-	snapInterval time.Duration
-	syncEvery    int
-	groupCommit  bool
-	deltaSnaps   bool
-	baseEvery    int
-	compactEvery int
-
-	// ships, when set, are wired into the fleet of generation shipGen
-	// (the boot-time layout) as it opens: shard i's engine streams its
-	// durability events through ships[i]. Reshard target generations are
-	// never shipped — replication covers the layout the standby joined.
-	ships   []*durable.Shipper
-	shipGen uint64
+	fleet   server.FleetConfig
+	sched   server.Config
+	tcp     server.TCPConfig     // limits only; each mode adds its handlers
+	reshard server.ReshardConfig // RangeSize and Pace of every migration
 }
 
-// open builds generation gen's fleet of shards engines (durable when a
-// data dir is configured, in-memory otherwise). Each shard draws from
-// its own seed: shard 0 of generation 0 keeps the base seed, so the
-// default layout is RNG-identical to the unsharded daemon.
-func (fc *fleetCfg) open(gen uint64, shards int) ([]server.Engine, []*durable.Engine, error) {
-	engines := make([]server.Engine, shards)
-	dengs := make([]*durable.Engine, shards)
-	genSeed := server.GenSeed(fc.seed, gen)
-	for i := range engines {
-		oramOpt := fc.oram(server.ShardSeed(genSeed, i))
-		if fc.dataDir == "" {
-			o, err := aboram.New(oramOpt)
-			if err != nil {
-				closeEngines(fc.out, dengs)
-				return nil, nil, err
-			}
-			engines[i] = o
-			continue
-		}
-		dir := durable.ShardDir(fc.dataDir, gen, i, shards)
-		var ship *durable.Shipper
-		if fc.ships != nil && gen == fc.shipGen && len(fc.ships) == shards {
-			ship = fc.ships[i]
-		}
-		deng, err := durable.Open(durable.Options{
-			Ship:             ship,
-			Dir:              dir,
-			ORAM:             oramOpt,
-			SnapshotEvery:    fc.snapEvery,
-			SnapshotInterval: fc.snapInterval,
-			// Stagger the shards' rotation schedules deterministically: shard
-			// i's first checkpoint lands i/P of a period early, so a fleet
-			// opened together never pauses (or publishes) in lockstep.
-			SnapshotPhase:  (fc.snapEvery * i) / shards,
-			DeltaSnapshots: fc.deltaSnaps,
-			BaseEvery:      fc.baseEvery,
-			CompactEvery:   fc.compactEvery,
-			// Checkpoint work rides batch boundaries (the scheduler calls
-			// MaybeCheckpoint), so a delta's consistent cut never lands
-			// between a write and its acknowledgment.
-			DeferCheckpoints: true,
-			SyncEvery:        fc.syncEvery,
-			GroupCommit:      fc.groupCommit,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(fc.out, "aboramd: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			closeEngines(fc.out, dengs)
-			return nil, nil, fmt.Errorf("gen %d shard %d: %w", gen, i, err)
-		}
-		rec := deng.Recovery()
-		fmt.Fprintf(fc.out, "aboramd: recovered %s: base epoch %d, %d WAL records replayed (%d segments), %d dedup ids",
-			dir, rec.BaseEpoch, rec.RecordsReplayed, rec.SegmentsReplayed, rec.IDsRecovered)
-		if rec.DeltasApplied > 0 {
-			fmt.Fprintf(fc.out, ", %d deltas applied", rec.DeltasApplied)
-		}
-		if rec.TornTail {
-			fmt.Fprint(fc.out, ", torn tail truncated")
-		}
-		if rec.SnapshotsSkipped > 0 {
-			fmt.Fprintf(fc.out, ", %d unreadable snapshots skipped", rec.SnapshotsSkipped)
-		}
-		if rec.DeltasSkipped > 0 {
-			fmt.Fprintf(fc.out, ", %d unreadable deltas skipped", rec.DeltasSkipped)
-		}
-		fmt.Fprintln(fc.out)
-		engines[i] = deng
-		dengs[i] = deng
-	}
-	return engines, dengs, nil
+func (d *daemon) logf(format string, args ...any) {
+	fmt.Fprintf(d.out, "aboramd: "+format+"\n", args...)
 }
 
 // run starts the daemon and blocks until the stop channel fires (or the
@@ -281,115 +202,107 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, onReady func(net.A
 		}
 	}
 
-	fc := &fleetCfg{
-		out:     out,
-		dataDir: *dataDir,
-		seed:    *seed,
-		oram: func(shardSeed uint64) aboram.Options {
-			return aboram.Options{
+	d := &daemon{
+		out: out, stop: stop, onReady: onReady, addr: *addr, drain: *drain,
+		sched: server.Config{Queue: *queue, Batch: *batch},
+		tcp: server.TCPConfig{
+			MaxConns:       *maxconns,
+			IdleTimeout:    *idle,
+			WriteTimeout:   *writeTO,
+			RequestTimeout: *reqTO,
+		},
+		reshard: server.ReshardConfig{RangeSize: *reshardRange, Pace: *reshardPace},
+	}
+	d.fleet = server.FleetConfig{
+		Engine: durable.Options{
+			Dir: *dataDir,
+			ORAM: aboram.Options{
 				Scheme:        core.Scheme(*scheme),
 				Levels:        *levels,
-				Seed:          shardSeed,
+				Seed:          *seed,
 				EncryptionKey: key,
 				XORRead:       *xor,
-			}
+			},
+			SnapshotEvery:    *snapEvery,
+			SnapshotInterval: *snapInterval,
+			DeltaSnapshots:   *deltaSnaps,
+			BaseEvery:        *baseEvery,
+			CompactEvery:     *compactEvery,
+			// Checkpoint work rides batch boundaries (the scheduler calls
+			// MaybeCheckpoint), so a delta's consistent cut never lands
+			// between a write and its acknowledgment.
+			DeferCheckpoints: true,
+			SyncEvery:        *syncEvery,
+			GroupCommit:      *groupCommit,
+			Logf:             d.logf,
 		},
-		snapEvery:    *snapEvery,
-		snapInterval: *snapInterval,
-		syncEvery:    *syncEvery,
-		groupCommit:  *groupCommit,
-		deltaSnaps:   *deltaSnaps,
-		baseEvery:    *baseEvery,
-		compactEvery: *compactEvery,
+		SemiSync: *ackMode == "replica",
 	}
 
 	if *replicaOf != "" {
-		return runReplica(replicaArgs{
-			out: out, stop: stop, onReady: onReady, fc: fc,
-			addr:      *addr,
-			primaries: strings.Split(*replicaOf, ","),
-			shards:    *shards,
-			semiSync:  *ackMode == "replica",
-			queue:     *queue, batch: *batch, maxconns: *maxconns,
-			idle: *idle, writeTO: *writeTO, reqTO: *reqTO, drain: *drain,
-		})
+		return d.runStandby(strings.Split(*replicaOf, ","), *shards)
 	}
+	return d.runPrimary(*shards, *reshardTo, func(srv *server.Sharded, at net.Addr) {
+		fmt.Fprintf(out, "aboramd: serving %s (levels=%d, %d blocks of %d B, encrypted=%v, xor=%v, shards=%d, gen=%d) on %s\n",
+			*scheme, *levels, srv.NumBlocks(), srv.BlockSize(), srv.Encrypted(), *xor, srv.Shards(), srv.Generation(), at)
+		fmt.Fprintf(out, "aboramd: queue=%d batch=%d maxconns=%d shards=%d\n", *queue, *batch, *maxconns, srv.Shards())
+		if *dataDir != "" {
+			fmt.Fprintf(out, "aboramd: replication: shipping enabled, ack policy %s\n", *ackMode)
+		}
+	})
+}
 
-	// The reshard journal — not the -shards flag — is authoritative for
-	// the serving layout once a migration has ever run: it knows which
-	// generation survived the last cutover and whether one is mid-flight.
-	lay := durable.ReshardLayout{Shards: *shards}
-	var journal *durable.ReshardJournal
-	if *dataDir != "" {
-		var err error
-		journal, err = durable.OpenReshardJournal(vfs.OS{}, *dataDir)
-		if err != nil {
-			return err
-		}
-		recs := journal.Records()
-		def := *shards
-		if len(recs) > 0 {
-			// The journal's first Begin record pins the pre-reshard shard
-			// count; trusting it (rather than the flag) keeps a restart with
-			// a stale -shards from refusing a layout the journal proves.
-			def = 0
-		}
-		if lay, err = durable.ResolveReshard(recs, def); err != nil {
-			return fmt.Errorf("reshard journal: %w", err)
-		}
-		if lay.Shards != *shards {
-			fmt.Fprintf(out, "aboramd: reshard journal overrides -shards %d: serving generation %d with %d shards\n",
-				*shards, lay.Gen, lay.Shards)
-		}
-	}
-
-	// Durable fleets ship their log: the replication sub-protocol is
-	// served on the ordinary port (OpReplJoin) whether or not a standby
-	// ever attaches. The shippers must exist before the engines open.
-	if *dataDir != "" {
-		fc.ships = makeShips(lay.Shards, *ackMode == "replica", out)
-		fc.shipGen = lay.Gen
-	}
-
-	engines, dengs, err := fc.open(lay.Gen, lay.Shards)
+// runPrimary opens the fleet the journal (or, before any reshard, the
+// -shards flag) names, resumes a migration the last incarnation left in
+// flight, and serves.
+func (d *daemon) runPrimary(shards, reshardTo int, banner func(*server.Sharded, net.Addr)) error {
+	fleet, err := server.OpenFleet(d.fleet, shards)
 	if err != nil {
 		return err
 	}
-	srv, err := server.NewSharded(engines, server.Config{Queue: *queue, Batch: *batch})
+	lay := fleet.Layout()
+	if lay.Shards != shards {
+		d.logf("reshard journal overrides -shards %d: serving generation %d with %d shards", shards, lay.Gen, lay.Shards)
+	}
+	srv, err := server.NewSharded(fleet.Engines(), d.sched)
 	if err != nil {
-		closeEngines(out, dengs)
+		fleet.Close()
 		return err
 	}
 	srv.SetGeneration(lay.Gen)
-
-	rc := &reshardController{
-		fc:        fc,
-		srv:       srv,
-		journal:   journal,
-		rangeSize: *reshardRange,
-		pace:      *reshardPace,
-		gen:       lay.Gen,
-		maxGen:    lay.MaxGen,
-		cur:       dengs,
-	}
-	tcfg := server.TCPConfig{
-		MaxConns:       *maxconns,
-		IdleTimeout:    *idle,
-		WriteTimeout:   *writeTO,
-		RequestTimeout: *reqTO,
-		Reshard:        rc.handle,
-	}
-	if fc.ships != nil {
-		hub := &server.ReplicaHub{
-			Shippers: fc.ships,
-			Term:     fleetTerm(dengs),
-			Nudge: func(shard int) {
-				srv.Access(context.Background(), int64(shard))
-			},
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(out, "aboramd: "+format+"\n", args...)
-			},
+	teardown := func() {
+		srv.Close() // serve everything already admitted on every shard, then stop
+		if err := fleet.Close(); err != nil {
+			d.logf("%v", err)
 		}
+	}
+	// begin opens a migration's target generation (resuming the journaled
+	// one, if any) and installs it; start also launches the copier.
+	begin := func(to int) (*server.Resharder, error) {
+		target, err := fleet.OpenTarget(to)
+		if err != nil {
+			return nil, err
+		}
+		return fleet.BeginReshard(srv, target, d.reshard)
+	}
+	start := func(to int) error {
+		r, err := begin(to)
+		if err == nil {
+			go r.Run()
+		}
+		return err
+	}
+
+	tcfg := d.tcp
+	tcfg.Reshard = func(cmd wire.ReshardCmd, to int) (wire.ReshardInfo, error) {
+		if err := reshardCommand(srv, start, cmd, to); err != nil {
+			return wire.ReshardInfo{}, err
+		}
+		return srv.ReshardInfo(), nil
+	}
+	// The replication sub-protocol is served on the ordinary port
+	// (OpReplJoin) whether or not a standby ever attaches.
+	if hub := fleet.Hub(srv); hub != nil {
 		tcfg.ReplJoin = hub.Serve
 		tcfg.Replication = hub.Info
 		// OpPromote against a node already serving as primary is an
@@ -400,345 +313,82 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, onReady func(net.A
 		}
 	}
 	tsrv := server.NewTCP(srv, tcfg)
-	if *dataDir != "" {
-		// Seed the retry-dedup window with the ids recovered from every
-		// shard's snapshot header and WAL: a client write retried across
-		// this restart is answered from the window, not applied twice.
-		// (The window skips ids it already holds, so the per-shard seeding
-		// order is immaterial.)
-		for _, deng := range dengs {
-			tsrv.SeedDedup(deng.RecentWriteIDs())
-		}
-	}
 
 	// A daemon killed mid-migration resumes it before serving: the target
 	// fleet recovers from its own snapshots+WALs, dual routing picks up at
 	// the journaled watermark, and the copier continues (or keeps rolling
-	// back). Retried client writes are deduped against both fleets.
+	// back). The dedup window is seeded from both fleets while they are
+	// still quiescent: before traffic, and before the copier runs.
+	var resumed *server.Resharder
 	if lay.Active != nil {
-		if err := rc.resume(tsrv, lay.Active); err != nil {
-			srv.Close()
-			closeEngines(out, rc.engines())
+		if resumed, err = begin(lay.Active.To); err != nil {
+			teardown()
 			return fmt.Errorf("resuming reshard to gen %d: %w", lay.Active.Gen, err)
 		}
 	}
+	tsrv.SeedDedup(fleet.RecentWriteIDs())
+	if resumed != nil {
+		go resumed.Run()
+	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", d.addr)
 	if err != nil {
-		srv.Close()
-		closeEngines(out, rc.engines())
+		teardown()
 		return err
 	}
-	if onReady != nil {
-		onReady(ln.Addr())
+	if d.onReady != nil {
+		d.onReady(ln.Addr())
 	}
-	fmt.Fprintf(out, "aboramd: serving %s (levels=%d, %d blocks of %d B, encrypted=%v, xor=%v, shards=%d, gen=%d) on %s\n",
-		*scheme, *levels, srv.NumBlocks(), srv.BlockSize(), srv.Encrypted(), *xor, srv.Shards(), srv.Generation(), ln.Addr())
-	fmt.Fprintf(out, "aboramd: queue=%d batch=%d maxconns=%d shards=%d\n", *queue, *batch, *maxconns, srv.Shards())
-	if fc.ships != nil {
-		fmt.Fprintf(out, "aboramd: replication: shipping enabled, ack policy %s\n", *ackMode)
-	}
-
-	if *reshardTo > 0 {
-		if err := rc.start(*reshardTo); err != nil {
-			fmt.Fprintf(out, "aboramd: -reshard %d: %v\n", *reshardTo, err)
+	banner(srv, ln.Addr())
+	if reshardTo > 0 {
+		if err := start(reshardTo); err != nil {
+			d.logf("-reshard %d: %v", reshardTo, err)
 		}
 	}
-
-	served := make(chan error, 1)
-	go func() { served <- tsrv.Serve(ln) }()
-
-	// Serve until a terminating signal (or the listener fails). SIGUSR1
-	// dumps the live counters and keeps serving.
-wait:
-	for {
-		select {
-		case err := <-served:
-			srv.Close()
-			closeEngines(out, rc.engines())
-			return err
-		case sig := <-stop:
-			if sig == syscall.SIGUSR1 {
-				dumpCounters(out, srv, tsrv, rc.engines())
-				dumpReplication(out, fc.ships)
-				continue
-			}
-			fmt.Fprintf(out, "aboramd: %v, draining (budget %v)\n", sig, *drain)
-			break wait
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := tsrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(out, "aboramd: forced close of lingering connections: %v\n", err)
-	}
-	<-served    // Serve has returned ErrServerClosed
-	srv.Close() // serve everything already admitted on every shard, then stop
-	closeEngines(out, rc.engines())
-	if err := dumpCounters(out, srv, tsrv, rc.engines()); err != nil {
-		return err
-	}
-	dumpReplication(out, fc.ships)
-	fmt.Fprintln(out, "aboramd: bye")
-	return nil
+	return d.serve(tsrv, ln, teardown, func() error { return dumpCounters(d.out, srv, tsrv, fleet) })
 }
 
-// reshardController owns the daemon side of live resharding: the
-// journal, the durable engines of every open generation, and the
-// translation from OpReshard admin commands to Resharder calls.
-type reshardController struct {
-	fc        *fleetCfg
-	srv       *server.Sharded
-	journal   *durable.ReshardJournal // nil = in-memory (volatile) migrations
-	rangeSize int64
-	pace      time.Duration
-
-	mu     sync.Mutex
-	gen    uint64            // authoritative generation
-	maxGen uint64            // highest generation the journal mentions
-	cur    []*durable.Engine // serving fleet (nil entries when in-memory)
-	target []*durable.Engine // in-flight migration's fleet, nil when none
-}
-
-// genJournal binds the shared on-disk journal to one migration's
-// generation, giving the Resharder the MigrationJournal it needs.
-type genJournal struct {
-	j   *durable.ReshardJournal
-	gen uint64
-	to  int
-}
-
-func (g genJournal) RecordRange(w int64) error {
-	return g.j.Append(durable.ReshardRecord{Op: durable.ReshardRange, Gen: g.gen, Watermark: w})
-}
-func (g genJournal) RecordCutover() error {
-	return g.j.Append(durable.ReshardRecord{Op: durable.ReshardCutover, Gen: g.gen, To: g.to})
-}
-func (g genJournal) RecordAbortBegin() error {
-	return g.j.Append(durable.ReshardRecord{Op: durable.ReshardAbortBegin, Gen: g.gen})
-}
-func (g genJournal) RecordAborted() error {
-	return g.j.Append(durable.ReshardRecord{Op: durable.ReshardAborted, Gen: g.gen})
-}
-
-// engines snapshots every durable engine the controller currently owns
-// (serving fleet plus any in-flight migration target fleet).
-func (rc *reshardController) engines() []*durable.Engine {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	out := append([]*durable.Engine(nil), rc.cur...)
-	return append(out, rc.target...)
-}
-
-// handle serves one OpReshard admin command.
-func (rc *reshardController) handle(cmd wire.ReshardCmd, target int) (wire.ReshardInfo, error) {
-	var err error
+// reshardCommand executes one OpReshard admin command against the
+// serving layer; start begins a new migration.
+func reshardCommand(srv *server.Sharded, start func(to int) error, cmd wire.ReshardCmd, to int) error {
 	switch cmd {
 	case wire.ReshardCmdStatus:
-		// fall through to the status snapshot
+		return nil
 	case wire.ReshardCmdStart:
-		err = rc.start(target)
+		return start(to)
 	case wire.ReshardCmdPause, wire.ReshardCmdResume, wire.ReshardCmdAbort:
-		r := rc.srv.CurrentReshard()
+		r := srv.CurrentReshard()
 		if r == nil {
-			err = fmt.Errorf("reshard: no migration to %s", cmd)
-			break
+			return fmt.Errorf("reshard: no migration to %s", cmd)
 		}
 		switch cmd {
 		case wire.ReshardCmdPause:
-			err = r.Pause()
+			return r.Pause()
 		case wire.ReshardCmdResume:
-			err = r.Resume()
-		default:
-			err = r.Abort()
+			return r.Resume()
 		}
-	default:
-		err = fmt.Errorf("reshard: unknown command %d", uint8(cmd))
+		return r.Abort()
 	}
-	if err != nil {
-		return wire.ReshardInfo{}, err
-	}
-	return rc.srv.ReshardInfo(), nil
+	return fmt.Errorf("reshard: unknown command %d", uint8(cmd))
 }
 
-// start opens a fresh fleet of `to` shard trees under the next
-// generation, journals the migration begin durably, and launches the
-// background copier.
-func (rc *reshardController) start(to int) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if r := rc.srv.CurrentReshard(); r != nil {
-		if ph := r.Status().Phase; ph == wire.ReshardPhaseRunning || ph == wire.ReshardPhasePaused ||
-			ph == wire.ReshardPhaseAborting || ph == wire.ReshardPhaseFailed {
-			return fmt.Errorf("reshard: migration already %s", ph)
-		}
-	}
-	from := rc.srv.Shards()
-	if to == from {
-		return fmt.Errorf("reshard: already serving %d shards", from)
-	}
-	// Replication covers the layout the standby joined: a migration would
-	// cut service over to a fleet the standby never hears about.
-	for _, s := range rc.fc.ships {
-		if s != nil && s.Stats().Attached {
-			return fmt.Errorf("reshard: unsupported while a standby is attached (detach the replica first)")
-		}
-	}
-	if to < 1 || to > 1<<16-1 {
-		return fmt.Errorf("reshard: target %d out of range [1, %d]", to, 1<<16-1)
-	}
-	gen := rc.maxGen + 1
-	engines, dengs, err := rc.fc.open(gen, to)
-	if err != nil {
-		return err
-	}
-	var mj server.MigrationJournal
-	if rc.journal != nil {
-		if err := rc.journal.Append(durable.ReshardRecord{
-			Op: durable.ReshardBegin, Gen: gen, From: from, To: to,
-		}); err != nil {
-			closeEngines(rc.fc.out, dengs)
-			return err
-		}
-		mj = genJournal{rc.journal, gen, to}
-	}
-	r, err := rc.srv.BeginReshard(engines, server.ReshardConfig{
-		Journal:   mj,
-		RangeSize: rc.rangeSize,
-		Pace:      rc.pace,
-		Gen:       gen,
-		OnDone:    func(ph wire.ReshardPhase, err error) { rc.finished(gen, ph, err) },
-	})
-	if err != nil {
-		// Retire the journaled Begin with an immediate (empty) rollback so
-		// the next start does not try to resume a migration that never ran.
-		if rc.journal != nil {
-			if e := rc.journal.Append(durable.ReshardRecord{Op: durable.ReshardAbortBegin, Gen: gen}); e == nil {
-				rc.journal.Append(durable.ReshardRecord{Op: durable.ReshardAborted, Gen: gen})
-			}
-		}
-		closeEngines(rc.fc.out, dengs)
-		return err
-	}
-	rc.maxGen = gen
-	rc.target = dengs
-	fmt.Fprintf(rc.fc.out, "aboramd: reshard: migrating %d -> %d shards (generation %d)\n", from, to, gen)
-	go r.Run()
-	return nil
-}
-
-// resume relaunches a migration the journal says was in flight when the
-// daemon last stopped.
-func (rc *reshardController) resume(tsrv *server.TCPServer, p *durable.ReshardProgress) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	engines, dengs, err := rc.fc.open(p.Gen, p.To)
-	if err != nil {
-		return err
-	}
-	for _, deng := range dengs {
-		if deng != nil {
-			tsrv.SeedDedup(deng.RecentWriteIDs())
-		}
-	}
-	r, err := rc.srv.BeginReshard(engines, server.ReshardConfig{
-		Journal:   genJournal{rc.journal, p.Gen, p.To},
-		RangeSize: rc.rangeSize,
-		Pace:      rc.pace,
-		Watermark: p.Watermark,
-		Aborting:  p.Aborting,
-		Gen:       p.Gen,
-		OnDone:    func(ph wire.ReshardPhase, err error) { rc.finished(p.Gen, ph, err) },
-	})
-	if err != nil {
-		closeEngines(rc.fc.out, dengs)
-		return err
-	}
-	rc.target = dengs
-	verb := "resuming"
-	if p.Aborting {
-		verb = "resuming rollback of"
-	}
-	fmt.Fprintf(rc.fc.out, "aboramd: reshard: %s migration %d -> %d shards (generation %d) at watermark %d\n",
-		verb, p.From, p.To, p.Gen, p.Watermark)
-	go r.Run()
-	return nil
-}
-
-// finished is the Resharder's OnDone: it retires whichever fleet lost
-// (the old one after a cutover, the target after a rollback), closes its
-// engines, and prunes dead generation directories.
-func (rc *reshardController) finished(gen uint64, phase wire.ReshardPhase, err error) {
-	rc.mu.Lock()
-	var retired []*durable.Engine
-	switch phase {
-	case wire.ReshardPhaseDone:
-		retired, rc.cur, rc.target = rc.cur, rc.target, nil
-		rc.gen = gen
-	case wire.ReshardPhaseAborted:
-		retired, rc.target = rc.target, nil
-	}
-	keep := rc.gen
-	maxGen := rc.maxGen
-	rc.mu.Unlock()
-
-	switch phase {
-	case wire.ReshardPhaseDone, wire.ReshardPhaseAborted:
-		closeEngines(rc.fc.out, retired)
-		if rc.journal != nil {
-			if n := durable.PruneGens(vfs.OS{}, rc.fc.dataDir, maxGen, keep); n > 0 {
-				fmt.Fprintf(rc.fc.out, "aboramd: reshard: pruned %d dead generation directories\n", n)
-			}
-		}
-		fmt.Fprintf(rc.fc.out, "aboramd: reshard: %s (generation %d, now %d shards)\n", phase, rc.srv.Generation(), rc.srv.Shards())
-	default:
-		// Failed: both fleets stay open — routing keeps serving the last
-		// durable watermark, and a restart resumes the migration.
-		fmt.Fprintf(rc.fc.out, "aboramd: reshard: migration to generation %d failed: %v (serving continues; restart resumes)\n", gen, err)
-	}
-}
-
-// replicaArgs carries the flag subset the standby serving path needs.
-type replicaArgs struct {
-	out       io.Writer
-	stop      <-chan os.Signal
-	onReady   func(net.Addr)
-	fc        *fleetCfg
-	addr      string
-	primaries []string
-	shards    int
-	semiSync  bool
-	queue     int
-	batch     int
-	maxconns  int
-	idle      time.Duration
-	writeTO   time.Duration
-	reqTO     time.Duration
-	drain     time.Duration
-}
-
-// runReplica is the -replica-of serving loop: mirror the primary's log
-// into the data directory, refuse data ops (clients rotate to the
-// primary), and stand ready for OpPromote — which stops the mirror,
-// opens the mirrored fleet under a bumped fencing term, and swaps it in
-// as the serving backend.
-func runReplica(a replicaArgs) error {
+// runStandby is the -replica-of mode: mirror the primary's log into the
+// data directory, refuse data ops (clients rotate to the primary), and
+// stand ready for OpPromote — which stops the mirror, opens the mirrored
+// fleet under a bumped fencing term, and swaps it in as the serving
+// backend.
+func (d *daemon) runStandby(primaries []string, shards int) error {
 	// Geometry must match the primary's: both daemons are launched from
 	// the same configuration. A probe tree derives it without state.
-	probe, err := aboram.New(a.fc.oram(server.ShardSeed(server.GenSeed(a.fc.seed, 0), 0)))
+	probe, err := aboram.New(d.fleet.Engine.ORAM)
 	if err != nil {
 		return err
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(a.out, "aboramd: "+format+"\n", args...)
-	}
-
 	sess := server.NewReplicaSession(server.ReplicaSessionConfig{
-		Addrs:   a.primaries,
-		DataDir: a.fc.dataDir,
-		Shards:  a.shards,
-		Logf:    logf,
+		Addrs:   primaries,
+		DataDir: d.fleet.Engine.Dir,
+		Shards:  shards,
+		Logf:    d.logf,
 	})
 	go sess.Run()
 
@@ -747,240 +397,152 @@ func runReplica(a replicaArgs) error {
 	// next standby.
 	var (
 		mu    sync.Mutex
-		psrv  *server.Sharded
-		pengs []*durable.Engine
+		fleet *server.Fleet
+		srv   *server.Sharded
 		hub   *server.ReplicaHub
 	)
-	term := func() uint64 {
+	promoted := func() (*server.Fleet, *server.Sharded, *server.ReplicaHub) {
 		mu.Lock()
 		defer mu.Unlock()
-		if pengs != nil {
-			return fleetTerm(pengs)()
-		}
-		return sess.Info().Term
+		return fleet, srv, hub
 	}
-	stub := server.NewReplicaStub(probe.NumBlocks()*int64(a.shards), probe.BlockSize(),
-		probe.Encrypted(), a.shards, term)
+	stub := server.NewReplicaStub(probe.NumBlocks()*int64(shards), probe.BlockSize(), probe.Encrypted(), shards,
+		func() uint64 {
+			if f, _, _ := promoted(); f != nil {
+				return f.Term()
+			}
+			return sess.Info().Term
+		})
 
 	var tsrv *server.TCPServer
-	promote := func() (wire.PromoteInfo, error) {
+	tcfg := d.tcp
+	tcfg.Promote = func() (wire.PromoteInfo, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if psrv != nil {
+		if fleet != nil {
 			// Idempotent: a retried promote reports the serving state.
-			return wire.PromoteInfo{Term: fleetTerm(pengs)(), Shards: a.shards}, nil
+			return wire.PromoteInfo{Term: fleet.Term(), Shards: shards}, nil
 		}
 		// The mirrors must be quiescent before recovery opens their
 		// directories.
 		sess.Stop()
-		a.fc.ships = makeShips(a.shards, a.semiSync, a.out)
-		a.fc.shipGen = 0
-		engines, dengs, err := a.fc.open(0, a.shards)
+		f, err := server.OpenFleet(d.fleet, shards)
 		if err != nil {
 			return wire.PromoteInfo{}, fmt.Errorf("promote: %w", err)
 		}
-		newTerm := fleetTerm(dengs)() + 1
-		for _, d := range dengs {
-			if err := d.SetTerm(newTerm); err != nil {
-				closeEngines(a.out, dengs)
-				return wire.PromoteInfo{}, fmt.Errorf("promote: fencing term: %w", err)
-			}
+		term, err := f.Promote()
+		if err == nil {
+			tsrv.SeedDedup(f.RecentWriteIDs())
+			srv, err = server.NewSharded(f.Engines(), d.sched)
 		}
-		srv, err := server.NewSharded(engines, server.Config{Queue: a.queue, Batch: a.batch})
 		if err != nil {
-			closeEngines(a.out, dengs)
+			f.Close()
 			return wire.PromoteInfo{}, fmt.Errorf("promote: %w", err)
 		}
-		for _, d := range dengs {
-			tsrv.SeedDedup(d.RecentWriteIDs())
-		}
-		hub = &server.ReplicaHub{
-			Shippers: a.fc.ships,
-			Term:     fleetTerm(dengs),
-			Nudge: func(shard int) {
-				srv.Access(context.Background(), int64(shard))
-			},
-			Logf: logf,
-		}
-		psrv, pengs = srv, dengs
+		fleet, hub = f, f.Hub(srv)
 		tsrv.SwapBackend(srv)
-		fmt.Fprintf(a.out, "aboramd: promoted to primary at term %d (%d shards)\n", newTerm, a.shards)
-		return wire.PromoteInfo{Term: newTerm, Shards: a.shards}, nil
+		d.logf("promoted to primary at term %d (%d shards)", term, shards)
+		return wire.PromoteInfo{Term: term, Shards: shards}, nil
 	}
+	tcfg.Replication = func() *wire.ReplicationInfo {
+		if _, _, h := promoted(); h != nil {
+			return h.Info()
+		}
+		return sess.Info()
+	}
+	tcfg.ReplJoin = func(conn net.Conn) error {
+		_, _, h := promoted()
+		if h == nil {
+			return fmt.Errorf("standby: not shipping a log (promote first)")
+		}
+		return h.Serve(conn)
+	}
+	tsrv = server.NewTCP(stub, tcfg)
 
-	tsrv = server.NewTCP(stub, server.TCPConfig{
-		MaxConns:       a.maxconns,
-		IdleTimeout:    a.idle,
-		WriteTimeout:   a.writeTO,
-		RequestTimeout: a.reqTO,
-		Promote:        promote,
-		Replication: func() *wire.ReplicationInfo {
-			mu.Lock()
-			h := hub
-			mu.Unlock()
-			if h != nil {
-				return h.Info()
-			}
-			return sess.Info()
-		},
-		ReplJoin: func(conn net.Conn) error {
-			mu.Lock()
-			h := hub
-			mu.Unlock()
-			if h == nil {
-				return fmt.Errorf("standby: not shipping a log (promote first)")
-			}
-			return h.Serve(conn)
-		},
-	})
-
-	ln, err := net.Listen("tcp", a.addr)
+	ln, err := net.Listen("tcp", d.addr)
 	if err != nil {
 		sess.Stop()
 		return err
 	}
-	if a.onReady != nil {
-		a.onReady(ln.Addr())
+	if d.onReady != nil {
+		d.onReady(ln.Addr())
 	}
-	fmt.Fprintf(a.out, "aboramd: standby mirroring %s (%d shards) on %s; data ops refused until promotion\n",
-		strings.Join(a.primaries, ","), a.shards, ln.Addr())
+	fmt.Fprintf(d.out, "aboramd: standby mirroring %s (%d shards) on %s; data ops refused until promotion\n",
+		strings.Join(primaries, ","), shards, ln.Addr())
 
-	served := make(chan error, 1)
-	go func() { served <- tsrv.Serve(ln) }()
-
-	dump := func() {
-		mu.Lock()
-		srv, dengs := psrv, pengs
-		mu.Unlock()
-		if srv != nil {
-			dumpCounters(a.out, srv, tsrv, dengs)
-			dumpReplication(a.out, a.fc.ships)
-			return
+	teardown := func() {
+		sess.Stop()
+		if f, s, _ := promoted(); f != nil {
+			s.Close()
+			if err := f.Close(); err != nil {
+				d.logf("%v", err)
+			}
+		}
+	}
+	return d.serve(tsrv, ln, teardown, func() error {
+		if f, s, _ := promoted(); f != nil {
+			return dumpCounters(d.out, s, tsrv, f)
 		}
 		si := sess.Info()
-		fmt.Fprintf(a.out, "aboramd: standby: attached=%v term=%d applied=%d records\n",
-			si.Attached, si.Term, si.AckedSeq)
-	}
+		d.logf("standby: attached=%v term=%d applied=%d records", si.Attached, si.Term, si.AckedSeq)
+		return nil
+	})
+}
 
-wait:
+// serve runs the front end on ln until a terminating signal arrives or
+// the listener fails; SIGUSR1 dumps the live counters and keeps serving.
+// On a signal it drains — stops accepting, lets in-flight connections
+// finish within the budget — then tears the backend down (schedulers
+// before engines) and prints the final counters.
+func (d *daemon) serve(tsrv *server.TCPServer, ln net.Listener, teardown func(), dump func() error) error {
+	served := make(chan error, 1)
+	go func() { served <- tsrv.Serve(ln) }()
 	for {
 		select {
 		case err := <-served:
-			sess.Stop()
-			mu.Lock()
-			srv, dengs := psrv, pengs
-			mu.Unlock()
-			if srv != nil {
-				srv.Close()
-				closeEngines(a.out, dengs)
-			}
+			teardown()
 			return err
-		case sig := <-a.stop:
+		case sig := <-d.stop:
 			if sig == syscall.SIGUSR1 {
 				dump()
 				continue
 			}
-			fmt.Fprintf(a.out, "aboramd: %v, draining (budget %v)\n", sig, a.drain)
-			break wait
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), a.drain)
-	defer cancel()
-	if err := tsrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(a.out, "aboramd: forced close of lingering connections: %v\n", err)
-	}
-	<-served
-	sess.Stop()
-	mu.Lock()
-	srv, dengs := psrv, pengs
-	mu.Unlock()
-	if srv != nil {
-		srv.Close()
-		closeEngines(a.out, dengs)
-	}
-	dump()
-	fmt.Fprintln(a.out, "aboramd: bye")
-	return nil
-}
-
-// makeShips builds shard i's log shipper for a replication-capable
-// primary. semiSync is the -ack=replica policy: the engine acknowledges
-// a write only after the standby fsyncs it (bounded by the shipper's
-// ack timeout, after which the link degrades to async).
-func makeShips(shards int, semiSync bool, out io.Writer) []*durable.Shipper {
-	ships := make([]*durable.Shipper, shards)
-	for i := range ships {
-		ships[i] = &durable.Shipper{
-			Shard:    i,
-			SemiSync: semiSync,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(out, "aboramd: "+format+"\n", args...)
-			},
-		}
-	}
-	return ships
-}
-
-// fleetTerm derives the fleet's fencing term: the max across shards.
-func fleetTerm(dengs []*durable.Engine) func() uint64 {
-	return func() uint64 {
-		var t uint64
-		for _, d := range dengs {
-			if d == nil {
-				continue
+			d.logf("%v, draining (budget %v)", sig, d.drain)
+			ctx, cancel := context.WithTimeout(context.Background(), d.drain)
+			defer cancel()
+			if err := tsrv.Shutdown(ctx); err != nil {
+				d.logf("forced close of lingering connections: %v", err)
 			}
-			if v := d.Term(); v > t {
-				t = v
+			<-served // Serve has returned ErrServerClosed
+			teardown()
+			if err := dump(); err != nil {
+				return err
 			}
-		}
-		return t
-	}
-}
-
-// dumpReplication prints one line per shard's replication shipper; a
-// nil slice (in-memory daemon) prints nothing.
-func dumpReplication(out io.Writer, ships []*durable.Shipper) {
-	for i, s := range ships {
-		st := s.Stats()
-		fmt.Fprintf(out, "aboramd: shard %d replication: attached=%v shipped=%d acked=%d lag=%d records/%d B degraded=%v, %d boots, %d send errors, %d ack waits (%d timed out)\n",
-			i, st.Attached, st.Seq, st.AckedSeq, st.LagRecords, st.LagBytes, st.Degraded,
-			st.Boots, st.SendErrors, st.AckWaits, st.AckTimeouts)
-	}
-}
-
-// closeEngines closes every non-nil durable engine. The schedulers that
-// fed them are stopped by now, so the engines are quiescent: each syncs
-// and closes its WAL; recovery replays them on the next start.
-func closeEngines(out io.Writer, dengs []*durable.Engine) {
-	for i, deng := range dengs {
-		if deng == nil {
-			continue
-		}
-		if err := deng.Close(); err != nil {
-			fmt.Fprintf(out, "aboramd: closing shard %d data dir: %v\n", i, err)
+			d.logf("bye")
+			return nil
 		}
 	}
 }
 
-// dumpCounters prints the durability, scheduler, migration, and
-// front-end counters. SIGUSR1 triggers it on a live daemon; the shutdown
-// path reuses it for the final report. With more than one shard,
+// dumpCounters prints the durability, migration, scheduler, front-end,
+// and replication counters. SIGUSR1 triggers it on a live daemon; the
+// shutdown path reuses it for the final report. With more than one shard,
 // durability lines and scheduler tables are printed per shard plus one
-// aggregate table.
-func dumpCounters(out io.Writer, srv *server.Sharded, tsrv *server.TCPServer, dengs []*durable.Engine) error {
+// aggregate table; a migration target's lines carry its generation.
+func dumpCounters(out io.Writer, srv *server.Sharded, tsrv *server.TCPServer, fleet *server.Fleet) error {
 	multi := srv.Shards() > 1
-	for i, deng := range dengs {
-		if deng == nil {
-			continue
-		}
+	stats := fleet.Stats()
+	for _, s := range stats {
 		label := "durability"
-		if multi || len(dengs) > 1 {
-			label = fmt.Sprintf("shard %d durability", i)
+		switch {
+		case s.Target:
+			label = fmt.Sprintf("migration target gen %d shard %d durability", s.Gen, s.Shard)
+		case multi || len(stats) > 1:
+			label = fmt.Sprintf("shard %d durability", s.Shard)
 		}
-		ds := deng.Stats()
+		ds := s.Durable
 		fmt.Fprintf(out, "aboramd: %s: %d writes logged, %d fsyncs (%d batched), %d snapshots + %d deltas (epoch %d), %d compactions, %.1fms checkpoint pause, last checkpoint %d B, %d prune failures\n",
-			label, ds.Writes, ds.Syncs, ds.BatchedSyncs, ds.Snapshots, ds.DeltasWritten, deng.Epoch(),
+			label, ds.Writes, ds.Syncs, ds.BatchedSyncs, ds.Snapshots, ds.DeltasWritten, s.Epoch,
 			ds.CompactionRuns, float64(ds.SnapshotPauseNanos)/1e6, ds.LastSnapshotBytes, ds.PruneFailures)
 	}
 	if info := srv.ReshardInfo(); info.Phase != wire.ReshardPhaseIdle {
@@ -1001,15 +563,18 @@ func dumpCounters(out io.Writer, srv *server.Sharded, tsrv *server.TCPServer, de
 			}
 		}
 	}
-	if next := srv.NextShardMetrics(); next != nil {
-		for i, m := range next {
-			if err := m.Table(fmt.Sprintf("aboramd scheduler counters, migration target shard %d", i)).WriteText(out); err != nil {
-				return err
-			}
+	for i, m := range srv.NextShardMetrics() {
+		if err := m.Table(fmt.Sprintf("aboramd scheduler counters, migration target shard %d", i)).WriteText(out); err != nil {
+			return err
 		}
 	}
 	tm := tsrv.Metrics()
 	fmt.Fprintf(out, "aboramd: %d connections served, %d refused, %d active; %d retries deduped, %d requests shed\n",
 		tm.Accepted, tm.Refused, tm.Active, tm.Deduped, tm.Shed)
+	for i, st := range fleet.ShipStats() {
+		fmt.Fprintf(out, "aboramd: shard %d replication: attached=%v shipped=%d acked=%d lag=%d records/%d B degraded=%v, %d boots, %d send errors, %d ack waits (%d timed out)\n",
+			i, st.Attached, st.Seq, st.AckedSeq, st.LagRecords, st.LagBytes, st.Degraded,
+			st.Boots, st.SendErrors, st.AckWaits, st.AckTimeouts)
+	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/server/wire"
 )
 
 // startDaemon runs the daemon on an ephemeral port and returns its address
@@ -402,7 +403,7 @@ func TestDaemonReplicationFailover(t *testing.T) {
 	pdir, rdir := t.TempDir(), t.TempDir()
 	paddr, pout, psig, pshutdown := startDaemonSignals(t,
 		"-data-dir", pdir, "-shards", "2", "-ack", "replica", "-group-commit", "-drain", "1s")
-	raddr, rout, rshutdown := startDaemon(t,
+	raddr, rout, rsig, rshutdown := startDaemonSignals(t,
 		"-data-dir", rdir, "-shards", "2", "-replica-of", paddr, "-drain", "1s")
 
 	// Standby first in the address list: every op starts with a
@@ -470,11 +471,26 @@ func TestDaemonReplicationFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A standby's dump reports the mirror; then SIGUSR1 keeps landing
+	// while the promotion swaps the serving state in — the dump must read
+	// it under the same lock promotion writes it.
+	rsig <- syscall.SIGUSR1
+	waitFor(t, rout, "standby: attached=")
+	hammered := make(chan struct{})
+	go func() {
+		defer close(hammered)
+		for i := 0; i < 200 && !strings.Contains(rout.String(), "promoted to primary"); i++ {
+			rsig <- syscall.SIGUSR1
+			time.Sleep(time.Millisecond)
+		}
+		rsig <- syscall.SIGUSR1 // at least one dump of the promoted fleet
+	}()
 	pi, err := rc.Promote()
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
 	rc.Close()
+	<-hammered
 	if pi.Term == 0 || pi.Shards != 2 {
 		t.Fatalf("promote info %+v, want term >= 1 and 2 shards", pi)
 	}
@@ -490,12 +506,173 @@ func TestDaemonReplicationFailover(t *testing.T) {
 
 	rshutdown()
 	s := rout.String()
-	for _, wantLine := range []string{"standby mirroring", "promoted to primary at term 1"} {
+	for _, wantLine := range []string{"standby mirroring", "standby: attached=", "promoted to primary at term 1", "shard 1 durability", "shard 1 replication"} {
 		if !strings.Contains(s, wantLine) {
 			t.Errorf("standby output missing %q:\n%s", wantLine, s)
 		}
 	}
 	if !strings.Contains(pout.String(), "ack policy replica") {
 		t.Errorf("primary banner missing semi-sync ack policy:\n%s", pout.String())
+	}
+}
+
+// reshardStatus polls the daemon's migration status.
+func reshardStatus(t *testing.T, c *server.Client) wire.ReshardInfo {
+	t.Helper()
+	info, err := c.Reshard(wire.ReshardCmdStatus, 0)
+	if err != nil {
+		t.Fatalf("reshard status: %v", err)
+	}
+	return info
+}
+
+// waitFor polls until the daemon's output contains want.
+func waitFor(t *testing.T, out *syncBuffer, want string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !strings.Contains(out.String(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never printed %q:\n%s", want, out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func reshardPayload(size int, blk int64, round int) []byte {
+	d := make([]byte, size)
+	for i := range d {
+		d[i] = byte(blk*13) ^ byte(round*31) ^ byte(i)
+	}
+	return d
+}
+
+// TestDaemonReshardRestart drives the daemon's own live-reshard path:
+// boot a 2-shard durable daemon with -reshard 3, keep writing while the
+// migration runs to its cutover, restart with the now-stale -shards 2,
+// and require the journal to override the flag — 3 shards serving
+// generation 1 — with every acknowledged write read back byte-exact.
+func TestDaemonReshardRestart(t *testing.T) {
+	dir := t.TempDir()
+	addr, out, shutdown := startDaemon(t, "-shards", "2", "-data-dir", dir, "-group-commit", "-reshard", "3")
+	c, err := server.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]byte)
+	for round := 0; round < 2 || !strings.Contains(out.String(), "reshard: done"); round++ {
+		for blk := int64(0); blk < 48; blk++ {
+			want[blk] = reshardPayload(info.BlockSize, blk, round)
+			if err := c.Write(blk, want[blk]); err != nil {
+				t.Fatalf("round %d write %d: %v", round, blk, err)
+			}
+		}
+		if round > 2000 {
+			t.Fatalf("migration never finished:\n%s", out.String())
+		}
+	}
+	c.Close()
+	shutdown()
+	for _, wantLine := range []string{
+		"reshard: migrating 2 -> 3 shards (generation 1)",
+		"reshard: done (generation 1, now 3 shards)",
+		"recovered " + dir + "/gen-000001/shard-2",
+	} {
+		if !strings.Contains(out.String(), wantLine) {
+			t.Errorf("first incarnation missing %q:\n%s", wantLine, out.String())
+		}
+	}
+
+	addr2, out2, shutdown2 := startDaemon(t, "-shards", "2", "-data-dir", dir, "-group-commit")
+	defer shutdown2()
+	// (The banner is printed just after the ready callback fires.)
+	waitFor(t, out2, "reshard journal overrides -shards 2: serving generation 1 with 3 shards")
+	waitFor(t, out2, "shards=3, gen=1) on ")
+	c2, err := server.Dial(addr2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if info2, err := c2.Info(); err != nil || info2.Shards != 3 {
+		t.Fatalf("info after restart: %+v, %v; want 3 shards", info2, err)
+	}
+	for blk, d := range want {
+		got, err := c2.Read(blk)
+		if err != nil || !bytes.Equal(got, d) {
+			t.Fatalf("block %d after the resharded restart: %v", blk, err)
+		}
+	}
+}
+
+// TestDaemonReshardDumpAndResume paces a 2→3 migration, dumps counters
+// mid-flight — the target fleet's durability lines must carry their
+// generation, not pose as serving shards 2..4 — then SIGTERMs the daemon
+// mid-migration and checks the restart resumes from the journal and
+// finishes with every acknowledged write intact.
+func TestDaemonReshardDumpAndResume(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-shards", "2", "-data-dir", dir, "-reshard-range", "8", "-reshard-pace", "20ms"}
+	addr, out, sig, shutdown := startDaemonSignals(t, append(args, "-reshard", "3")...)
+	c, err := server.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]byte)
+	for blk := int64(0); blk < 32; blk++ {
+		want[blk] = reshardPayload(info.BlockSize, blk, 1)
+		if err := c.Write(blk, want[blk]); err != nil {
+			t.Fatalf("write %d: %v", blk, err)
+		}
+	}
+	for st := reshardStatus(t, c); st.Watermark == 0; st = reshardStatus(t, c) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	sig <- syscall.SIGUSR1
+	waitFor(t, out, "connections served")
+	if st := reshardStatus(t, c); st.Phase != wire.ReshardPhaseRunning {
+		t.Fatalf("migration %s before the dump was checked; slow the pace", st.Phase)
+	}
+	dump := out.String()
+	for _, wantLine := range []string{
+		"aboramd: shard 0 durability:", "aboramd: shard 1 durability:",
+		"aboramd: migration target gen 1 shard 0 durability:", "aboramd: migration target gen 1 shard 2 durability:",
+		"reshard: phase=running 2->3 shards",
+	} {
+		if !strings.Contains(dump, wantLine) {
+			t.Errorf("mid-migration dump missing %q:\n%s", wantLine, dump)
+		}
+	}
+	for _, bad := range []string{"shard 2 durability", "shard 3 durability", "shard 4 durability"} {
+		if strings.Contains(strings.ReplaceAll(dump, "gen 1 "+bad, ""), bad) {
+			t.Errorf("mid-migration dump labels a target tree as serving %q:\n%s", bad, dump)
+		}
+	}
+	c.Close()
+	shutdown() // mid-migration: the copier is joined before any engine closes
+	if s := out.String(); strings.Contains(s, "closing gen") || strings.Contains(s, "reshard: done") {
+		t.Fatalf("unclean mid-migration shutdown:\n%s", s)
+	}
+
+	addr2, out2, shutdown2 := startDaemon(t, args...)
+	defer shutdown2()
+	waitFor(t, out2, "reshard: resuming migration 2 -> 3 shards (generation 1) at watermark")
+	waitFor(t, out2, "reshard: done (generation 1, now 3 shards)")
+	c2, err := server.Dial(addr2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for blk, d := range want {
+		got, err := c2.Read(blk)
+		if err != nil || !bytes.Equal(got, d) {
+			t.Fatalf("block %d after the resumed migration: %v", blk, err)
+		}
 	}
 }

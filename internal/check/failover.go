@@ -11,6 +11,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
+	"repro/internal/server"
 	"repro/internal/server/wire"
 	"repro/internal/vfs"
 )
@@ -266,28 +267,28 @@ func RunFailoverSchedule(dir string, seed uint64, totalOps int, opt FailoverOpti
 	// final kill; otherwise (died mid-bootstrap) the only copy is the
 	// primary's own directory — recover that instead.
 	rep.Promoted = lastBooted
-	srcOpt := crashOptions(rdir, seed, vfs.OS{}, opt.Delta)
+	src := rdir
 	if !rep.Promoted {
-		srcOpt = crashOptions(pdir, seed, vfs.OS{}, opt.Delta)
+		src = pdir
 	}
-	prom, err := durable.Open(srcOpt)
+	// The width-1 fleet over src is exactly the oracle's engine (the P=1
+	// identity), opened and fenced the way a promoting daemon does it.
+	fleet, err := server.OpenFleet(server.FleetConfig{Engine: crashOptions(src, seed, vfs.OS{}, opt.Delta)}, 1)
 	if err != nil {
 		return rep, fmt.Errorf("check: promotion recovery: %w", err)
 	}
+	defer fleet.Close() // error paths; the success path checks its own Close
+	prom := fleet.Engines()[0].(*durable.Engine)
 	if err := verifyRecovered(prom, model, &pending, blockB); err != nil {
-		prom.Close()
 		if rep.Promoted {
 			return rep, fmt.Errorf("check: promoted replica: %w", err)
 		}
 		return rep, fmt.Errorf("check: primary-only recovery: %w", err)
 	}
 	if !rep.Promoted {
-		prom.Close()
 		return rep, nil
 	}
-	rep.PromoteTerm = prom.Term() + 1
-	if err := prom.SetTerm(rep.PromoteTerm); err != nil {
-		prom.Close()
+	if rep.PromoteTerm, err = fleet.Promote(); err != nil {
 		return rep, err
 	}
 
@@ -298,13 +299,12 @@ func RunFailoverSchedule(dir string, seed uint64, totalOps int, opt FailoverOpti
 		blk := int64(r.Uint64n(uint64(numBlocks)))
 		data := Fill(blockB, blk, 0xD0+byte(i))
 		if err := prom.Write(blk, data); err != nil {
-			prom.Close()
 			return rep, fmt.Errorf("check: post-promotion write: %w", err)
 		}
 		postModel[blk] = data
 		model[blk] = data
 	}
-	if err := prom.Close(); err != nil {
+	if err := fleet.Close(); err != nil {
 		return rep, fmt.Errorf("check: closing promoted engine: %w", err)
 	}
 

@@ -22,10 +22,10 @@ import (
 // journal, so the kills land mid-range-copy (shard WAL appends and
 // snapshot publishes), mid-journal-append (the reshard.tmp publish
 // steps), mid-cutover, and inside recovery itself (the next round's
-// engine opens). After every kill the oracle recovers exactly the way
-// aboramd does — scan the journal, ResolveReshard, reopen the fleets of
-// the resolved generations, resume the migration from the durable
-// watermark — and checks:
+// engine opens). After every kill the oracle recovers through the same
+// server.Fleet aboramd does — scan the journal, resolve the layout,
+// reopen the fleets of the resolved generations, resume the migration
+// from the durable watermark — and checks:
 //
 //   - zero acked-write loss: every write acknowledged before the kill
 //     reads back with its exact content through the recovered routing,
@@ -114,27 +114,6 @@ func (r *ReshardCrashReport) String() string {
 		r.Seed, r.From, r.To, r.Rounds, r.Crashes, r.Sites, r.Resumes, r.AckedWrites, r.Aborted, r.FinalShards, r.FinalGen)
 }
 
-// reshardJournalAdapter binds a durable.ReshardJournal to one
-// migration's generation, the way aboramd's controller does.
-type reshardJournalAdapter struct {
-	j   *durable.ReshardJournal
-	gen uint64
-	to  int
-}
-
-func (a *reshardJournalAdapter) RecordRange(w int64) error {
-	return a.j.Append(durable.ReshardRecord{Op: durable.ReshardRange, Gen: a.gen, Watermark: w})
-}
-func (a *reshardJournalAdapter) RecordCutover() error {
-	return a.j.Append(durable.ReshardRecord{Op: durable.ReshardCutover, Gen: a.gen, To: a.to})
-}
-func (a *reshardJournalAdapter) RecordAbortBegin() error {
-	return a.j.Append(durable.ReshardRecord{Op: durable.ReshardAbortBegin, Gen: a.gen})
-}
-func (a *reshardJournalAdapter) RecordAborted() error {
-	return a.j.Append(durable.ReshardRecord{Op: durable.ReshardAborted, Gen: a.gen})
-}
-
 // reshardCrashRun is one schedule's state threaded across incarnations.
 type reshardCrashRun struct {
 	opt     ReshardCrashOptions
@@ -147,40 +126,15 @@ type reshardCrashRun struct {
 	seq     uint64
 }
 
-// fleet opens one generation's shard engines on fs; on failure the
-// already-opened prefix is closed.
-func (run *reshardCrashRun) fleet(fs vfs.FS, gen uint64, shards int) ([]*durable.Engine, error) {
-	engines := make([]*durable.Engine, 0, shards)
-	for i := 0; i < shards; i++ {
-		eng, err := durable.Open(durable.Options{
-			Dir:           durable.ShardDir(run.opt.Dir, gen, i, shards),
-			ORAM:          aboram.Options{Levels: run.opt.Levels, Seed: server.ShardSeed(server.GenSeed(run.opt.Seed, gen), i), EncryptionKey: oracleKey},
-			SnapshotEvery: 16,
-			FS:            fs,
-		})
-		if err != nil {
-			closeReshardFleet(engines)
-			return nil, err
-		}
-		engines = append(engines, eng)
-	}
-	return engines, nil
-}
-
-func closeReshardFleet(engines []*durable.Engine) {
-	for _, e := range engines {
-		if e != nil {
-			e.Close()
-		}
-	}
-}
-
-func asServerEngines(engines []*durable.Engine) []server.Engine {
-	out := make([]server.Engine, len(engines))
-	for i, e := range engines {
-		out[i] = e
-	}
-	return out
+// open recovers the deployment on fs: journal, layout, and the serving
+// generation's engines.
+func (run *reshardCrashRun) open(fs vfs.FS) (*server.Fleet, error) {
+	return server.OpenFleet(server.FleetConfig{Engine: durable.Options{
+		Dir:           run.opt.Dir,
+		ORAM:          aboram.Options{Levels: run.opt.Levels, Seed: run.opt.Seed, EncryptionKey: oracleKey},
+		SnapshotEvery: 16,
+		FS:            fs,
+	}}, run.opt.From)
 }
 
 // verify checks the recovered routing against the acknowledged model:
@@ -286,86 +240,52 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 	})
 	fs := faults.WrapFS(vfs.OS{}, in)
 
-	j, err := durable.OpenReshardJournal(fs, opt.Dir)
-	if err != nil {
-		return false, fmt.Errorf("check: round %d: opening journal: %w", rep.Rounds, err)
+	// crashRound adjudicates a recovery-stage failure: a kill ends the
+	// round (the next one recovers); anything else is a contract
+	// violation — in particular the journal publishes atomically, so a
+	// crash must never leave an unresolvable history.
+	crashRound := func(stage string, err error) (bool, error) {
+		if !in.Crashed() {
+			return false, fmt.Errorf("check: round %d: %s failed without a crash: %w", rep.Rounds, stage, err)
+		}
+		rep.Crashes++
+		rep.Sites[crashSiteKind(in.CrashSite())]++
+		return false, nil
 	}
-	lay, err := durable.ResolveReshard(j.Records(), opt.From)
+
+	fleet, err := run.open(fs)
 	if err != nil {
-		// The journal publishes atomically; a crash must never leave an
-		// unresolvable history.
-		return false, fmt.Errorf("check: round %d: journal resolution: %w", rep.Rounds, err)
+		return crashRound("recovering the serving fleet", err)
 	}
+	defer fleet.Close()
+	lay := fleet.Layout()
 	if lay.Active == nil && lay.MaxGen > 0 {
 		return true, nil // migration terminal (cut over or rolled back)
 	}
 
-	crashRound := func(stage string, closers ...[]*durable.Engine) (bool, error) {
-		for _, c := range closers {
-			closeReshardFleet(c)
-		}
-		if !in.Crashed() {
-			return false, fmt.Errorf("check: round %d: %s failed without a crash", rep.Rounds, stage)
-		}
-		rep.Crashes++
-		rep.Sites[crashSiteKind(in.CrashSite())]++
-		return false, nil
-	}
-
-	cur, err := run.fleet(fs, lay.Gen, lay.Shards)
-	if err != nil {
-		if !in.Crashed() {
-			return false, fmt.Errorf("check: round %d: recovering the serving fleet: %w", rep.Rounds, err)
-		}
-		rep.Crashes++
-		rep.Sites[crashSiteKind(in.CrashSite())]++
-		return false, nil
-	}
-
 	// Resume the journaled migration, or durably begin a new one.
-	tgen, tto := lay.MaxGen+1, opt.To
-	resuming := lay.Active != nil
-	if resuming {
-		tgen, tto = lay.Active.Gen, lay.Active.To
+	if lay.Active != nil {
 		rep.Resumes++
-	} else if err := j.Append(durable.ReshardRecord{Op: durable.ReshardBegin, Gen: tgen, From: lay.Shards, To: tto}); err != nil {
-		return crashRound("journal begin", cur)
 	}
-	target, err := run.fleet(fs, tgen, tto)
+	target, err := fleet.OpenTarget(opt.To)
 	if err != nil {
-		return crashRound("recovering the target fleet", cur)
+		return crashRound("beginning or recovering the target fleet", err)
 	}
 
-	sh, err := server.NewSharded(asServerEngines(cur), server.Config{Queue: 64, Batch: 8})
+	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
 	if err != nil {
-		closeReshardFleet(cur)
-		closeReshardFleet(target)
 		return false, fmt.Errorf("check: round %d: %w", rep.Rounds, err)
 	}
+	defer sh.Close() // error paths; runs before the fleet's, schedulers stop first
 	sh.SetGeneration(lay.Gen)
-	cfg := server.ReshardConfig{
-		Journal:   &reshardJournalAdapter{j: j, gen: tgen, to: tto},
-		RangeSize: opt.RangeSize,
-		Gen:       tgen,
-	}
-	if resuming {
-		cfg.Watermark, cfg.Aborting = lay.Active.Watermark, lay.Active.Aborting
-	}
-	res, err := sh.BeginReshard(asServerEngines(target), cfg)
+	res, err := fleet.BeginReshard(sh, target, server.ReshardConfig{RangeSize: opt.RangeSize})
 	if err != nil {
-		sh.Close()
-		closeReshardFleet(cur)
-		closeReshardFleet(target)
 		return false, fmt.Errorf("check: round %d: begin: %w", rep.Rounds, err)
 	}
 
 	// The recovered dual routing must already serve the acked model (a
 	// bounded sample per round; the final sweep reads everything).
 	if err := run.verify(sh, fmt.Sprintf("round %d recovery", rep.Rounds), 48); err != nil {
-		res.Stop()
-		sh.Close()
-		closeReshardFleet(cur)
-		closeReshardFleet(target)
 		return false, err
 	}
 
@@ -425,9 +345,10 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 		res.Stop()
 		migErr = <-runDone
 	}
+	// Tear down before adjudicating: the closes sync the WALs, so the kill
+	// may still land here. (The deferred closes are then no-ops.)
 	sh.Close()
-	closeReshardFleet(cur)
-	closeReshardFleet(target)
+	fleet.Close()
 
 	switch {
 	case in.Crashed():
@@ -447,30 +368,20 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 func (run *reshardCrashRun) finish() error {
 	opt, rep := run.opt, run.rep
 	rep.Rounds++
-	j, err := durable.OpenReshardJournal(vfs.OS{}, opt.Dir)
+	fleet, err := run.open(vfs.OS{})
 	if err != nil {
 		return fmt.Errorf("check: final recovery: %w", err)
 	}
-	lay, err := durable.ResolveReshard(j.Records(), opt.From)
-	if err != nil {
-		return fmt.Errorf("check: final recovery: %w", err)
-	}
+	defer fleet.Close()
+	lay := fleet.Layout()
 	if lay.Active != nil {
 		return fmt.Errorf("check: final recovery: migration still active (%+v)", lay.Active)
 	}
-	for _, rec := range j.Records() {
-		if rec.Op == durable.ReshardAborted {
-			rep.Aborted = true
-		}
-	}
+	// A rollback leaves generation 0 serving with a generation burned.
+	rep.Aborted = lay.Gen < lay.MaxGen
 	rep.FinalShards, rep.FinalGen = lay.Shards, lay.Gen
 
-	fleet, err := run.fleet(vfs.OS{}, lay.Gen, lay.Shards)
-	if err != nil {
-		return fmt.Errorf("check: final recovery: %w", err)
-	}
-	defer closeReshardFleet(fleet)
-	sh, err := server.NewSharded(asServerEngines(fleet), server.Config{Queue: 64, Batch: 8})
+	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
 	if err != nil {
 		return err
 	}

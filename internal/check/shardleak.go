@@ -6,6 +6,7 @@ import (
 
 	"repro/aboram"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/server"
 )
 
@@ -53,6 +54,14 @@ func (r ShardLeakResult) Pass() bool {
 func (r ShardLeakResult) String() string {
 	return fmt.Sprintf("shard leak audit: P=%d, %d accesses, histogram chi2 %.3f (critical %.3f), %d shards leaf-audited, pass=%v",
 		r.Shards, r.Accesses, r.Chi2, r.Critical, len(r.Leaves), r.Pass())
+}
+
+// memFleet opens an in-memory P-shard fleet of scheme s through the
+// daemon's own lifecycle, so the audited trees run under its seed law.
+func memFleet(s core.Scheme, levels, shards int, seed uint64) (*server.Fleet, error) {
+	return server.OpenFleet(server.FleetConfig{Engine: durable.Options{
+		ORAM: aboram.Options{Scheme: s, Levels: levels, Seed: seed, EncryptionKey: oracleKey},
+	}}, shards)
 }
 
 // routeHistogram bins a block sequence by a routing function. The audit
@@ -151,36 +160,23 @@ func migratingHistogram(blocks []int64, watermark int64, from, to int) []float64
 // watching a mid-migration trace actually correlates with block ids.
 func CheckShardLeakMigrating(s core.Scheme, levels, from, to int, watermark int64, seed uint64, accesses int, w Workload) (MigratingLeakResult, error) {
 	res := MigratingLeakResult{From: from, To: to, Watermark: watermark, Accesses: accesses}
-	old := make([]server.Engine, from)
-	for i := range old {
-		o, err := aboram.New(aboram.Options{
-			Scheme: s, Levels: levels,
-			Seed:          server.ShardSeed(seed, i),
-			EncryptionKey: oracleKey,
-		})
-		if err != nil {
-			return res, fmt.Errorf("check: building shard %d: %w", i, err)
-		}
-		old[i] = o
+	// Both generations come from the daemon's own fleet law: generation 0
+	// at `from` shards serving, generation 1 at `to` shards as the target.
+	fleet, err := memFleet(s, levels, from, seed)
+	if err != nil {
+		return res, err
 	}
-	sh, err := server.NewSharded(old, server.Config{Queue: 64, Batch: 8})
+	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
 	if err != nil {
 		return res, err
 	}
 	defer sh.Close()
-	target := make([]server.Engine, to)
-	for i := range target {
-		o, err := aboram.New(aboram.Options{
-			Scheme: s, Levels: levels,
-			Seed:          server.ShardSeed(server.GenSeed(seed, 1), i),
-			EncryptionKey: oracleKey,
-		})
-		if err != nil {
-			return res, fmt.Errorf("check: building target shard %d: %w", i, err)
-		}
-		target[i] = o
+	target, err := fleet.OpenTarget(to)
+	if err != nil {
+		return res, err
 	}
-	// Install dual routing at the frozen watermark. The Resharder is
+	// Install dual routing at the frozen watermark — on the Sharded
+	// directly, the fleet would start it at 0. The Resharder is
 	// never run — no copier, no fences — so the deployment holds still
 	// in the exact mid-migration state under audit. (Close stops the
 	// never-started migration along with both fleets.)
@@ -256,19 +252,11 @@ func CheckShardLeakMigrating(s core.Scheme, levels, from, to int, watermark int6
 // the per-shard leaf audit.
 func CheckShardLeak(s core.Scheme, levels, shards int, seed uint64, accesses int, w Workload) (ShardLeakResult, error) {
 	res := ShardLeakResult{Shards: shards, Accesses: accesses}
-	engines := make([]server.Engine, shards)
-	for i := range engines {
-		o, err := aboram.New(aboram.Options{
-			Scheme: s, Levels: levels,
-			Seed:          server.ShardSeed(seed, i),
-			EncryptionKey: oracleKey,
-		})
-		if err != nil {
-			return res, fmt.Errorf("check: building shard %d: %w", i, err)
-		}
-		engines[i] = o
+	fleet, err := memFleet(s, levels, shards, seed)
+	if err != nil {
+		return res, err
 	}
-	sh, err := server.NewSharded(engines, server.Config{Queue: 64, Batch: 8})
+	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
 	if err != nil {
 		return res, err
 	}

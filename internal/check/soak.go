@@ -589,10 +589,10 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	r := rng.New(opt.Seed ^ 0x736f616b)
 	rep := &SoakReport{Seed: opt.Seed, Shards: opt.Shards}
 
-	// Per-shard tree configurations are derived exactly as the daemon
-	// derives them — ShardSeed over the generation seed (generation 0
-	// keeps the base seed, so Shards=1 is the pre-sharding soak
-	// unchanged); soakFleet applies the law when opening a fleet.
+	// Every fleet below opens through server.Fleet, the daemon's own
+	// lifecycle: per-shard seeds, directories, and shippers follow its law
+	// (generation 0 keeps the base seed and the bare directory, so
+	// Shards=1 is the pre-sharding soak unchanged).
 	probe, err := aboram.New(crashOptions(opt.Dir, opt.Seed, vfs.OS{}, false).ORAM)
 	if err != nil {
 		return nil, err
@@ -606,12 +606,6 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	st := &soakState{led: newLedger()}
 	st.addr.Store("")
 	st.led.setWidth(0, opt.Shards)
-	if opt.Reshard {
-		// The fixed migration plan's layouts: gen 1 grows to 3 shards,
-		// gen 2 shrinks back to 2.
-		st.led.setWidth(1, 3)
-		st.led.setWidth(2, 2)
-	}
 
 	// Workers own disjoint block partitions: worker i gets blocks
 	// congruent to i modulo Workers (capped to a small working set so
@@ -726,84 +720,56 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 			return nil
 		}
 
-		// Resolve the serving layout: static without Reshard; with it,
-		// whatever the migration journal names — resuming any in-flight
-		// migration from its durable watermark, exactly what a restarted
-		// daemon does.
-		gen, shards := uint64(0), opt.Shards
-		var jn *durable.ReshardJournal
-		var lay durable.ReshardLayout
-		if opt.Reshard {
-			var jerr error
-			jn, jerr = durable.OpenReshardJournal(fs, opt.Dir)
-			if jerr == nil {
-				lay, jerr = durable.ResolveReshard(jn.Records(), opt.Shards)
-			}
-			if jerr != nil {
-				if err := crashSkip("journal recovery", jerr); err != nil {
-					return rep, err
-				}
-				continue
-			}
-			gen, shards = lay.Gen, lay.Shards
-		}
-
-		// Replicate mode ships every shard's durability stream semi-sync;
-		// the short ack timeout means a partitioned link degrades to
+		// Recover whatever layout the migration journal names — the static
+		// one unless Reshard has ever begun a migration — exactly as a
+		// restarted daemon does. Replicate mode's shippers run semi-sync;
+		// their short ack timeout means a partitioned link degrades to
 		// local-only acks instead of wedging the schedulers.
-		var ships []*durable.Shipper
-		if opt.Replicate {
-			ships = soakShips(shards)
-		}
-
-		engines, openErr := soakFleet(opt, fs, gen, shards, ships)
+		fleet, openErr := server.OpenFleet(soakFleetConfig(opt, opt.Dir, fs), opt.Shards)
 		if openErr != nil {
 			if err := crashSkip("recovery", openErr); err != nil {
 				return rep, err
 			}
 			continue
 		}
+		lay := fleet.Layout()
 
-		// Pick this incarnation's migration: resume the journaled one, or
-		// durably begin the next step of the 2→3→2 plan.
-		migrate, tgen, tto := false, uint64(0), 0
-		var targets []*durable.Engine
-		if opt.Reshard {
-			switch {
-			case lay.Active != nil:
-				migrate, tgen, tto = true, lay.Active.Gen, lay.Active.To
+		// Pick this incarnation's migration: resume the journaled one from
+		// its durable watermark, or durably begin the next step of the
+		// 2→3→2 plan.
+		var targets []server.Engine
+		var tgen uint64
+		if to := soakPlanStep(lay); opt.Reshard && to != 0 {
+			if lay.Active != nil {
 				rep.ReshardsResumed++
-			case lay.MaxGen == 0:
-				migrate, tgen, tto = true, 1, 3
-			case lay.Gen == 1 && lay.Shards == 3:
-				migrate, tgen, tto = true, 2, 2
 			}
-			if migrate && lay.Active == nil {
-				if err := jn.Append(durable.ReshardRecord{Op: durable.ReshardBegin, Gen: tgen, From: shards, To: tto}); err != nil {
-					closeReshardFleet(engines)
-					if err := crashSkip("journal begin", err); err != nil {
-						return rep, err
-					}
-					continue
+			var terr error
+			if targets, terr = fleet.OpenTarget(to); terr != nil {
+				fleet.Close()
+				if err := crashSkip("target recovery", terr); err != nil {
+					return rep, err
 				}
+				continue
 			}
-			if migrate {
-				var terr error
-				if targets, terr = soakFleet(opt, fs, tgen, tto, nil); terr != nil {
-					closeReshardFleet(engines)
-					if err := crashSkip("target recovery", terr); err != nil {
-						return rep, err
-					}
-					continue
-				}
-			}
+			tgen = fleet.Layout().Active.Gen
+			st.led.setWidth(tgen, to)
 		}
 
-		trackers := make([]server.Engine, len(engines))
-		for si, eng := range engines {
-			rep.IDsRecovered += eng.Recovery().IDsRecovered
-			rep.DeltasApplied += eng.Recovery().DeltasApplied
-			trackers[si] = &applyTracker{eng: eng, led: st.led, gen: gen, shard: si}
+		track := func(gen uint64, engines []server.Engine) []server.Engine {
+			out := make([]server.Engine, len(engines))
+			for si, eng := range engines {
+				out[si] = &applyTracker{eng: eng.(*durable.Engine), led: st.led, gen: gen, shard: si}
+			}
+			return out
+		}
+		// fail ends the whole soak on a setup failure no crash explains.
+		fail := func(what string, err error, closers ...func() error) (*SoakReport, error) {
+			st.stop.Store(true)
+			wg.Wait()
+			for _, c := range closers {
+				c()
+			}
+			return rep, fmt.Errorf("soak: incarnation %d: %s: %w", rep.Incarnations, what, err)
 		}
 		// A tiny queue relative to the client population guarantees the
 		// burst windows actually overflow it (overloaded responses). The
@@ -814,73 +780,41 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 		if opt.Reshard {
 			queue = 8
 		}
-		srv, err := server.NewSharded(trackers, server.Config{Queue: queue, Batch: 8})
+		srv, err := server.NewSharded(track(lay.Gen, fleet.Engines()), server.Config{Queue: queue, Batch: 8})
 		if err != nil {
-			st.stop.Store(true)
-			wg.Wait()
-			closeReshardFleet(engines)
-			closeReshardFleet(targets)
-			return rep, fmt.Errorf("soak: incarnation %d: %w", rep.Incarnations, err)
+			return fail("sharded", err, fleet.Close)
 		}
-		srv.SetGeneration(gen)
+		srv.SetGeneration(lay.Gen)
 		var res *server.Resharder
-		if migrate {
-			ttrackers := make([]server.Engine, len(targets))
-			for si, eng := range targets {
-				rep.IDsRecovered += eng.Recovery().IDsRecovered
-				rep.DeltasApplied += eng.Recovery().DeltasApplied
-				ttrackers[si] = &applyTracker{eng: eng, led: st.led, gen: tgen, shard: si}
-			}
-			cfg := server.ReshardConfig{
-				Journal: &reshardJournalAdapter{j: jn, gen: tgen, to: tto},
-				// Small fenced ranges keep write stalls short while the
-				// copy competes with client and burst traffic, and the
-				// pace guarantees client ops a window between ranges.
+		if targets != nil {
+			// Small fenced ranges keep write stalls short while the copy
+			// competes with client and burst traffic, and the pace
+			// guarantees client ops a window between ranges.
+			res, err = fleet.BeginReshard(srv, track(tgen, targets), server.ReshardConfig{
 				RangeSize: 16,
 				Pace:      2 * time.Millisecond,
-				Gen:       tgen,
+			})
+			if err != nil {
+				return fail("begin reshard", err, srv.Close, fleet.Close)
 			}
-			if lay.Active != nil {
-				cfg.Watermark, cfg.Aborting = lay.Active.Watermark, lay.Active.Aborting
-			}
-			if res, err = srv.BeginReshard(ttrackers, cfg); err != nil {
-				st.stop.Store(true)
-				wg.Wait()
-				srv.Close()
-				closeReshardFleet(engines)
-				closeReshardFleet(targets)
-				return rep, fmt.Errorf("soak: incarnation %d: begin reshard: %w", rep.Incarnations, err)
-			}
-			go res.Run() // terminal state is adjudicated by the journal
 		}
 		tcfg := server.TCPConfig{
 			RequestTimeout: 250 * time.Millisecond,
 			DedupWindow:    4096,
 		}
 		if opt.Replicate {
-			hub := &server.ReplicaHub{
-				Shippers: ships,
-				Term:     fleetTerm(engines),
-				Nudge: func(shard int) {
-					srv.Access(context.Background(), int64(shard))
-				},
-				HeartbeatEvery: 20 * time.Millisecond,
-			}
+			hub := fleet.Hub(srv)
 			tcfg.ReplJoin = hub.Serve
 			tcfg.Replication = hub.Info
 		}
 		tsrv := server.NewTCP(srv, tcfg)
-		for _, eng := range append(append([]*durable.Engine(nil), engines...), targets...) {
-			tsrv.SeedDedup(eng.RecentWriteIDs())
+		tsrv.SeedDedup(fleet.RecentWriteIDs())
+		if res != nil {
+			go res.Run() // terminal state is adjudicated by the journal
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			st.stop.Store(true)
-			wg.Wait()
-			srv.Close()
-			closeReshardFleet(engines)
-			closeReshardFleet(targets)
-			return rep, fmt.Errorf("soak: listen: %w", err)
+			return fail("listen", err, srv.Close, fleet.Close)
 		}
 		serveDone := make(chan struct{})
 		go func() { tsrv.Serve(ln); close(serveDone) }()
@@ -895,27 +829,11 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		tsrv.Shutdown(ctx)
 		cancel()
-		srv.Close() // stops any in-flight migration before draining the schedulers
-		if res != nil {
-			<-res.Done() // the copier goroutine must be out of the engines
-		}
+		srv.Close()   // stops any in-flight migration before draining the schedulers
+		fleet.Close() // joins the copier, then closes each engine once
 		<-serveDone
 		rep.Deduped += tsrv.Metrics().Deduped
-		for _, eng := range append(append([]*durable.Engine(nil), engines...), targets...) {
-			est := eng.Stats()
-			rep.EngineWrites += est.Writes
-			rep.EngineSyncs += est.Syncs
-			rep.BatchedSyncs += est.BatchedSyncs
-			rep.EngineDeltas += est.DeltasWritten
-			rep.EngineCompactions += est.CompactionRuns
-			eng.Close()
-		}
-		for _, s := range ships {
-			sst := s.Stats()
-			rep.ReplBoots += sst.Boots
-			rep.ReplDegraded += sst.AckTimeouts
-			rep.ReplSendErrors += sst.SendErrors
-		}
+		rep.tally(fleet)
 		if crashed {
 			rep.Crashes++
 		}
@@ -954,14 +872,10 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	// clean filesystem first — a daemon restarted after the chaos does
 	// the same — so the final sweep reads through the plan's terminal
 	// layout.
-	finalGen, finalShards := uint64(0), opt.Shards
 	if opt.Reshard {
-		lay, err := finishReshardPlan(opt)
-		if err != nil {
+		if err := finishReshardPlan(opt); err != nil {
 			return rep, err
 		}
-		finalGen, finalShards = lay.Gen, lay.Shards
-		rep.FinalShards, rep.FinalGen = lay.Shards, lay.Gen
 		// Plan activity is counted from the journal itself, so chaos-time
 		// and clean-coda work land in the same tallies.
 		jn, err := durable.OpenReshardJournal(vfs.OS{}, opt.Dir)
@@ -978,79 +892,63 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 		}
 	}
 
+	// sweep reads every owned block back through a quiescent fleet's
+	// engines under the routing law.
+	sweep := func(fleet *server.Fleet, what string) (reads uint64, err error) {
+		engines := fleet.Engines()
+		for _, w := range workers {
+			for _, block := range w.blocks {
+				shard, local := server.RouteBlock(block, len(engines))
+				got, err := engines[shard].Read(local)
+				if err != nil {
+					return reads, fmt.Errorf("soak: %s read of block %d (shard %d): %w", what, block, shard, err)
+				}
+				if v := w.checkRead(block, got); v != "" {
+					st.led.violate("%s sweep: %s", what, v)
+				}
+				reads++
+			}
+		}
+		return reads, nil
+	}
+
 	// Final clean incarnation: recover every shard and read back every
 	// owned block through the routing law.
 	rep.Incarnations++
-	var finalShips []*durable.Shipper
-	if opt.Replicate {
-		finalShips = soakShips(finalShards)
-	}
-	finals, err := soakFleet(opt, vfs.OS{}, finalGen, finalShards, finalShips)
+	finals, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir, vfs.OS{}), opt.Shards)
 	if err != nil {
 		return rep, fmt.Errorf("soak: final recovery: %w", err)
 	}
-	defer closeReshardFleet(finals)
-	for _, eng := range finals {
-		rep.IDsRecovered += eng.Recovery().IDsRecovered
-		rep.DeltasApplied += eng.Recovery().DeltasApplied
-	}
+	defer finals.Close()
+	lay := finals.Layout()
+	rep.FinalShards, rep.FinalGen = lay.Shards, lay.Gen
 	// Replicate mode: before reading anything, serve the final fleet to
 	// the standby with the chaos stopped, until every shard bootstraps
 	// and the whole stream is acknowledged — the replica directory is
 	// then a durable image of the final state, ready for promotion.
 	if opt.Replicate {
-		if err := drainReplica(st, finals, finalShips, sess, rep); err != nil {
+		if err := drainReplica(st, finals, sess); err != nil {
 			return rep, err
 		}
 	}
-	for _, w := range workers {
-		for _, block := range w.blocks {
-			shard, local := server.RouteBlock(block, finalShards)
-			got, err := finals[shard].Read(local)
-			if err != nil {
-				return rep, fmt.Errorf("soak: final read of block %d (shard %d): %w", block, shard, err)
-			}
-			if v := w.checkRead(block, got); v != "" {
-				st.led.violate("final sweep: %s", v)
-			}
-		}
+	rep.tally(finals)
+	if _, err := sweep(finals, "final"); err != nil {
+		return rep, err
 	}
 	// Promote the drained replica and run the same sweep through it: the
 	// standby must satisfy the zero-acked-loss contract exactly as the
 	// primary does, or a failover after this soak would lose writes.
 	if opt.Replicate {
-		ropt := opt
-		ropt.Dir = opt.Dir + "-replica"
-		promoted, err := soakFleet(ropt, vfs.OS{}, finalGen, finalShards, nil)
+		promoted, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir+"-replica", vfs.OS{}), opt.Shards)
 		if err != nil {
 			return rep, fmt.Errorf("soak: promoting the replica: %w", err)
 		}
-		defer closeReshardFleet(promoted)
-		term := uint64(0)
-		for _, eng := range promoted {
-			if t := eng.Term(); t > term {
-				term = t
-			}
+		defer promoted.Close()
+		if rep.ReplPromoteTerm, err = promoted.Promote(); err != nil {
+			return rep, fmt.Errorf("soak: fencing the promoted replica: %w", err)
 		}
-		term++
-		for _, eng := range promoted {
-			if err := eng.SetTerm(term); err != nil {
-				return rep, fmt.Errorf("soak: fencing the promoted replica: %w", err)
-			}
-		}
-		rep.ReplPromoteTerm = term
-		for _, w := range workers {
-			for _, block := range w.blocks {
-				shard, local := server.RouteBlock(block, finalShards)
-				got, err := promoted[shard].Read(local)
-				if err != nil {
-					return rep, fmt.Errorf("soak: promoted read of block %d (shard %d): %w", block, shard, err)
-				}
-				if v := w.checkRead(block, got); v != "" {
-					st.led.violate("promoted replica sweep: %s", v)
-				}
-				rep.ReplicaReads++
-			}
+		if rep.ReplicaReads, err = sweep(promoted, "promoted replica"); err != nil {
+			return rep, err
 		}
 	}
 	st.led.finalSweepChecks()
@@ -1065,71 +963,62 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	return rep, nil
 }
 
-// soakFleet opens one layout generation's shard engines with the soak's
-// engine configuration, deriving each tree's seed and directory the way
-// the daemon does (generation 0 of a width-1 fleet is the plain
-// unsharded layout). A non-nil ships wires shard i's log shipper into
-// engine i (Replicate mode). On failure the opened prefix is closed.
-func soakFleet(opt SoakOptions, fs vfs.FS, gen uint64, shards int, ships []*durable.Shipper) ([]*durable.Engine, error) {
-	base := crashOptions(opt.Dir, opt.Seed, fs, false).ORAM
-	engines := make([]*durable.Engine, 0, shards)
-	for i := 0; i < shards; i++ {
-		oram := base
-		oram.Seed = server.ShardSeed(server.GenSeed(opt.Seed, gen), i)
-		dopt := durable.Options{
-			Dir:           durable.ShardDir(opt.Dir, gen, i, shards),
-			ORAM:          oram,
-			SnapshotEvery: 32,
-			GroupCommit:   true,
-			FS:            fs,
-		}
-		if ships != nil {
-			dopt.Ship = ships[i]
-		}
-		if opt.Delta {
-			dopt.DeltaSnapshots = true
-			dopt.BaseEvery = 3
-			dopt.CompactEvery = 12
-			dopt.DeferCheckpoints = true // cuts land at batch boundaries via MaybeCheckpoint
-		}
-		eng, err := durable.Open(dopt)
-		if err != nil {
-			closeReshardFleet(engines)
-			return nil, err
-		}
-		engines = append(engines, eng)
+// soakFleetConfig describes the soak's fleet under dir: the crash
+// oracle's engine template under group commit, with semi-sync shipping
+// in Replicate mode. The short ack timeout is the soak's liveness
+// guarantee: a blackholed or partitioned link degrades to local-only
+// acks within one client timeout instead of wedging a shard's scheduler.
+func soakFleetConfig(opt SoakOptions, dir string, fs vfs.FS) server.FleetConfig {
+	eng := crashOptions(dir, opt.Seed, fs, false)
+	eng.SnapshotEvery = 32
+	eng.GroupCommit = true
+	if opt.Delta {
+		eng.DeltaSnapshots = true
+		eng.BaseEvery = 3
+		eng.CompactEvery = 12
+		eng.DeferCheckpoints = true // cuts land at batch boundaries via MaybeCheckpoint
 	}
-	return engines, nil
+	return server.FleetConfig{
+		Engine:         eng,
+		SemiSync:       opt.Replicate,
+		AckTimeout:     20 * time.Millisecond,
+		ChunkBytes:     4 << 10,
+		HeartbeatEvery: 20 * time.Millisecond,
+	}
 }
 
-// soakShips builds one semi-sync shipper per shard for an incarnation.
-// The short ack timeout is the soak's liveness guarantee: a blackholed
-// or partitioned link degrades to local-only acks within one client
-// timeout instead of wedging a shard's scheduler.
-func soakShips(shards int) []*durable.Shipper {
-	ships := make([]*durable.Shipper, shards)
-	for i := range ships {
-		ships[i] = &durable.Shipper{
-			Shard:      i,
-			SemiSync:   true,
-			AckTimeout: 20 * time.Millisecond,
-			ChunkBytes: 4 << 10,
-		}
+// soakPlanStep names the width the 2→3→2 migration plan moves to next
+// from lay: the journaled migration's own while one is in flight, 3 from
+// the initial layout, 2 from generation 1, and 0 once generation 2
+// serves.
+func soakPlanStep(lay durable.ReshardLayout) int {
+	switch {
+	case lay.Active != nil:
+		return lay.Active.To
+	case lay.Gen == 0:
+		return 3
+	case lay.Gen == 1:
+		return 2
 	}
-	return ships
+	return 0
 }
 
-// fleetTerm derives a ReplicaHub's term source from a fleet: the max
-// across shards, the same law the daemon applies.
-func fleetTerm(engines []*durable.Engine) func() uint64 {
-	return func() uint64 {
-		var t uint64
-		for _, e := range engines {
-			if v := e.Term(); v > t {
-				t = v
-			}
-		}
-		return t
+// tally folds a stopped fleet's recovery, engine, and replication-link
+// counters into the report.
+func (r *SoakReport) tally(fleet *server.Fleet) {
+	for _, s := range fleet.Stats() {
+		r.IDsRecovered += s.Recovery.IDsRecovered
+		r.DeltasApplied += s.Recovery.DeltasApplied
+		r.EngineWrites += s.Durable.Writes
+		r.EngineSyncs += s.Durable.Syncs
+		r.BatchedSyncs += s.Durable.BatchedSyncs
+		r.EngineDeltas += s.Durable.DeltasWritten
+		r.EngineCompactions += s.Durable.CompactionRuns
+	}
+	for _, s := range fleet.ShipStats() {
+		r.ReplBoots += s.Boots
+		r.ReplDegraded += s.AckTimeouts
+		r.ReplSendErrors += s.SendErrors
 	}
 }
 
@@ -1198,19 +1087,12 @@ func runLinkChaos(st *soakState, link *soakReplLink, seed uint64) {
 // durable watermark matches everything shipped, then tears the link
 // down. Afterwards the replica directories hold a byte-faithful image
 // of the final fleet's durable state.
-func drainReplica(st *soakState, finals []*durable.Engine, ships []*durable.Shipper, sess *server.ReplicaSession, rep *SoakReport) error {
-	srv, err := server.NewSharded(asServerEngines(finals), server.Config{Queue: 64, Batch: 8})
+func drainReplica(st *soakState, fleet *server.Fleet, sess *server.ReplicaSession) error {
+	srv, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
 	if err != nil {
 		return fmt.Errorf("soak: replica drain: %w", err)
 	}
-	hub := &server.ReplicaHub{
-		Shippers: ships,
-		Term:     fleetTerm(finals),
-		Nudge: func(shard int) {
-			srv.Access(context.Background(), int64(shard))
-		},
-		HeartbeatEvery: 10 * time.Millisecond,
-	}
+	hub := fleet.Hub(srv)
 	tsrv := server.NewTCP(srv, server.TCPConfig{ReplJoin: hub.Serve, Replication: hub.Info})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1240,12 +1122,6 @@ func drainReplica(st *soakState, finals []*durable.Engine, ships []*durable.Ship
 	cancel()
 	srv.Close() // drains the schedulers; the engines stay open for the sweep
 	<-serveDone
-	for _, s := range ships {
-		sst := s.Stats()
-		rep.ReplBoots += sst.Boots
-		rep.ReplDegraded += sst.AckTimeouts
-		rep.ReplSendErrors += sst.SendErrors
-	}
 	if !drained {
 		return fmt.Errorf("soak: replication never drained: primary %+v, standby %+v", hub.Info(), sess.Info())
 	}
@@ -1254,68 +1130,42 @@ func drainReplica(st *soakState, finals []*durable.Engine, ships []*durable.Ship
 
 // finishReshardPlan drives any journaled in-flight migration — and the
 // remaining steps of the 2→3→2 plan — to completion on the clean
-// filesystem, the way a restarted daemon would, and returns the
-// terminal layout.
-func finishReshardPlan(opt SoakOptions) (durable.ReshardLayout, error) {
+// filesystem, the way a restarted daemon would.
+func finishReshardPlan(opt SoakOptions) error {
 	for step := 0; ; step++ {
 		if step > 8 {
-			return durable.ReshardLayout{}, errors.New("soak: reshard plan failed to converge")
+			return errors.New("soak: reshard plan failed to converge")
 		}
-		jn, err := durable.OpenReshardJournal(vfs.OS{}, opt.Dir)
+		fleet, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir, vfs.OS{}), opt.Shards)
 		if err != nil {
-			return durable.ReshardLayout{}, fmt.Errorf("soak: reshard coda: %w", err)
+			return fmt.Errorf("soak: reshard coda recovery: %w", err)
 		}
-		lay, err := durable.ResolveReshard(jn.Records(), opt.Shards)
-		if err != nil {
-			return lay, fmt.Errorf("soak: reshard coda: %w", err)
+		lay := fleet.Layout()
+		to := soakPlanStep(lay)
+		if to == 0 {
+			return fleet.Close()
 		}
-		if lay.Active == nil && lay.Gen >= 2 {
-			return lay, nil
-		}
-		tgen, tto := lay.MaxGen+1, 2
-		if lay.Active != nil {
-			tgen, tto = lay.Active.Gen, lay.Active.To
-		} else {
-			if lay.Shards == 2 {
-				tto = 3
+		err = func() error {
+			targets, err := fleet.OpenTarget(to)
+			if err != nil {
+				return err
 			}
-			if err := jn.Append(durable.ReshardRecord{Op: durable.ReshardBegin, Gen: tgen, From: lay.Shards, To: tto}); err != nil {
-				return lay, fmt.Errorf("soak: reshard coda begin: %w", err)
+			sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
+			if err != nil {
+				return err
 			}
-		}
-		cur, err := soakFleet(opt, vfs.OS{}, lay.Gen, lay.Shards, nil)
+			defer sh.Close()
+			sh.SetGeneration(lay.Gen)
+			// No client traffic to stall; big strides for speed.
+			res, err := fleet.BeginReshard(sh, targets, server.ReshardConfig{RangeSize: 128})
+			if err != nil {
+				return err
+			}
+			return res.Run()
+		}()
+		fleet.Close()
 		if err != nil {
-			return lay, fmt.Errorf("soak: reshard coda recovery: %w", err)
-		}
-		targets, err := soakFleet(opt, vfs.OS{}, tgen, tto, nil)
-		if err != nil {
-			closeReshardFleet(cur)
-			return lay, fmt.Errorf("soak: reshard coda target recovery: %w", err)
-		}
-		sh, err := server.NewSharded(asServerEngines(cur), server.Config{Queue: 64, Batch: 8})
-		if err != nil {
-			closeReshardFleet(cur)
-			closeReshardFleet(targets)
-			return lay, err
-		}
-		sh.SetGeneration(lay.Gen)
-		cfg := server.ReshardConfig{
-			Journal:   &reshardJournalAdapter{j: jn, gen: tgen, to: tto},
-			RangeSize: 128, // no client traffic to stall; big strides for speed
-			Gen:       tgen,
-		}
-		if lay.Active != nil {
-			cfg.Watermark, cfg.Aborting = lay.Active.Watermark, lay.Active.Aborting
-		}
-		res, err := sh.BeginReshard(asServerEngines(targets), cfg)
-		if err == nil {
-			err = res.Run()
-		}
-		sh.Close()
-		closeReshardFleet(cur)
-		closeReshardFleet(targets)
-		if err != nil {
-			return lay, fmt.Errorf("soak: reshard coda migration to gen %d: %w", tgen, err)
+			return fmt.Errorf("soak: reshard coda migration to %d shards: %w", to, err)
 		}
 	}
 }

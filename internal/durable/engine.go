@@ -202,6 +202,26 @@ type RecoveryStats struct {
 	TornTail bool
 }
 
+// String renders the recovery the way the daemon logs it: the always
+// present counts first, then only the anomalies that occurred.
+func (r RecoveryStats) String() string {
+	s := fmt.Sprintf("base epoch %d, %d WAL records replayed (%d segments), %d dedup ids",
+		r.BaseEpoch, r.RecordsReplayed, r.SegmentsReplayed, r.IDsRecovered)
+	if r.DeltasApplied > 0 {
+		s += fmt.Sprintf(", %d deltas applied", r.DeltasApplied)
+	}
+	if r.TornTail {
+		s += ", torn tail truncated"
+	}
+	if r.SnapshotsSkipped > 0 {
+		s += fmt.Sprintf(", %d unreadable snapshots skipped", r.SnapshotsSkipped)
+	}
+	if r.DeltasSkipped > 0 {
+		s += fmt.Sprintf(", %d unreadable deltas skipped", r.DeltasSkipped)
+	}
+	return s
+}
+
 // Stats counts the engine's durability work since Open.
 type Stats struct {
 	Writes        uint64 // acknowledged (logged) writes

@@ -15,77 +15,55 @@ import (
 	"repro/internal/server/wire"
 )
 
-// startReplicatedFleet opens a durable shard fleet under dir with one
-// Shipper per shard wired into both the engines and the returned hub,
-// serves it over TCP, and returns everything a failover test needs.
-func startReplicatedFleet(t *testing.T, dir string, shards int, semiSync bool) (
-	addr string, srv *Sharded, tsrv *TCPServer, engines []*durable.Engine,
-	hub *ReplicaHub, kill func()) {
-	t.Helper()
-	ships := make([]*durable.Shipper, shards)
-	engs := make([]Engine, shards)
-	engines = make([]*durable.Engine, shards)
-	for i := 0; i < shards; i++ {
-		ships[i] = &durable.Shipper{
-			Shard:      i,
-			SemiSync:   semiSync,
-			AckTimeout: 2 * time.Second,
-			ChunkBytes: 1 << 10, // multi-chunk bootstraps even for tiny stores
-		}
-		e, err := durable.Open(durable.Options{
-			Dir:           durable.ShardDir(dir, 0, i, shards),
-			ORAM:          aboram.Options{Levels: 8, Seed: ShardSeed(7, i), EncryptionKey: testKey},
-			SnapshotEvery: 8, // rotations and checkpoint shipping in-test
-			Ship:          ships[i],
-		})
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		engines[i] = e
-		engs[i] = e
+// replFleetConfig describes the failover tests' fleet under dir: small
+// trees, rotations and checkpoint shipping in-test, multi-chunk
+// bootstraps even for tiny stores.
+func replFleetConfig(t *testing.T, dir string) FleetConfig {
+	return FleetConfig{
+		Engine: durable.Options{
+			Dir:           dir,
+			ORAM:          aboram.Options{Levels: 8, Seed: 7, EncryptionKey: testKey},
+			SnapshotEvery: 8,
+			Logf:          t.Logf,
+		},
+		SemiSync:       true,
+		AckTimeout:     2 * time.Second,
+		ChunkBytes:     1 << 10,
+		HeartbeatEvery: 25 * time.Millisecond,
 	}
-	srv, err := NewSharded(engs, Config{})
+}
+
+// startReplicatedFleet opens a semi-sync durable fleet under dir, serves
+// it and its replication hub over TCP, and returns what a failover test
+// needs.
+func startReplicatedFleet(t *testing.T, dir string, shards int) (addr string, srv *Sharded, hub *ReplicaHub, kill func()) {
+	t.Helper()
+	fleet, err := OpenFleet(replFleetConfig(t, dir), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub = &ReplicaHub{
-		Shippers: ships,
-		Term: func() uint64 {
-			var m uint64
-			for _, e := range engines {
-				if tm := e.Term(); tm > m {
-					m = tm
-				}
-			}
-			return m
-		},
-		Nudge:          func(shard int) { srv.Access(context.Background(), int64(shard)) },
-		HeartbeatEvery: 25 * time.Millisecond,
-		Logf:           t.Logf,
+	srv, err = NewSharded(fleet.Engines(), Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tsrv = NewTCP(srv, TCPConfig{ReplJoin: hub.Serve, Replication: hub.Info})
+	hub = fleet.Hub(srv)
+	tsrv := NewTCP(srv, TCPConfig{ReplJoin: hub.Serve, Replication: hub.Info})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go tsrv.Serve(ln)
-	var killed atomic.Bool
 	kill = func() {
-		if !killed.CompareAndSwap(false, true) {
-			return
-		}
 		// The replication link's handler goroutine blocks in hub.Serve's
 		// ack loop, so a short deadline plus force-close is the norm here.
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		defer cancel()
 		tsrv.Shutdown(ctx)
 		srv.Close()
-		for _, e := range engines {
-			e.Close()
-		}
+		fleet.Close() // a no-op the second time
 	}
 	t.Cleanup(kill)
-	return ln.Addr().String(), srv, tsrv, engines, hub, kill
+	return ln.Addr().String(), srv, hub, kill
 }
 
 // TestStalledStandbyDetachesNotWedges pins the backpressure liveness
@@ -167,7 +145,7 @@ func TestReplicationFailoverEndToEnd(t *testing.T) {
 	const shards = 2
 	pdir, rdir := t.TempDir(), t.TempDir()
 
-	paddr, srv, _, _, hub, kill := startReplicatedFleet(t, pdir, shards, true)
+	paddr, srv, hub, kill := startReplicatedFleet(t, pdir, shards)
 
 	// Standby: replication session plus a stub-backed TCP front end.
 	sess := NewReplicaSession(ReplicaSessionConfig{
@@ -185,50 +163,36 @@ func TestReplicationFailoverEndToEnd(t *testing.T) {
 	stub := NewReplicaStub(srv.NumBlocks(), srv.BlockSize(), srv.Encrypted(), shards,
 		func() uint64 { return sess.Info().Term })
 	var tsrvR *TCPServer
-	var pengs2 []*durable.Engine
+	var fleet2 *Fleet
 	var srv2 *Sharded
 	wantFPs := make(map[int][32]byte)
 	promote := func() (wire.PromoteInfo, error) {
 		sess.Stop()
-		engs2 := make([]Engine, shards)
-		var maxTerm uint64
-		for i := 0; i < shards; i++ {
-			e, err := durable.Open(durable.Options{
-				Dir:           durable.ShardDir(rdir, 0, i, shards),
-				ORAM:          aboram.Options{Levels: 8, Seed: ShardSeed(7, i), EncryptionKey: testKey},
-				SnapshotEvery: 8,
-			})
-			if err != nil {
-				return wire.PromoteInfo{}, fmt.Errorf("promoting shard %d: %w", i, err)
-			}
-			// The mirrored directory must recover to the exact state the
-			// primary acknowledged.
-			fp, err := e.Fingerprint()
+		var err error
+		if fleet2, err = OpenFleet(replFleetConfig(t, rdir), shards); err != nil {
+			return wire.PromoteInfo{}, err
+		}
+		// The mirrored directories must recover to the exact state the
+		// primary acknowledged.
+		for i, e := range fleet2.Engines() {
+			fp, err := e.(*durable.Engine).Fingerprint()
 			if err != nil {
 				return wire.PromoteInfo{}, err
 			}
 			if want, ok := wantFPs[i]; ok && fp != want {
 				return wire.PromoteInfo{}, fmt.Errorf("shard %d: promoted fingerprint diverges from primary", i)
 			}
-			pengs2 = append(pengs2, e)
-			engs2[i] = e
-			if tm := e.Term(); tm > maxTerm {
-				maxTerm = tm
-			}
 		}
-		for _, e := range pengs2 {
-			if err := e.SetTerm(maxTerm + 1); err != nil {
-				return wire.PromoteInfo{}, err
-			}
-		}
-		var err error
-		srv2, err = NewSharded(engs2, Config{})
+		term, err := fleet2.Promote()
 		if err != nil {
 			return wire.PromoteInfo{}, err
 		}
+		if srv2, err = NewSharded(fleet2.Engines(), Config{}); err != nil {
+			return wire.PromoteInfo{}, err
+		}
 		tsrvR.SwapBackend(srv2)
-		promotedTerm.Store(maxTerm + 1)
-		return wire.PromoteInfo{Term: maxTerm + 1, Shards: shards}, nil
+		promotedTerm.Store(term)
+		return wire.PromoteInfo{Term: term, Shards: shards}, nil
 	}
 	tsrvR = NewTCP(stub, TCPConfig{
 		Promote: promote,
@@ -252,8 +216,8 @@ func TestReplicationFailoverEndToEnd(t *testing.T) {
 		if srv2 != nil {
 			srv2.Close()
 		}
-		for _, e := range pengs2 {
-			e.Close()
+		if fleet2 != nil {
+			fleet2.Close()
 		}
 	}()
 
@@ -327,22 +291,16 @@ func TestReplicationFailoverEndToEnd(t *testing.T) {
 	// prove it by recovering the dead primary's shards and comparing
 	// fingerprints against what promotion recovers from the mirrors.
 	kill()
-	for i := 0; i < shards; i++ {
-		e, err := durable.Open(durable.Options{
-			Dir:           durable.ShardDir(pdir, 0, i, shards),
-			ORAM:          aboram.Options{Levels: 8, Seed: ShardSeed(7, i), EncryptionKey: testKey},
-			SnapshotEvery: 8,
-		})
-		if err != nil {
-			t.Fatalf("recovering dead primary shard %d: %v", i, err)
-		}
-		fp, err := e.Fingerprint()
-		if err != nil {
+	dead, err := OpenFleet(replFleetConfig(t, pdir), shards)
+	if err != nil {
+		t.Fatalf("recovering the dead primary: %v", err)
+	}
+	for i, e := range dead.Engines() {
+		if wantFPs[i], err = e.(*durable.Engine).Fingerprint(); err != nil {
 			t.Fatal(err)
 		}
-		wantFPs[i] = fp
-		e.Close()
 	}
+	dead.Close()
 
 	// Promote the standby through the admin op.
 	pi, err := cr.Promote()

@@ -114,6 +114,7 @@ type Resharder struct {
 	watermark   int64
 	abortWanted bool
 	stopped     bool
+	running     bool // Run has been entered
 	err         error
 	done        chan struct{}
 }
@@ -219,6 +220,9 @@ func (sh *Sharded) ReshardInfo() wire.ReshardInfo {
 // Run drives the migration to a terminal phase and returns its error
 // (nil for Done and Aborted). Call it from a dedicated goroutine.
 func (r *Resharder) Run() error {
+	r.mu.Lock()
+	r.running = true
+	r.mu.Unlock()
 	err := r.run()
 	close(r.done)
 	return err
@@ -502,6 +506,20 @@ func (r *Resharder) Stop() {
 		r.err = errors.New("server: migration stopped")
 	}
 	r.cond.Broadcast()
+}
+
+// halt stops the migration and waits out a Run that was ever entered,
+// OnDone included: on return the copier goroutine is out of the engines
+// for good. A Run that only starts afterwards sees the stop before it
+// touches anything.
+func (r *Resharder) halt() {
+	r.Stop()
+	r.mu.Lock()
+	running := r.running
+	r.mu.Unlock()
+	if running {
+		<-r.done
+	}
 }
 
 // Done is closed when Run returns.

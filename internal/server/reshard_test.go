@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/aboram"
+	"repro/internal/durable"
 	"repro/internal/server/wire"
 )
 
@@ -17,15 +18,13 @@ import (
 // derived from base, ready for NewSharded or BeginReshard.
 func newFleet(t testing.TB, base uint64, p int) []Engine {
 	t.Helper()
-	engines := make([]Engine, p)
-	for i := range engines {
-		o, err := aboram.New(aboram.Options{Levels: 8, Seed: ShardSeed(base, i), EncryptionKey: testKey})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = o
+	f, err := OpenFleet(FleetConfig{Engine: durable.Options{
+		ORAM: aboram.Options{Levels: 8, Seed: base, EncryptionKey: testKey},
+	}}, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return engines
+	return f.Engines()
 }
 
 // memJournal is an in-memory MigrationJournal recording the event

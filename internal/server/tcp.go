@@ -33,7 +33,7 @@ type TCPConfig struct {
 	// instead of being applied twice. Default 4096.
 	DedupWindow int
 	// Reshard handles OpReshard admin commands (live P→P′ migration).
-	// The daemon wires it to its reshard controller; nil refuses the op.
+	// The daemon wires it to its Fleet and Sharded; nil refuses the op.
 	Reshard func(cmd wire.ReshardCmd, target int) (wire.ReshardInfo, error)
 	// ReplJoin takes over a connection that sent OpReplJoin, after the
 	// front end has written the OK response: from then on the connection

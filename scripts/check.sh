@@ -2,8 +2,10 @@
 # The full verification gate (also reachable as `make check`):
 # vet + build + tests + the race-detector pass over the concurrent
 # packages (the sim orchestrator's worker pool, the ringoram engine, the
-# serving layer's scheduler/TCP front end, and the durability stack with
-# its fault injector), race-mode crash-recovery and exactly-once smokes
+# serving layer's scheduler/TCP front end and fleet lifecycle, the
+# durability stack with its fault injector, and the daemon's own
+# reshard/promotion/shutdown paths), race-mode crash-recovery and
+# exactly-once smokes
 # (kill-recover oracle in both full-snapshot and delta-chain modes,
 # the live-reshard kill-recover oracle in forward and rollback
 # directions, the replication failover oracle with its mid-frame kill
@@ -13,6 +15,9 @@
 # a race-mode pass of the XOR fast-path oracle (the sweep-shaped
 # differential oracle with Config.XORRead on) and of the shard
 # oracle/isolation/leakage audits (including the mid-migration audit),
+# the benchmark module's own vet + build + self-tests (bench/ is a
+# separate module, so `go build ./...` here cannot see a refactor
+# breaking the surface it compiles against),
 # then a short-budget fuzz smoke over the ten native fuzz targets.
 # Longer campaigns: `make fuzz FUZZTIME=10m`, `make crash`,
 # `make soak SOAKTIME=60s`, or see EXPERIMENTS.md.
@@ -21,8 +26,9 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults
+go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
 go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashRecoveryDeltaSchedules$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
+(cd bench && go vet ./... && go build -o /dev/null ./... && go test ./...)
 
 FUZZTIME="${FUZZTIME:-5s}"
 go test -run='^$' -fuzz='^FuzzAccess$' -fuzztime="$FUZZTIME" ./internal/ringoram
