@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/aboram"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
@@ -26,28 +25,24 @@ import (
 //   - all other blocks are untouched.
 //
 // A schedule is a pure function of its seed, so a failing (seed, ops)
-// pair is a repro, in the same spirit as the differential oracle above.
+// pair is a repro, in the same spirit as the differential oracle. The
+// model, the incarnation loop, and the adjudication of every failure are
+// harness.go's; this file keeps the op stream and the recovery tallies.
 
 // CrashReport summarizes one seeded kill-recover schedule.
 type CrashReport struct {
-	Seed          uint64
-	Rounds        int            // engine incarnations, crashed or clean
-	Crashes       int            // injected kills (during serving or recovery)
-	Sites         map[string]int // crash-site histogram, keyed by file kind
-	AckedWrites   int            // writes acknowledged across all rounds
-	Replayed      int            // WAL records replayed by recoveries
-	TornTails     int            // recoveries that truncated a damaged record
-	DeltasApplied int            // chain deltas applied across all recoveries
-	DeltasSkipped int            // unreadable deltas recoveries stopped short of
-	DeltasWritten uint64         // delta checkpoints published across all rounds
-	Compactions   uint64         // live-WAL compaction runs across all rounds
+	ScheduleHeader
+	Replayed      int    // WAL records replayed by recoveries
+	TornTails     int    // recoveries that truncated a damaged record
+	DeltasApplied int    // chain deltas applied across all recoveries
+	DeltasSkipped int    // unreadable deltas recoveries stopped short of
+	DeltasWritten uint64 // delta checkpoints published across all rounds
+	Compactions   uint64 // live-WAL compaction runs across all rounds
 }
 
 func (r *CrashReport) String() string {
-	return fmt.Sprintf("seed %d: %d rounds, %d crashes (sites %v), %d acked writes, %d replayed, %d torn tails, "+
-		"%d deltas applied (%d skipped), %d deltas written, %d compactions",
-		r.Seed, r.Rounds, r.Crashes, r.Sites, r.AckedWrites, r.Replayed, r.TornTails,
-		r.DeltasApplied, r.DeltasSkipped, r.DeltasWritten, r.Compactions)
+	return fmt.Sprintf("%v, %d replayed, %d torn tails, %d deltas applied (%d skipped), %d deltas written, %d compactions",
+		&r.ScheduleHeader, r.Replayed, r.TornTails, r.DeltasApplied, r.DeltasSkipped, r.DeltasWritten, r.Compactions)
 }
 
 // crashSiteKind buckets an injector crash site by the file it hit, so
@@ -65,19 +60,11 @@ func crashSiteKind(site string) string {
 		return "delta"
 	case strings.Contains(site, "reshard."):
 		return "reshard" // reshard.tmp / reshard.log — the migration journal
-
 	case site == "":
 		return "none"
 	default:
 		return strings.Fields(site)[0]
 	}
-}
-
-// pendingWrite is the op in flight at a crash: acknowledged to nobody,
-// so recovery may legally surface either value.
-type pendingWrite struct {
-	block    int64
-	old, new []byte
 }
 
 // crashOptions builds the engine configuration for one incarnation.
@@ -90,7 +77,7 @@ type pendingWrite struct {
 func crashOptions(dir string, seed uint64, fs vfs.FS, delta bool) durable.Options {
 	opt := durable.Options{
 		Dir:           dir,
-		ORAM:          aboram.Options{Levels: 8, Seed: seed, EncryptionKey: oracleKey},
+		ORAM:          oracleORAM(seed),
 		SnapshotEvery: 8,
 		FS:            fs,
 	}
@@ -123,44 +110,25 @@ func RunCrashScheduleDelta(dir string, seed uint64, totalOps int) (*CrashReport,
 
 func runCrashSchedule(dir string, seed uint64, totalOps int, delta bool) (*CrashReport, error) {
 	r := rng.New(seed ^ 0x6372617368) // decorrelate from the engine's protocol stream
-	rep := &CrashReport{Seed: seed, Sites: make(map[string]int)}
-
-	// The op stream is generated up front and consumed across crashes, so
-	// the workload is identical no matter where the kills land.
-	probe, err := aboram.New(aboram.Options{Levels: 8, Seed: seed, EncryptionKey: oracleKey})
+	rep := &CrashReport{ScheduleHeader: newHeader(seed)}
+	numBlocks, blockB, err := oracleGeometry(seed)
 	if err != nil {
 		return nil, err
 	}
-	numBlocks, blockB := probe.NumBlocks(), probe.BlockSize()
+	// The op stream is generated up front and consumed across crashes, so
+	// the workload is identical no matter where the kills land.
 	ops := GenOps(seed, totalOps, numBlocks)
-
-	model := make(map[int64][]byte)
-	var pending *pendingWrite
+	model := newAckModel(blockB)
 	next := 0 // index of the first unapplied op
 
-	maxRounds := totalOps + 16 // a crash consumes no ops, so bound incarnations explicitly
-	for next < len(ops) {
-		if rep.Rounds >= maxRounds {
-			return rep, fmt.Errorf("check: schedule %d made no progress after %d rounds", seed, rep.Rounds)
-		}
-		rep.Rounds++
-
-		in := faults.New(faults.Config{
-			Seed:       r.Uint64(),
-			CrashAfter: 1 + int(r.Uint64n(60)),
-			TornWrites: true,
-		})
-		eng, err := durable.Open(crashOptions(dir, seed, faults.WrapFS(vfs.OS{}, in), delta))
+	// reopen opens the directory the way a restarted daemon would and
+	// checks what came back. A kill during recovery itself (replay or
+	// epoch publish) acknowledged nothing new, so the contract is
+	// unchanged and the next incarnation picks the pieces up.
+	reopen := func(inc *incarnation) (*durable.Engine, error) {
+		eng, err := inc.open(crashOptions(dir, seed, inc.fs, delta))
 		if err != nil {
-			if !in.Crashed() {
-				return rep, fmt.Errorf("check: round %d: recovery failed without a crash: %w", rep.Rounds, err)
-			}
-			// Killed during recovery itself (replay or epoch publish):
-			// nothing new was acknowledged, so the contract is unchanged;
-			// the next incarnation picks the pieces up.
-			rep.Crashes++
-			rep.Sites[crashSiteKind(in.CrashSite())]++
-			continue
+			return nil, err
 		}
 		rec := eng.Recovery()
 		rep.Replayed += rec.RecordsReplayed
@@ -169,114 +137,73 @@ func runCrashSchedule(dir string, seed uint64, totalOps int, delta bool) (*Crash
 		if rec.TornTail {
 			rep.TornTails++
 		}
-
-		if err := verifyRecovered(eng, model, &pending, blockB); err != nil {
-			return rep, fmt.Errorf("check: round %d (recovery %+v): %w", rep.Rounds, rec, err)
+		if err := model.verify(eng.Read); err != nil {
+			return nil, fmt.Errorf("recovery %+v: %w", rec, err)
 		}
+		return eng, nil
+	}
 
-		crashed := false
-		for next < len(ops) {
-			op := ops[next]
-			switch op.Kind {
-			case OpWrite:
-				data := Fill(blockB, op.Block, op.Fill)
-				if err := eng.Write(op.Block, data); err != nil {
-					if !in.Crashed() {
-						return rep, fmt.Errorf("check: op %d: write failed without a crash: %w", next, err)
-					}
-					// Unacknowledged: either value is legal after recovery.
-					pending = &pendingWrite{block: op.Block, old: model[op.Block], new: data}
-					crashed = true
-				} else {
-					model[op.Block] = data
-					rep.AckedWrites++
-				}
-			case OpRead:
-				got, err := eng.Read(op.Block)
-				if err != nil {
-					if !in.Crashed() {
-						return rep, fmt.Errorf("check: op %d: read failed without a crash: %w", next, err)
-					}
-					crashed = true
-				} else if want := expect(model, blockB, op.Block); !bytes.Equal(got, want) {
-					return rep, fmt.Errorf("check: op %d: read(%d) diverged from model pre-crash", next, op.Block)
-				}
-			default: // OpAccess and OpCheckpoint both become pattern-only touches
-				if err := eng.Access(op.Block); err != nil {
-					if !in.Crashed() {
-						return rep, fmt.Errorf("check: op %d: access failed without a crash: %w", next, err)
-					}
-					crashed = true
-				}
+	return rep, rep.run(schedule{
+		name:      "schedule",
+		maxRounds: totalOps + 16,
+		done:      func() bool { return next >= len(ops) },
+		draw:      func() faults.Config { return drawKill(r, 60) },
+		round: func(inc *incarnation) error {
+			eng, err := reopen(inc)
+			if err != nil {
+				return err
 			}
-			next++
-			if crashed {
-				break
-			}
-		}
-		st := eng.Stats() // counters survive poisoning; Close discards nothing
-		rep.DeltasWritten += st.DeltasWritten
-		rep.Compactions += st.CompactionRuns
-		eng.Close() // post-crash this reports ErrCrash; either way the incarnation is over
-		if crashed {
-			rep.Crashes++
-			rep.Sites[crashSiteKind(in.CrashSite())]++
-		}
-	}
-
-	// Final incarnation on the real filesystem: recovery must succeed and
-	// the full model must read back.
-	rep.Rounds++
-	eng, err := durable.Open(crashOptions(dir, seed, vfs.OS{}, delta))
-	if err != nil {
-		return rep, fmt.Errorf("check: final recovery: %w", err)
-	}
-	defer eng.Close()
-	rep.Replayed += eng.Recovery().RecordsReplayed
-	rep.DeltasApplied += eng.Recovery().DeltasApplied
-	rep.DeltasSkipped += eng.Recovery().DeltasSkipped
-	if eng.Recovery().TornTail {
-		rep.TornTails++
-	}
-	if err := verifyRecovered(eng, model, &pending, blockB); err != nil {
-		return rep, fmt.Errorf("check: final recovery: %w", err)
-	}
-	return rep, nil
+			inc.onClose(func() {
+				st := eng.Stats() // counters survive poisoning
+				rep.DeltasWritten += st.DeltasWritten
+				rep.Compactions += st.CompactionRuns
+			})
+			return serveGenOps(eng, model, ops, &next, &rep.ScheduleHeader, nil)
+		},
+		final: func(inc *incarnation) error {
+			_, err := reopen(inc)
+			return err
+		},
+	})
 }
 
-// verifyRecovered checks a freshly recovered engine against the
-// acknowledged model: the pending (unacknowledged) write may read as
-// either value — and is then pinned to whatever recovery chose — while
-// every acknowledged block must match exactly.
-func verifyRecovered(eng *durable.Engine, model map[int64][]byte, pending **pendingWrite, blockB int) error {
-	if p := *pending; p != nil {
-		got, err := eng.Read(p.block)
-		if err != nil {
-			return fmt.Errorf("reading pending block %d: %w", p.block, err)
-		}
-		old := p.old
-		if old == nil {
-			old = make([]byte, blockB)
-		}
-		switch {
-		case bytes.Equal(got, p.new):
-			model[p.block] = p.new
-		case bytes.Equal(got, old):
-			if p.old != nil {
-				model[p.block] = p.old
+// serveGenOps applies the generated op stream to a durable engine from
+// *next on, checking reads against the model and acknowledging writes
+// into it, until the stream is spent or the engine dies inside an op. An
+// op the kill interrupted is spent, not retried: no response reached a
+// client, so a write is left in doubt. died, when set, reports a death
+// the op did not surface as an error (the failover oracle's link kills).
+func serveGenOps(eng *durable.Engine, model *ackModel, ops []Op, next *int, h *ScheduleHeader, died func() bool) error {
+	for *next < len(ops) {
+		i, op := *next, ops[*next]
+		*next++
+		var data []byte
+		var err error
+		switch op.Kind {
+		case OpWrite:
+			data = Fill(model.blockB, op.Block, op.Fill)
+			err = eng.Write(op.Block, data)
+		case OpRead:
+			var got []byte
+			if got, err = eng.Read(op.Block); err == nil && !bytes.Equal(got, model.want(op.Block)) {
+				return fmt.Errorf("op %d: read(%d) diverged from model pre-crash", i, op.Block)
 			}
-		default:
-			return fmt.Errorf("pending block %d holds neither its old nor its new content", p.block)
+		default: // OpAccess and OpCheckpoint both become pattern-only touches
+			err = eng.Access(op.Block)
 		}
-		*pending = nil
-	}
-	for blk, want := range model {
-		got, err := eng.Read(blk)
-		if err != nil {
-			return fmt.Errorf("reading block %d: %w", blk, err)
+		dead := died != nil && died()
+		if err != nil || dead {
+			if op.Kind == OpWrite {
+				model.doubt(op.Block, data)
+			}
+			if err != nil {
+				err = failed(fmt.Sprintf("op %d (%v)", i, op.Kind), err)
+			}
+			return err
 		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("acknowledged write to block %d lost or corrupted after recovery", blk)
+		if op.Kind == OpWrite {
+			model.ack(op.Block, data)
+			h.AckedWrites++
 		}
 	}
 	return nil

@@ -1,10 +1,8 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
 
-	"repro/aboram"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
@@ -20,27 +18,25 @@ import (
 // the failure model that makes group commit's loss window observable.
 //
 // The contract checked is the same zero-acked-loss rule, generalized to
-// multi-write pending sets: after a crash, every batch-synced write must
+// multi-write in-doubt sets: after a crash, every batch-synced write must
 // survive; each block touched by the unacknowledged batch in flight may
-// hold either its pre-batch content or any value that batch wrote to it;
-// and the whole schedule must issue strictly fewer fsyncs than writes —
-// the amortization group commit exists for.
+// hold either its pre-batch content or any value that batch wrote to it
+// (recovery keeps the longest durable WAL prefix, so any prefix cut is
+// legal); and the whole schedule must issue strictly fewer fsyncs than
+// writes — the amortization group commit exists for.
 
 // GroupReport summarizes one seeded group-commit schedule.
 type GroupReport struct {
-	Seed        uint64
-	Rounds      int
-	Crashes     int
-	AckedWrites int
-	Writes      uint64 // engine-acknowledged appends across all rounds
-	Syncs       uint64 // WAL fsyncs across all rounds
-	Batched     uint64 // the subset issued by BatchSync
-	Dropped     int    // unsynced buffered writes the injector discarded
+	ScheduleHeader
+	Writes  uint64 // engine-acknowledged appends across all rounds
+	Syncs   uint64 // WAL fsyncs across all rounds
+	Batched uint64 // the subset issued by BatchSync
+	Dropped int    // unsynced buffered writes the injector discarded
 }
 
 func (r *GroupReport) String() string {
-	return fmt.Sprintf("seed %d: %d rounds, %d crashes, %d acked writes, %d syncs (%d batched) for %d appends, %d dropped",
-		r.Seed, r.Rounds, r.Crashes, r.AckedWrites, r.Syncs, r.Batched, r.Writes, r.Dropped)
+	return fmt.Sprintf("%v, %d syncs (%d batched) for %d appends, %d dropped",
+		&r.ScheduleHeader, r.Syncs, r.Batched, r.Writes, r.Dropped)
 }
 
 // groupOptions is crashOptions with group commit on and the max-delay
@@ -58,167 +54,89 @@ func groupOptions(dir string, seed uint64, fs vfs.FS) durable.Options {
 // model, and checks zero acked-write loss plus fsync amortization.
 func RunGroupCommitSchedule(dir string, seed uint64, totalOps int) (*GroupReport, error) {
 	r := rng.New(seed ^ 0x67726f7570)
-	rep := &GroupReport{Seed: seed}
-
-	probe, err := aboram.New(crashOptions(dir, seed, vfs.OS{}, false).ORAM)
+	rep := &GroupReport{ScheduleHeader: newHeader(seed)}
+	numBlocks, blockB, err := oracleGeometry(seed)
 	if err != nil {
 		return nil, err
 	}
-	blockB, numBlocks := probe.BlockSize(), probe.NumBlocks()
-
-	model := make(map[int64][]byte)
-	// pending is the unacknowledged batch in flight at a crash: per
-	// block, the values the batch wrote (recovery may surface the last
-	// survivor of any durable prefix, or the pre-batch content).
-	var pending map[int64][][]byte
+	model := newAckModel(blockB)
 	nextID := uint64(0)
 	opsDone := 0
-	maxRounds := totalOps + 16
-	for opsDone < totalOps {
-		if rep.Rounds >= maxRounds {
-			return rep, fmt.Errorf("check: group schedule %d made no progress after %d rounds", seed, rep.Rounds)
-		}
-		rep.Rounds++
 
-		in := faults.New(faults.Config{
-			Seed:         r.Uint64(),
-			CrashAfter:   1 + int(r.Uint64n(50)),
-			TornWrites:   true,
-			DropUnsynced: true,
-		})
-		eng, err := durable.Open(groupOptions(dir, seed, faults.WrapFS(vfs.OS{}, in)))
+	type batchWrite struct {
+		block int64
+		data  []byte
+	}
+	reopen := func(inc *incarnation) (*durable.Engine, error) {
+		eng, err := inc.open(groupOptions(dir, seed, inc.fs))
 		if err != nil {
-			if !in.Crashed() {
-				return rep, fmt.Errorf("check: round %d: recovery failed without a crash: %w", rep.Rounds, err)
-			}
-			rep.Crashes++
-			st := in.Stats()
-			rep.Dropped += st.Dropped
-			continue
+			return nil, err
 		}
-
-		if err := verifyGroupRecovered(eng, model, &pending, blockB); err != nil {
-			eng.Close()
-			return rep, fmt.Errorf("check: round %d: %w", rep.Rounds, err)
-		}
-
-		crashed := false
-		for !crashed && opsDone < totalOps {
-			batchN := 1 + int(r.Uint64n(8))
-			if batchN > totalOps-opsDone {
-				batchN = totalOps - opsDone
-			}
-			// Apply the batch; acks are deferred until BatchSync.
-			batch := make(map[int64][][]byte)
-			type bw struct {
-				block int64
-				data  []byte
-			}
-			var applied []bw
-			for i := 0; i < batchN; i++ {
-				block := int64(r.Uint64n(uint64(numBlocks)))
-				data := Fill(blockB, block, byte(r.Uint64()))
-				nextID++
-				opsDone++
-				batch[block] = append(batch[block], data)
-				if err := eng.WriteIdentified(nextID, block, data); err != nil {
-					if !in.Crashed() {
-						eng.Close()
-						return rep, fmt.Errorf("check: op %d: write failed without a crash: %w", opsDone, err)
-					}
-					crashed = true
-					break
-				}
-				applied = append(applied, bw{block, data})
-			}
-			if crashed {
-				pending = batch
-				break
-			}
-			if err := eng.BatchSync(); err != nil {
-				if !in.Crashed() {
-					eng.Close()
-					return rep, fmt.Errorf("check: op %d: batch sync failed without a crash: %w", opsDone, err)
-				}
-				// The whole batch is unacknowledged.
-				pending = batch
-				crashed = true
-				break
-			}
-			// Acks released: the batch is durable.
-			for _, w := range applied {
-				model[w.block] = w.data
-				rep.AckedWrites++
-			}
-		}
-
-		st := eng.Stats()
-		rep.Writes += st.Writes
-		rep.Syncs += st.Syncs
-		rep.Batched += st.BatchedSyncs
-		eng.Close()
-		ist := in.Stats()
-		rep.Dropped += ist.Dropped
-		if crashed {
-			rep.Crashes++
-		}
+		return eng, model.verify(eng.Read)
 	}
-
-	// Final clean recovery and read-back.
-	rep.Rounds++
-	eng, err := durable.Open(groupOptions(dir, seed, vfs.OS{}))
-	if err != nil {
-		return rep, fmt.Errorf("check: final recovery: %w", err)
-	}
-	defer eng.Close()
-	if err := verifyGroupRecovered(eng, model, &pending, blockB); err != nil {
-		return rep, fmt.Errorf("check: final recovery: %w", err)
-	}
-	if rep.AckedWrites > 8 && rep.Syncs >= rep.Writes {
-		return rep, fmt.Errorf("check: group commit issued %d syncs for %d appends — no amortization", rep.Syncs, rep.Writes)
-	}
-	return rep, nil
-}
-
-// verifyGroupRecovered checks recovered state under a multi-write
-// pending batch: each pending block may hold its pre-batch model content
-// or any value the batch wrote to it (recovery keeps the longest durable
-// WAL prefix, so any prefix cut is legal); whatever recovery chose is
-// pinned into the model. All other blocks must match exactly.
-func verifyGroupRecovered(eng *durable.Engine, model map[int64][]byte, pending *map[int64][][]byte, blockB int) error {
-	if p := *pending; p != nil {
-		for blk, values := range p {
-			got, err := eng.Read(blk)
+	err = rep.run(schedule{
+		name:      "group schedule",
+		maxRounds: totalOps + 16,
+		done:      func() bool { return opsDone >= totalOps },
+		draw: func() faults.Config {
+			cfg := drawKill(r, 50)
+			cfg.DropUnsynced = true
+			return cfg
+		},
+		round: func(inc *incarnation) error {
+			// Registered first, so it runs last: a crashed Close is where
+			// the page cache drops what was never synced.
+			inc.onClose(func() { rep.Dropped += inc.in.Stats().Dropped })
+			eng, err := reopen(inc)
 			if err != nil {
-				return fmt.Errorf("reading pending block %d: %w", blk, err)
+				return err
 			}
-			old := model[blk]
-			if old == nil {
-				old = make([]byte, blockB)
-			}
-			ok := bytes.Equal(got, old)
-			for _, v := range values {
-				if bytes.Equal(got, v) {
-					ok = true
+			inc.onClose(func() {
+				st := eng.Stats()
+				rep.Writes += st.Writes
+				rep.Syncs += st.Syncs
+				rep.Batched += st.BatchedSyncs
+			})
+			for opsDone < totalOps {
+				batchN := min(1+int(r.Uint64n(8)), totalOps-opsDone)
+				// Apply the batch; acks are deferred until BatchSync, and a
+				// failure anywhere before then leaves the whole batch — the
+				// failing write included — acknowledged to nobody.
+				var batch []batchWrite
+				unacked := func(stage string, err error) error {
+					for _, w := range batch {
+						model.doubt(w.block, w.data)
+					}
+					return failed(fmt.Sprintf("op %d: %s", opsDone, stage), err)
+				}
+				for i := 0; i < batchN; i++ {
+					block := int64(r.Uint64n(uint64(numBlocks)))
+					data := Fill(blockB, block, byte(r.Uint64()))
+					nextID++
+					opsDone++
+					batch = append(batch, batchWrite{block, data})
+					if err := eng.WriteIdentified(nextID, block, data); err != nil {
+						return unacked("write", err)
+					}
+				}
+				if err := eng.BatchSync(); err != nil {
+					return unacked("batch sync", err)
+				}
+				// Acks released: the batch is durable.
+				for _, w := range batch {
+					model.ack(w.block, w.data)
+					rep.AckedWrites++
 				}
 			}
-			if !ok {
-				return fmt.Errorf("pending block %d holds neither its old content nor any batch value", blk)
-			}
-			if !bytes.Equal(got, make([]byte, blockB)) || model[blk] != nil {
-				model[blk] = append([]byte(nil), got...)
-			}
-		}
-		*pending = nil
+			return nil
+		},
+		final: func(inc *incarnation) error {
+			_, err := reopen(inc)
+			return err
+		},
+	})
+	if err == nil && rep.AckedWrites > 8 && rep.Syncs >= rep.Writes {
+		err = fmt.Errorf("check: group commit issued %d syncs for %d appends — no amortization", rep.Syncs, rep.Writes)
 	}
-	for blk, want := range model {
-		got, err := eng.Read(blk)
-		if err != nil {
-			return fmt.Errorf("reading block %d: %w", blk, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("acknowledged write to block %d lost or corrupted after recovery", blk)
-		}
-	}
-	return nil
+	return rep, err
 }

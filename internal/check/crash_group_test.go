@@ -1,6 +1,10 @@
 package check
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/vfs"
+)
 
 // TestGroupCommitSchedules is the acceptance gate for group commit:
 // seeded batched-write schedules under a volatile-page-cache fault model
@@ -43,17 +47,24 @@ func TestGroupCommitSchedules(t *testing.T) {
 	}
 }
 
-// TestGroupCommitScheduleDeterminism locks in seed-purity.
+// TestGroupCommitScheduleDeterminism locks in seed-purity, down to the
+// fingerprint of the engine each run's directory recovers to.
 func TestGroupCommitScheduleDeterminism(t *testing.T) {
-	a, err := RunGroupCommitSchedule(t.TempDir(), 99, 150)
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, err := RunGroupCommitSchedule(dirA, 99, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGroupCommitSchedule(t.TempDir(), 99, 150)
+	b, err := RunGroupCommitSchedule(dirB, 99, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
 		t.Fatalf("same seed diverged:\n  %v\n  %v", a, b)
+	}
+	fa := recoveredFingerprint(t, groupOptions(dirA, 99, vfs.OS{}))
+	fb := recoveredFingerprint(t, groupOptions(dirB, 99, vfs.OS{}))
+	if fa != fb {
+		t.Fatalf("same seed, same report, different engine state: fingerprints %x vs %x", fa[:8], fb[:8])
 	}
 }

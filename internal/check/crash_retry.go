@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/aboram"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
-	"repro/internal/vfs"
 )
 
 // This file extends the kill-recover oracle with the exactly-once
@@ -43,19 +41,16 @@ type RetryOptions struct {
 
 // RetryReport summarizes one seeded retry schedule.
 type RetryReport struct {
-	Seed        uint64
-	Rounds      int
-	Crashes     int
-	AckedWrites int
-	InDoubt     int // writes retried because a crash left them in doubt
-	DedupSkips  int // retries/duplicates absorbed by the recovered id set
-	Straddles   int // cross-crash duplicates staged and replayed
-	Reexecuted  int // retries that executed for real (id not recovered)
+	ScheduleHeader
+	InDoubt    int // writes retried because a crash left them in doubt
+	DedupSkips int // retries/duplicates absorbed by the recovered id set
+	Straddles  int // cross-crash duplicates staged and replayed
+	Reexecuted int // retries that executed for real (id not recovered)
 }
 
 func (r *RetryReport) String() string {
-	return fmt.Sprintf("seed %d: %d rounds, %d crashes, %d acked, %d in-doubt retries, %d dedup skips, %d straddling dups, %d re-executed",
-		r.Seed, r.Rounds, r.Crashes, r.AckedWrites, r.InDoubt, r.DedupSkips, r.Straddles, r.Reexecuted)
+	return fmt.Sprintf("%v, %d in-doubt retries, %d dedup skips, %d straddling dups, %d re-executed",
+		&r.ScheduleHeader, r.InDoubt, r.DedupSkips, r.Straddles, r.Reexecuted)
 }
 
 // retryWrite is one identified write the schedule may retry or replay.
@@ -63,7 +58,6 @@ type retryWrite struct {
 	id    uint64
 	block int64
 	data  []byte
-	old   []byte // model content before the write (either-value rule)
 }
 
 // RunRetrySchedule runs a seeded schedule of identified writes against
@@ -74,256 +68,170 @@ type retryWrite struct {
 // did not survive).
 func RunRetrySchedule(dir string, seed uint64, totalOps int, opt RetryOptions) (*RetryReport, error) {
 	r := rng.New(seed ^ 0x7265747279) // decorrelated schedule stream
-	rep := &RetryReport{Seed: seed}
-
-	probe, err := aboram.New(crashOptions(dir, seed, vfs.OS{}, false).ORAM)
+	rep := &RetryReport{ScheduleHeader: newHeader(seed)}
+	numBlocks, blockB, err := oracleGeometry(seed)
 	if err != nil {
 		return nil, err
 	}
-	blockB, numBlocks := probe.BlockSize(), probe.NumBlocks()
-
-	model := make(map[int64][]byte)
+	model := newAckModel(blockB)
 	acked := make(map[uint64]bool) // ids acknowledged across the whole schedule
 	var inDoubt *retryWrite        // single write in flight at the last crash
 	var staged *retryWrite         // acked write held back as a cross-crash duplicate
-
 	nextID := uint64(0)
 	opsDone := 0
-	maxRounds := totalOps + 16
-	for opsDone < totalOps {
-		if rep.Rounds >= maxRounds {
-			return rep, fmt.Errorf("check: retry schedule %d made no progress after %d rounds", seed, rep.Rounds)
-		}
-		rep.Rounds++
 
-		in := faults.New(faults.Config{
-			Seed:       r.Uint64(),
-			CrashAfter: 1 + int(r.Uint64n(60)),
-			TornWrites: true,
-		})
-		eng, err := durable.Open(crashOptions(dir, seed, faults.WrapFS(vfs.OS{}, in), false))
+	// reopen recovers the engine and its id set, and checks the
+	// crash-durable dedup invariant: every acknowledged id must be in the
+	// recovered set (the schedule stays far below DedupTrack, so capacity
+	// eviction cannot excuse an absence).
+	reopen := func(inc *incarnation) (*durable.Engine, map[uint64]bool, error) {
+		eng, err := inc.open(crashOptions(dir, seed, inc.fs, false))
 		if err != nil {
-			if !in.Crashed() {
-				return rep, fmt.Errorf("check: round %d: recovery failed without a crash: %w", rep.Rounds, err)
-			}
-			rep.Crashes++
-			continue
+			return nil, nil, err
 		}
-
 		recovered := make(map[uint64]bool)
 		for _, id := range eng.RecentWriteIDs() {
 			recovered[id] = true
 		}
-
-		// Crash-durable dedup invariant: every acknowledged id must be in
-		// the recovered set (the schedule stays far below DedupTrack, so
-		// capacity eviction cannot excuse an absence).
 		for id := range acked {
 			if !recovered[id] {
-				eng.Close()
-				return rep, fmt.Errorf("check: round %d: acked id %#x missing from recovered set (size %d)",
-					rep.Rounds, id, len(recovered))
+				return nil, nil, fmt.Errorf("acked id %#x missing from recovered set (size %d)", id, len(recovered))
 			}
 		}
+		return eng, recovered, nil
+	}
+	// issue executes w. A failure leaves it in doubt for the next
+	// incarnation's retry; an ack makes it the block's content.
+	issue := func(eng *durable.Engine, w *retryWrite, stage string) error {
+		if err := eng.WriteIdentified(w.id, w.block, w.data); err != nil {
+			if inDoubt != w { // a failed retry is in doubt already
+				inDoubt = w
+				model.doubt(w.block, w.data)
+			}
+			return failed(stage, err)
+		}
+		inDoubt = nil
+		model.ack(w.block, w.data)
+		acked[w.id] = true
+		return nil
+	}
+	// readBack is the model's verify under this oracle's name for wrong
+	// content: a block that lost its acknowledged value here was rolled
+	// back by a re-executed duplicate.
+	readBack := func(eng *durable.Engine) error {
+		err := model.verify(eng.Read)
+		if err != nil && !isOpFailure(err) {
+			err = fmt.Errorf("exactly-once violation: %w", err)
+		}
+		return err
+	}
 
-		// Resolve the write in doubt from the previous incarnation. If its
-		// id was recovered the write IS applied (recovered-implies-applied)
-		// and the retry is a dedup hit; otherwise it executes for real.
-		crashed := false
-		if inDoubt != nil {
-			w := inDoubt
-			rep.InDoubt++
-			if recovered[w.id] && !opt.IgnoreRecoveredIDs {
-				got, err := eng.Read(w.block)
-				if err != nil {
-					eng.Close()
-					return rep, fmt.Errorf("check: round %d: reading recovered block %d: %w", rep.Rounds, w.block, err)
-				}
-				if !bytes.Equal(got, w.data) {
-					eng.Close()
-					return rep, fmt.Errorf("check: round %d: id %#x recovered but block %d does not hold its write",
-						rep.Rounds, w.id, w.block)
-				}
-				rep.DedupSkips++
-				model[w.block] = w.data
-				acked[w.id] = true
-				inDoubt = nil
-			} else {
-				// Not recovered (or the control pretends it is not): the
-				// retry executes. Either-value held before; after an ack it
-				// must be the new value.
-				if err := eng.WriteIdentified(w.id, w.block, w.data); err != nil {
-					if !in.Crashed() {
-						eng.Close()
-						return rep, fmt.Errorf("check: round %d: retry failed without a crash: %w", rep.Rounds, err)
+	return rep, rep.run(schedule{
+		name:      "retry schedule",
+		maxRounds: totalOps + 16,
+		done:      func() bool { return opsDone >= totalOps },
+		draw:      func() faults.Config { return drawKill(r, 60) },
+		round: func(inc *incarnation) error {
+			eng, recovered, err := reopen(inc)
+			if err != nil {
+				return err
+			}
+
+			// Resolve the write in doubt from the previous incarnation. If its
+			// id was recovered the write IS applied (recovered-implies-applied)
+			// and the retry is a dedup hit; otherwise it executes for real.
+			if w := inDoubt; w != nil {
+				rep.InDoubt++
+				if recovered[w.id] && !opt.IgnoreRecoveredIDs {
+					got, err := eng.Read(w.block)
+					if err != nil {
+						return failed(fmt.Sprintf("reading recovered block %d", w.block), err)
 					}
-					crashed = true // still in doubt; next round retries again
-				} else {
-					rep.Reexecuted++
-					model[w.block] = w.data
-					acked[w.id] = true
+					if !bytes.Equal(got, w.data) {
+						return fmt.Errorf("id %#x recovered but block %d does not hold its write", w.id, w.block)
+					}
+					rep.DedupSkips++
 					inDoubt = nil
+					model.ack(w.block, w.data)
+					acked[w.id] = true
+				} else {
+					// Not recovered (or the control pretends it is not): the
+					// retry executes. Either-value held before; after an ack it
+					// must be the new value. A failure keeps it in doubt and
+					// the next round retries again.
+					if err := issue(eng, w, "retry"); err != nil {
+						return err
+					}
+					rep.Reexecuted++
 				}
 			}
-		}
 
-		// Replay the staged cross-crash duplicate: first a conflicting
-		// write to the same block (fresh id), then the duplicate itself.
-		// Correct dedup absorbs the duplicate and the conflict's value
-		// stays; re-executing it rolls the block back, which the model
-		// check below catches.
-		if !crashed && staged != nil && opsDone < totalOps {
-			dup := staged
-			nextID++
-			conflict := &retryWrite{id: nextID, block: dup.block,
-				data: Fill(blockB, dup.block, byte(r.Uint64())^0xA5), old: model[dup.block]}
-			opsDone++
-			if err := eng.WriteIdentified(conflict.id, conflict.block, conflict.data); err != nil {
-				if !in.Crashed() {
-					eng.Close()
-					return rep, fmt.Errorf("check: round %d: conflict write failed without a crash: %w", rep.Rounds, err)
+			// Replay the staged cross-crash duplicate: first a conflicting
+			// write to the same block (fresh id), then the duplicate itself.
+			// Correct dedup absorbs the duplicate and the conflict's value
+			// stays; re-executing it rolls the block back, which the model
+			// check below catches.
+			if dup := staged; dup != nil && opsDone < totalOps {
+				nextID++
+				opsDone++
+				conflict := &retryWrite{id: nextID, block: dup.block, data: Fill(blockB, dup.block, byte(r.Uint64())^0xA5)}
+				if err := issue(eng, conflict, "conflict write"); err != nil {
+					return err // the duplicate stays staged for the next round
 				}
-				inDoubt = conflict
-				crashed = true // duplicate stays staged for the next round
-			} else {
-				model[conflict.block] = conflict.data
-				acked[conflict.id] = true
 				rep.AckedWrites++
 				rep.Straddles++
 				staged = nil
 				if recovered[dup.id] && !opt.IgnoreRecoveredIDs {
 					rep.DedupSkips++ // absorbed: model keeps the conflict's value
-				} else {
+				} else if err := eng.WriteIdentified(dup.id, dup.block, dup.data); err != nil {
 					// The simulated server forgot the id: the duplicate
 					// re-executes, but the MODEL keeps the conflict's value —
 					// exactly-once semantics say a duplicate of an acked
 					// write must not change state. The read-back check
 					// reports the regression.
-					if err := eng.WriteIdentified(dup.id, dup.block, dup.data); err != nil {
-						if !in.Crashed() {
-							eng.Close()
-							return rep, fmt.Errorf("check: round %d: duplicate write failed without a crash: %w", rep.Rounds, err)
-						}
-						crashed = true
+					return failed("duplicate write", err)
+				}
+			}
+
+			// Normal serving until the op budget or the crash point.
+			for opsDone < totalOps {
+				block := int64(r.Uint64n(uint64(numBlocks)))
+				nextID++
+				opsDone++
+				w := &retryWrite{id: nextID, block: block, data: Fill(blockB, block, byte(r.Uint64()))}
+				if err := issue(eng, w, fmt.Sprintf("op %d: write", opsDone)); err != nil {
+					return err
+				}
+				rep.AckedWrites++
+				// Occasionally hold an acked write back as a future
+				// cross-crash duplicate.
+				if staged == nil && r.Float64() < 0.25 {
+					staged = w
+				}
+				// Interleave reads to catch rollbacks early.
+				if r.Float64() < 0.3 {
+					got, err := eng.Read(block)
+					if err != nil {
+						return failed(fmt.Sprintf("op %d: read", opsDone), err)
+					}
+					if !bytes.Equal(got, model.want(block)) {
+						return fmt.Errorf("op %d: block %d diverged from model pre-crash", opsDone, block)
 					}
 				}
 			}
-		}
-
-		// Normal serving until the op budget or the crash point.
-		for !crashed && opsDone < totalOps {
-			block := int64(r.Uint64n(uint64(numBlocks)))
-			nextID++
-			w := &retryWrite{id: nextID, block: block,
-				data: Fill(blockB, block, byte(r.Uint64())), old: model[block]}
-			opsDone++
-			if err := eng.WriteIdentified(w.id, w.block, w.data); err != nil {
-				if !in.Crashed() {
-					eng.Close()
-					return rep, fmt.Errorf("check: op %d: write failed without a crash: %w", opsDone, err)
-				}
-				inDoubt = w
-				crashed = true
-				break
+			// The budget ran out with the engine alive: nothing is in doubt,
+			// so the whole model must read back.
+			return readBack(eng)
+		},
+		// Final clean recovery: every acked id must still be recoverable, a
+		// write the schedule ended on in doubt is pinned by the either-value
+		// rule, and the full model must read back.
+		final: func(inc *incarnation) error {
+			eng, _, err := reopen(inc)
+			if err != nil {
+				return err
 			}
-			model[w.block] = w.data
-			acked[w.id] = true
-			rep.AckedWrites++
-			// Occasionally hold an acked write back as a future
-			// cross-crash duplicate.
-			if staged == nil && r.Float64() < 0.25 {
-				staged = w
-			}
-			// Interleave reads to catch rollbacks early.
-			if r.Float64() < 0.3 {
-				got, err := eng.Read(block)
-				if err != nil {
-					if !in.Crashed() {
-						eng.Close()
-						return rep, fmt.Errorf("check: op %d: read failed without a crash: %w", opsDone, err)
-					}
-					crashed = true
-					break
-				}
-				if !bytes.Equal(got, model[block]) {
-					eng.Close()
-					return rep, fmt.Errorf("check: op %d: block %d diverged from model pre-crash", opsDone, block)
-				}
-			}
-		}
-
-		// Model read-back for this incarnation (skip blocks in doubt).
-		if !crashed {
-			for blk, want := range model {
-				if inDoubt != nil && inDoubt.block == blk {
-					continue
-				}
-				got, err := eng.Read(blk)
-				if err != nil {
-					if in.Crashed() {
-						crashed = true
-						break
-					}
-					eng.Close()
-					return rep, fmt.Errorf("check: round %d: reading block %d: %w", rep.Rounds, blk, err)
-				}
-				if !bytes.Equal(got, want) {
-					eng.Close()
-					return rep, fmt.Errorf("check: round %d: block %d lost or rolled back (exactly-once violation)",
-						rep.Rounds, blk)
-				}
-			}
-		}
-		eng.Close()
-		if crashed {
-			rep.Crashes++
-		}
-	}
-
-	// Final clean recovery: the full model must read back and every acked
-	// id must still be recoverable.
-	rep.Rounds++
-	eng, err := durable.Open(crashOptions(dir, seed, vfs.OS{}, false))
-	if err != nil {
-		return rep, fmt.Errorf("check: final recovery: %w", err)
-	}
-	defer eng.Close()
-	recovered := make(map[uint64]bool)
-	for _, id := range eng.RecentWriteIDs() {
-		recovered[id] = true
-	}
-	for id := range acked {
-		if !recovered[id] {
-			return rep, fmt.Errorf("check: final recovery: acked id %#x missing from recovered set", id)
-		}
-	}
-	if inDoubt != nil {
-		// The schedule ended with a write still in doubt: pin it by the
-		// either-value rule before the sweep.
-		got, err := eng.Read(inDoubt.block)
-		if err != nil {
-			return rep, fmt.Errorf("check: final recovery: reading in-doubt block %d: %w", inDoubt.block, err)
-		}
-		old := inDoubt.old
-		if old == nil {
-			old = make([]byte, blockB)
-		}
-		switch {
-		case bytes.Equal(got, inDoubt.data):
-			model[inDoubt.block] = inDoubt.data
-		case bytes.Equal(got, old):
-		default:
-			return rep, fmt.Errorf("check: final recovery: in-doubt block %d holds neither value", inDoubt.block)
-		}
-	}
-	for blk, want := range model {
-		got, err := eng.Read(blk)
-		if err != nil {
-			return rep, fmt.Errorf("check: final recovery: reading block %d: %w", blk, err)
-		}
-		if !bytes.Equal(got, want) {
-			return rep, fmt.Errorf("check: final recovery: block %d lost or rolled back (exactly-once violation)", blk)
-		}
-	}
-	return rep, nil
+			return readBack(eng)
+		},
+	})
 }

@@ -3,6 +3,8 @@ package check
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // TestRetrySchedules is the acceptance gate for crash-durable dedup: a
@@ -75,17 +77,24 @@ func TestRetryScheduleNegativeControl(t *testing.T) {
 }
 
 // TestRetryScheduleDeterminism locks in seed-purity of the retry
-// schedules, same as the base crash oracle.
+// schedules, same as the base crash oracle: equal reports and equal
+// recovered engine fingerprints.
 func TestRetryScheduleDeterminism(t *testing.T) {
-	a, err := RunRetrySchedule(t.TempDir(), 77, 150, RetryOptions{})
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, err := RunRetrySchedule(dirA, 77, 150, RetryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRetrySchedule(t.TempDir(), 77, 150, RetryOptions{})
+	b, err := RunRetrySchedule(dirB, 77, 150, RetryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
 		t.Fatalf("same seed diverged:\n  %v\n  %v", a, b)
+	}
+	fa := recoveredFingerprint(t, crashOptions(dirA, 77, vfs.OS{}, false))
+	fb := recoveredFingerprint(t, crashOptions(dirB, 77, vfs.OS{}, false))
+	if fa != fb {
+		t.Fatalf("same seed, same report, different engine state: fingerprints %x vs %x", fa[:8], fb[:8])
 	}
 }

@@ -3,6 +3,9 @@ package check
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/durable"
+	"repro/internal/vfs"
 )
 
 // TestCrashRecoverySchedules is the acceptance gate for the durability
@@ -17,7 +20,7 @@ func TestCrashRecoverySchedules(t *testing.T) {
 		opsPer, seeds = 120, 4
 	}
 
-	total := &CrashReport{Sites: make(map[string]int)}
+	total := &CrashReport{ScheduleHeader: newHeader(0)}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		rep, err := RunCrashSchedule(t.TempDir(), seed, opsPer)
 		if err != nil {
@@ -65,7 +68,7 @@ func TestCrashRecoveryDeltaSchedules(t *testing.T) {
 		opsPer, seeds = 120, 4
 	}
 
-	total := &CrashReport{Sites: make(map[string]int)}
+	total := &CrashReport{ScheduleHeader: newHeader(0)}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		rep, err := RunCrashScheduleDelta(t.TempDir(), seed, opsPer)
 		if err != nil {
@@ -112,36 +115,55 @@ func TestCrashRecoveryDeltaSchedules(t *testing.T) {
 	}
 }
 
-// TestCrashScheduleDeterminism locks in that a schedule is a pure
-// function of its seed: same seed, same directory history, same report.
-func TestCrashScheduleDeterminism(t *testing.T) {
-	a, err := RunCrashSchedule(t.TempDir(), 42, 150)
+// recoveredFingerprint reopens a finished schedule's directory the way a
+// restarted daemon would and fingerprints the recovered engine: the
+// complete protocol state, not just what a report counts.
+func recoveredFingerprint(t *testing.T, opt durable.Options) [32]byte {
+	t.Helper()
+	eng, err := durable.Open(opt)
+	if err != nil {
+		t.Fatalf("reopening %s: %v", opt.Dir, err)
+	}
+	defer eng.Close()
+	fp, err := eng.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCrashSchedule(t.TempDir(), 42, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n  %v\n  %v", a, b)
-	}
-	if a.Crashes == 0 {
-		t.Fatalf("seed 42 never crashed: %v", a)
-	}
+	return fp
+}
 
-	// The delta configuration must be just as pure: synchronous publishes
-	// keep the whole schedule a function of the seed.
-	da, err := RunCrashScheduleDelta(t.TempDir(), 42, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := RunCrashScheduleDelta(t.TempDir(), 42, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da.String() != db.String() {
-		t.Fatalf("same delta seed diverged:\n  %v\n  %v", da, db)
+// TestCrashScheduleDeterminism locks in that a schedule is a pure
+// function of its seed: same seed, same report, and — because the access
+// sequence itself must not depend on anything but the seed — the same
+// engine state down to the fingerprint of the directory it leaves. The
+// delta configuration must be just as pure: synchronous publishes keep
+// the whole schedule a function of the seed.
+func TestCrashScheduleDeterminism(t *testing.T) {
+	for _, delta := range []bool{false, true} {
+		run := RunCrashSchedule
+		if delta {
+			run = RunCrashScheduleDelta
+		}
+		dirA, dirB := t.TempDir(), t.TempDir()
+		a, err := run(dirA, 42, 150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := run(dirB, 42, 150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Fatalf("delta=%v: same seed diverged:\n  %v\n  %v", delta, a, b)
+		}
+		if a.Crashes == 0 {
+			t.Fatalf("delta=%v: seed 42 never crashed: %v", delta, a)
+		}
+		fa := recoveredFingerprint(t, crashOptions(dirA, 42, vfs.OS{}, delta))
+		fb := recoveredFingerprint(t, crashOptions(dirB, 42, vfs.OS{}, delta))
+		if fa != fb {
+			t.Fatalf("delta=%v: same seed, same report, different engine state: fingerprints %x vs %x", delta, fa[:8], fb[:8])
+		}
 	}
 }
 

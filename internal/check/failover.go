@@ -1,13 +1,11 @@
 package check
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
 
-	"repro/aboram"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
@@ -57,21 +55,19 @@ type FailoverOptions struct {
 	FenceOff bool
 }
 
-// FailoverReport summarizes one seeded failover schedule.
+// FailoverReport summarizes one seeded failover schedule. Its Sites
+// histogram holds the filesystem buckets (wal/snap/delta) beside the
+// link kills (frame:<kind>, ack:<kind>) and "clean" for a primary that
+// spent its op budget with the link healthy.
 type FailoverReport struct {
-	Seed        uint64
-	Rounds      int            // primary incarnations
-	Kills       int            // seeded kills (fs, frame, or ack)
-	KillSites   map[string]int // histogram: wal/snap/delta buckets, frame:<kind>, ack:<kind>, clean
-	AckedWrites int            // client-acknowledged writes across all rounds
-	Promoted    bool           // the replica was promotable (booted) at the final kill
-	PromoteTerm uint64         // fencing term the promotion installed
-	FenceOK     bool           // deposed primary's re-attach was refused
+	ScheduleHeader
+	Promoted    bool   // the replica was promotable (booted) at the final kill
+	PromoteTerm uint64 // fencing term the promotion installed
+	FenceOK     bool   // deposed primary's re-attach was refused
 }
 
 func (r *FailoverReport) String() string {
-	return fmt.Sprintf("seed %d: %d rounds, %d kills (sites %v), %d acked writes, promoted=%v term=%d fenceOK=%v",
-		r.Seed, r.Rounds, r.Kills, r.KillSites, r.AckedWrites, r.Promoted, r.PromoteTerm, r.FenceOK)
+	return fmt.Sprintf("%v, promoted=%v term=%d fenceOK=%v", &r.ScheduleHeader, r.Promoted, r.PromoteTerm, r.FenceOK)
 }
 
 // errLinkDead is what the oracle sink returns once its seeded kill has
@@ -134,178 +130,129 @@ func (os *oracleSink) SendFrame(f wire.ReplFrame) error {
 // layout: <dir>/primary and <dir>/replica.
 func RunFailoverSchedule(dir string, seed uint64, totalOps int, opt FailoverOptions) (*FailoverReport, error) {
 	r := rng.New(seed ^ 0xfa110f37) // decorrelate from the engine's streams
-	rep := &FailoverReport{Seed: seed, KillSites: make(map[string]int)}
+	rep := &FailoverReport{ScheduleHeader: newHeader(seed)}
 	pdir, rdir := filepath.Join(dir, "primary"), filepath.Join(dir, "replica")
-
-	probe, err := aboram.New(aboram.Options{Levels: 8, Seed: seed, EncryptionKey: oracleKey})
+	numBlocks, blockB, err := oracleGeometry(seed)
 	if err != nil {
 		return nil, err
 	}
-	numBlocks, blockB := probe.NumBlocks(), probe.BlockSize()
 	ops := GenOps(seed, totalOps, numBlocks)
-
-	model := make(map[int64][]byte)
-	var pending *pendingWrite
+	model := newAckModel(blockB)
 	next := 0
 	lastBooted := false
+	var sink *oracleSink // this round's replication link
 
-	maxRounds := totalOps + 16
-	for next < len(ops) {
-		if rep.Rounds >= maxRounds {
-			return rep, fmt.Errorf("check: failover schedule %d made no progress after %d rounds", seed, rep.Rounds)
-		}
-		rep.Rounds++
-
+	return rep, rep.run(schedule{
+		name:      "failover schedule",
+		maxRounds: totalOps + 16,
+		done:      func() bool { return next >= len(ops) },
 		// One seeded kill per round: a filesystem crash on the primary, a
 		// dropped frame, or a dropped ack.
-		var in *faults.Injector
-		ship := &durable.Shipper{Shard: 0, SemiSync: true, AckTimeout: 10 * time.Millisecond, ChunkBytes: 2 << 10}
-		sink := &oracleSink{s: ship}
-		switch r.Uint64n(3) {
-		case 0: // fs kill
-			in = faults.New(faults.Config{Seed: r.Uint64(), CrashAfter: 1 + int(r.Uint64n(60)), TornWrites: true})
-		case 1: // frame kill (mid-send)
-			in = faults.New(faults.Config{Seed: r.Uint64()})
-			sink.killAfter = 1 + int(r.Uint64n(80))
-		default: // ack kill (applied, unacknowledged)
-			in = faults.New(faults.Config{Seed: r.Uint64()})
-			sink.killAfter = 1 + int(r.Uint64n(80))
-			sink.ackKill = true
-		}
-
-		engOpt := crashOptions(pdir, seed, faults.WrapFS(vfs.OS{}, in), opt.Delta)
-		engOpt.Ship = ship
-		eng, err := durable.Open(engOpt)
-		if err != nil {
-			if !in.Crashed() {
-				return rep, fmt.Errorf("check: round %d: recovery failed without a crash: %w", rep.Rounds, err)
+		draw: func() faults.Config {
+			sink = &oracleSink{}
+			kind := r.Uint64n(3)
+			if kind == 0 { // fs kill
+				return drawKill(r, 60)
 			}
-			rep.Kills++
-			rep.KillSites[crashSiteKind(in.CrashSite())]++
-			continue
-		}
-		if err := verifyRecovered(eng, model, &pending, blockB); err != nil {
-			eng.Close()
-			return rep, fmt.Errorf("check: round %d primary recovery: %w", rep.Rounds, err)
-		}
-		m, err := durable.NewMirror(rdir, durable.MirrorOptions{Shard: 0})
-		if err != nil {
-			eng.Close()
-			return rep, err
-		}
-		sink.m = m
-		ship.Attach(sink)
-
-		killed := false
-		for next < len(ops) {
-			op := ops[next]
-			firedBefore := sink.fired
-			var opErr error
-			var newData []byte
-			switch op.Kind {
-			case OpWrite:
-				newData = Fill(blockB, op.Block, op.Fill)
-				opErr = eng.Write(op.Block, newData)
-			case OpRead:
-				var got []byte
-				got, opErr = eng.Read(op.Block)
-				if opErr == nil {
-					if want := expect(model, blockB, op.Block); !bytes.Equal(got, want) {
-						eng.Close()
-						m.Close()
-						return rep, fmt.Errorf("check: op %d: read(%d) diverged from model pre-kill", next, op.Block)
-					}
-				}
-			default:
-				opErr = eng.Access(op.Block)
+			cfg := faults.Config{Seed: r.Uint64()}  // the disk stays healthy; the link dies:
+			sink.killAfter = 1 + int(r.Uint64n(80)) // a frame kill (mid-send) ...
+			sink.ackKill = kind == 2                // ... or an ack kill (applied, unacknowledged)
+			return cfg
+		},
+		round: func(inc *incarnation) error {
+			// The mirror opens first so that it closes last: the engine's
+			// Close ships whatever its final sync covered. A booted mirror is
+			// promotable no matter how the link died: a dropped frame was
+			// never applied (in-flight assembly is in-memory only) and a
+			// dropped ack was applied and fsynced.
+			m, err := durable.NewMirror(rdir, durable.MirrorOptions{Shard: 0})
+			if err != nil {
+				return err
 			}
-			linkFired := sink.fired && !firedBefore
-			if opErr != nil && !in.Crashed() && !sink.fired {
-				eng.Close()
+			inc.onClose(func() {
+				lastBooted = m.Booted()
 				m.Close()
-				return rep, fmt.Errorf("check: op %d failed without a kill: %w", next, opErr)
+			})
+			ship := &durable.Shipper{Shard: 0, SemiSync: true, AckTimeout: 10 * time.Millisecond, ChunkBytes: 2 << 10}
+			sink.m, sink.s = m, ship
+			engOpt := crashOptions(pdir, seed, inc.fs, opt.Delta)
+			engOpt.Ship = ship
+			eng, err := inc.open(engOpt)
+			if err != nil {
+				return err
 			}
-			if opErr != nil || linkFired {
-				// The primary died inside this op (its own disk, mid-send,
-				// or mid-ack): no response reached a client, so recovery and
-				// promotion may surface either value.
-				if op.Kind == OpWrite {
-					pending = &pendingWrite{block: op.Block, old: model[op.Block], new: newData}
+			if err := model.verify(eng.Read); err != nil {
+				return fmt.Errorf("primary recovery: %w", err)
+			}
+			ship.Attach(sink)
+
+			// A fired link means the primary died inside the op (mid-send or
+			// mid-ack), whether or not the op returned an error.
+			err = serveGenOps(eng, model, ops, &next, &rep.ScheduleHeader, func() bool {
+				if sink.fired {
+					inc.site = sink.firedKind
 				}
-				next++
-				killed = true
-				break
+				return sink.fired
+			})
+			if err != nil || sink.fired {
+				return err
 			}
-			if op.Kind == OpWrite {
-				model[op.Block] = newData
-				rep.AckedWrites++
-			}
-			next++
-		}
-		if killed {
-			rep.Kills++
-			switch {
-			case sink.fired:
-				rep.KillSites[sink.firedKind]++
-			default:
-				rep.KillSites[crashSiteKind(in.CrashSite())]++
-			}
-		} else {
 			// Op budget spent with the link healthy: the final kill is an
 			// abrupt but quiescent death (everything acked is shipped).
-			rep.KillSites["clean"]++
-		}
-		eng.Close()
-		// A booted mirror is promotable no matter how the link died: a
-		// dropped frame was never applied (in-flight assembly is
-		// in-memory only) and a dropped ack was applied and fsynced.
-		lastBooted = m.Booted()
-		m.Close()
-	}
+			rep.Sites["clean"]++
+			return nil
+		},
+		final: func(inc *incarnation) error {
+			return failoverCoda(rep, r, model, opt, pdir, rdir, lastBooted)
+		},
+	})
+}
 
-	// Failover: promote the replica if its mirror was promotable at the
-	// final kill; otherwise (died mid-bootstrap) the only copy is the
-	// primary's own directory — recover that instead.
-	rep.Promoted = lastBooted
-	src := rdir
+// failoverCoda is the schedule's final incarnation. It promotes the
+// replica if its mirror was promotable at the final kill — otherwise
+// (died mid-bootstrap) the only copy is the primary's own directory, and
+// that is recovered instead — then lets the deposed primary try to ship
+// its stale stream into the promoted directory and checks the fence
+// held.
+func failoverCoda(rep *FailoverReport, r *rng.Source, model *ackModel, opt FailoverOptions, pdir, rdir string, promotable bool) error {
+	seed := rep.Seed
+	rep.Promoted = promotable
+	src, what := rdir, "promoted replica"
 	if !rep.Promoted {
-		src = pdir
+		src, what = pdir, "primary-only recovery"
 	}
 	// The width-1 fleet over src is exactly the oracle's engine (the P=1
 	// identity), opened and fenced the way a promoting daemon does it.
 	fleet, err := server.OpenFleet(server.FleetConfig{Engine: crashOptions(src, seed, vfs.OS{}, opt.Delta)}, 1)
 	if err != nil {
-		return rep, fmt.Errorf("check: promotion recovery: %w", err)
+		return fmt.Errorf("promotion recovery: %w", err)
 	}
 	defer fleet.Close() // error paths; the success path checks its own Close
 	prom := fleet.Engines()[0].(*durable.Engine)
-	if err := verifyRecovered(prom, model, &pending, blockB); err != nil {
-		if rep.Promoted {
-			return rep, fmt.Errorf("check: promoted replica: %w", err)
-		}
-		return rep, fmt.Errorf("check: primary-only recovery: %w", err)
+	if err := model.verify(prom.Read); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
 	}
 	if !rep.Promoted {
-		return rep, nil
+		return nil
 	}
 	if rep.PromoteTerm, err = fleet.Promote(); err != nil {
-		return rep, err
+		return err
 	}
 
 	// Post-promotion writes: these are acknowledged by the new primary
 	// and must survive the deposed primary's re-attach attempt below.
-	postModel := make(map[int64][]byte)
+	post := newAckModel(model.blockB)
 	for i := 0; i < 8; i++ {
-		blk := int64(r.Uint64n(uint64(numBlocks)))
-		data := Fill(blockB, blk, 0xD0+byte(i))
+		blk := int64(r.Uint64n(uint64(prom.NumBlocks())))
+		data := Fill(model.blockB, blk, 0xD0+byte(i))
 		if err := prom.Write(blk, data); err != nil {
-			return rep, fmt.Errorf("check: post-promotion write: %w", err)
+			return fmt.Errorf("post-promotion write: %w", err)
 		}
-		postModel[blk] = data
-		model[blk] = data
+		post.ack(blk, data)
+		model.ack(blk, data)
 	}
 	if err := fleet.Close(); err != nil {
-		return rep, fmt.Errorf("check: closing promoted engine: %w", err)
+		return fmt.Errorf("closing promoted engine: %w", err)
 	}
 
 	// The deposed primary comes back and tries to resume shipping its
@@ -315,19 +262,18 @@ func RunFailoverSchedule(dir string, seed uint64, totalOps int, opt FailoverOpti
 	depOpt.Ship = depShip
 	dep, err := durable.Open(depOpt)
 	if err != nil {
-		return rep, fmt.Errorf("check: deposed primary recovery: %w", err)
+		return fmt.Errorf("deposed primary recovery: %w", err)
 	}
 	dm, err := durable.NewMirror(rdir, durable.MirrorOptions{Shard: 0, FenceOff: opt.FenceOff})
 	if err != nil {
 		dep.Close()
-		return rep, err
+		return err
 	}
-	depSink := &oracleSink{m: dm, s: depShip}
-	depShip.Attach(depSink)
+	depShip.Attach(&oracleSink{m: dm, s: depShip})
 	// A couple of ops service the attach (and, if the fence is off, let
 	// the stale bootstrap finish wiping and rewriting the directory).
 	for i := 0; i < 4; i++ {
-		dep.Access(int64(i) % numBlocks)
+		dep.Access(int64(i) % dep.NumBlocks())
 	}
 	st := depShip.Stats()
 	dep.Close()
@@ -335,32 +281,24 @@ func RunFailoverSchedule(dir string, seed uint64, totalOps int, opt FailoverOpti
 	rep.FenceOK = !st.Attached && st.SendErrors > 0 && st.Boots == 0
 
 	// Reopen the promoted directory: the term must still be the promoted
-	// one and every acknowledged write — including the post-promotion
-	// ones — must read back. Under FenceOff this is where the oracle
-	// fires.
+	// one and every acknowledged write — the post-promotion ones first —
+	// must read back. Under FenceOff this is where the oracle fires.
 	fin, err := durable.Open(crashOptions(rdir, seed, vfs.OS{}, opt.Delta))
 	if err != nil {
-		return rep, fmt.Errorf("check: reopening promoted dir: %w", err)
+		return fmt.Errorf("reopening promoted dir: %w", err)
 	}
 	defer fin.Close()
 	if got := fin.Term(); got != rep.PromoteTerm {
-		return rep, fmt.Errorf("check: promoted term regressed: %d, want %d (deposed primary overwrote the promoted store)", got, rep.PromoteTerm)
+		return fmt.Errorf("promoted term regressed: %d, want %d (deposed primary overwrote the promoted store)", got, rep.PromoteTerm)
 	}
-	for blk, want := range postModel {
-		got, err := fin.Read(blk)
-		if err != nil {
-			return rep, fmt.Errorf("check: reading post-promotion block %d: %w", blk, err)
-		}
-		if !bytes.Equal(got, want) {
-			return rep, fmt.Errorf("check: post-promotion acknowledged write to block %d destroyed by the deposed primary", blk)
-		}
+	if err := post.verify(fin.Read); err != nil {
+		return fmt.Errorf("post-promotion state destroyed by the deposed primary: %w", err)
 	}
-	var noPending *pendingWrite
-	if err := verifyRecovered(fin, model, &noPending, blockB); err != nil {
-		return rep, fmt.Errorf("check: promoted store after deposed re-attach: %w", err)
+	if err := model.verify(fin.Read); err != nil {
+		return fmt.Errorf("promoted store after deposed re-attach: %w", err)
 	}
 	if !rep.FenceOK && !opt.FenceOff {
-		return rep, fmt.Errorf("check: deposed primary was not fenced: %+v", st)
+		return fmt.Errorf("deposed primary was not fenced: %+v", st)
 	}
-	return rep, nil
+	return nil
 }

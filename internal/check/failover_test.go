@@ -14,7 +14,7 @@ func TestFailoverSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delta=%v: %v\n%s", delta, err, rep)
 		}
-		if rep.AckedWrites == 0 || rep.Kills == 0 {
+		if rep.AckedWrites == 0 || rep.Crashes == 0 {
 			t.Fatalf("delta=%v: schedule exercised nothing: %s", delta, rep)
 		}
 		t.Logf("delta=%v: %s", delta, rep)
@@ -36,7 +36,7 @@ func TestFailoverSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, rep)
 		}
-		for k, n := range rep.KillSites {
+		for k, n := range rep.Sites {
 			sites[k] += n
 		}
 		if rep.Promoted {

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/server"
-	"repro/internal/vfs"
 )
 
 // Reshard kill-recover oracle: a live P→P′ migration driven end to end
@@ -51,135 +49,85 @@ type ReshardCrashOptions struct {
 	Dir string
 	// From and To are the shard counts to migrate between.
 	From, To int
-	// Levels is the per-shard tree height (default 8, the scheme
-	// minimum).
-	Levels int
 	// Abort flips the schedule into a rollback: once the copy has made
 	// progress the migration is aborted, and the oracle expects the old
 	// layout back with every acknowledged write intact.
 	Abort bool
-	// RangeSize is the copier's fenced range (default 8 — small, so a
-	// schedule crosses many journal records and kills can land inside
-	// journal appends, not just shard-store writes).
-	RangeSize int64
 	// KillWindow bounds the injected kill: each incarnation dies after
 	// 1 + seed mod KillWindow filesystem mutations (default 700 —
 	// large enough for real copy progress between kills, small enough
 	// that a schedule dies many times per migration).
 	KillWindow int
-	// WritesPerRound caps the client writes issued per incarnation
-	// (default 60).
-	WritesPerRound int
-	// MaxRounds bounds incarnations before the schedule is declared
-	// stuck (default 400).
-	MaxRounds int
 }
 
-func (o ReshardCrashOptions) withDefaults() ReshardCrashOptions {
-	if o.Levels <= 0 {
-		o.Levels = 8
-	}
-	if o.RangeSize <= 0 {
-		o.RangeSize = 8
-	}
-	if o.KillWindow <= 0 {
-		o.KillWindow = 700
-	}
-	if o.WritesPerRound <= 0 {
-		o.WritesPerRound = 60
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 400
-	}
-	return o
-}
+const (
+	// reshardRangeSize is the copier's fenced range: small, so a schedule
+	// crosses many journal records and kills can land inside journal
+	// appends, not just shard-store writes.
+	reshardRangeSize = 8
+	// reshardWritesPerRound caps the client writes issued per incarnation.
+	reshardWritesPerRound = 60
+	// reshardMaxRounds bounds incarnations before the schedule is
+	// declared stuck.
+	reshardMaxRounds = 400
+	// reshardRoundSample bounds how many acknowledged blocks a round
+	// re-reads after recovery (a per-round cost control; the window moves
+	// with the round and the final sweep reads everything).
+	reshardRoundSample = 48
+)
 
 // ReshardCrashReport summarizes one schedule.
 type ReshardCrashReport struct {
-	Seed        uint64
+	ScheduleHeader
 	From, To    int
-	Rounds      int            // incarnations, crashed or clean
-	Crashes     int            // injected kills (serving or recovery)
-	Resumes     int            // incarnations that resumed an in-flight migration
-	Sites       map[string]int // crash-site histogram by file kind
-	AckedWrites int            // writes acknowledged across all rounds
-	Aborted     bool           // the journal shows a completed rollback
+	Resumes     int  // incarnations that resumed an in-flight migration
+	Aborted     bool // the journal shows a completed rollback
 	FinalShards int
 	FinalGen    uint64
 	Fingerprint [32]byte // SHA-256 over the final layout's plaintext blocks in order
 }
 
 func (r *ReshardCrashReport) String() string {
-	return fmt.Sprintf("reshard crash oracle seed %d (%d→%d): %d rounds, %d crashes (sites %v), %d resumes, %d acked writes, aborted=%v, final %d shards gen %d",
-		r.Seed, r.From, r.To, r.Rounds, r.Crashes, r.Sites, r.Resumes, r.AckedWrites, r.Aborted, r.FinalShards, r.FinalGen)
+	return fmt.Sprintf("reshard crash oracle %d→%d, %v, %d resumes, aborted=%v, final %d shards gen %d",
+		r.From, r.To, &r.ScheduleHeader, r.Resumes, r.Aborted, r.FinalShards, r.FinalGen)
 }
 
 // reshardCrashRun is one schedule's state threaded across incarnations.
 type reshardCrashRun struct {
-	opt     ReshardCrashOptions
-	r       *rng.Source
-	rep     *ReshardCrashReport
-	blockB  int
-	space   int64 // writable address space: perShard * min(From, To)
-	model   map[int64][]byte
-	pending *pendingWrite
-	seq     uint64
+	opt      ReshardCrashOptions
+	r        *rng.Source
+	rep      *ReshardCrashReport
+	space    int64 // writable address space: perShard * min(From, To)
+	model    *ackModel
+	seq      uint64
+	terminal bool // a round found the migration cut over or rolled back
 }
 
 // open recovers the deployment on fs: journal, layout, and the serving
 // generation's engines.
-func (run *reshardCrashRun) open(fs vfs.FS) (*server.Fleet, error) {
-	return server.OpenFleet(server.FleetConfig{Engine: durable.Options{
+func (run *reshardCrashRun) open(inc *incarnation) (*server.Fleet, error) {
+	fleet, err := server.OpenFleet(server.FleetConfig{Engine: durable.Options{
 		Dir:           run.opt.Dir,
-		ORAM:          aboram.Options{Levels: run.opt.Levels, Seed: run.opt.Seed, EncryptionKey: oracleKey},
+		ORAM:          oracleORAM(run.opt.Seed),
 		SnapshotEvery: 16,
-		FS:            fs,
+		FS:            inc.fs,
 	}}, run.opt.From)
+	if err != nil {
+		return nil, failed("recovering the serving fleet", err)
+	}
+	inc.onClose(func() { fleet.Close() })
+	return fleet, nil
 }
 
-// verify checks the recovered routing against the acknowledged model:
-// pending first (either value legal, then pinned), then acknowledged
-// blocks byte-exact. sample > 0 bounds how many model blocks the check
-// reads (a per-round cost control — loss is permanent, so the full
-// sweep in finish still catches anything a sample missed, just later).
-func (run *reshardCrashRun) verify(sh *server.Sharded, stage string, sample int) error {
-	ctx := context.Background()
-	if p := run.pending; p != nil {
-		got, err := sh.Read(ctx, p.block)
-		if err != nil {
-			return fmt.Errorf("%s: reading pending block %d: %w", stage, p.block, err)
-		}
-		old := p.old
-		if old == nil {
-			old = make([]byte, run.blockB)
-		}
-		switch {
-		case bytes.Equal(got, p.new):
-			run.model[p.block] = p.new
-		case bytes.Equal(got, old):
-			if p.old != nil {
-				run.model[p.block] = p.old
-			}
-		default:
-			return fmt.Errorf("%s: pending block %d holds neither its old nor its new content", stage, p.block)
-		}
-		run.pending = nil
+// serve puts the scheduler fleet the oracle reads and writes through in
+// front of a recovered fleet's engines.
+func (run *reshardCrashRun) serve(inc *incarnation, fleet *server.Fleet) (*server.Sharded, func(int64) ([]byte, error), error) {
+	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
+	if err != nil {
+		return nil, nil, err
 	}
-	checked := 0
-	for blk, want := range run.model {
-		if sample > 0 && checked >= sample {
-			break
-		}
-		checked++
-		got, err := sh.Read(ctx, blk)
-		if err != nil {
-			return fmt.Errorf("%s: reading block %d: %w", stage, blk, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("%s: block %d lost its acknowledged content", stage, blk)
-		}
-	}
-	return nil
+	inc.onClose(func() { sh.Close() }) // registered after the fleet's, so the schedulers stop first
+	return sh, func(b int64) ([]byte, error) { return sh.Read(context.Background(), b) }, nil
 }
 
 func reshardFill(blockB int, block int64, seq uint64) []byte {
@@ -194,73 +142,48 @@ func reshardFill(blockB int, block int64, seq uint64) []byte {
 // opt.Dir and returns its report, or an error naming the first contract
 // violation.
 func RunReshardCrashSchedule(opt ReshardCrashOptions) (*ReshardCrashReport, error) {
-	opt = opt.withDefaults()
+	if opt.KillWindow <= 0 {
+		opt.KillWindow = 700
+	}
 	if opt.From == opt.To || opt.From < 1 || opt.To < 1 {
 		return nil, fmt.Errorf("check: reshard oracle needs two distinct positive widths, got %d→%d", opt.From, opt.To)
 	}
-	probe, err := aboram.New(aboram.Options{Levels: opt.Levels, Seed: opt.Seed, EncryptionKey: oracleKey})
+	perShard, blockB, err := oracleGeometry(opt.Seed)
 	if err != nil {
 		return nil, err
 	}
 	run := &reshardCrashRun{
-		opt:    opt,
-		r:      rng.New(opt.Seed ^ 0x7265736864), // decorrelate from the trees' streams
-		rep:    &ReshardCrashReport{Seed: opt.Seed, From: opt.From, To: opt.To, Sites: make(map[string]int)},
-		blockB: probe.BlockSize(),
-		space:  probe.NumBlocks() * int64(min(opt.From, opt.To)),
-		model:  make(map[int64][]byte),
+		opt:   opt,
+		r:     rng.New(opt.Seed ^ 0x7265736864), // decorrelate from the trees' streams
+		rep:   &ReshardCrashReport{ScheduleHeader: newHeader(opt.Seed), From: opt.From, To: opt.To},
+		space: perShard * int64(min(opt.From, opt.To)),
+		model: newAckModel(blockB),
 	}
-	rep := run.rep
-
-	for {
-		if rep.Rounds >= opt.MaxRounds {
-			return rep, fmt.Errorf("check: reshard schedule %d stuck after %d rounds", opt.Seed, rep.Rounds)
-		}
-		done, err := run.round()
-		if err != nil {
-			return rep, err
-		}
-		if done {
-			break
-		}
-	}
-	return rep, run.finish()
+	return run.rep, run.rep.run(schedule{
+		name:      "reshard schedule",
+		maxRounds: reshardMaxRounds,
+		done:      func() bool { return run.terminal },
+		draw:      func() faults.Config { return drawKill(run.r, opt.KillWindow) },
+		round:     run.round,
+		final:     run.finish,
+	})
 }
 
 // round runs one faulted incarnation: recover, resume or begin the
-// migration, serve writes until the kill (or completion), tear down.
-// It reports done=true once the journal shows the migration terminal.
-func (run *reshardCrashRun) round() (done bool, err error) {
+// migration, serve writes until the kill (or completion). One injector
+// covers every fleet directory and the journal; the journal publishes
+// atomically, so a kill must never leave an unresolvable history — any
+// recovery stage that fails without one is a contract violation.
+func (run *reshardCrashRun) round(inc *incarnation) error {
 	opt, rep := run.opt, run.rep
-	rep.Rounds++
-	in := faults.New(faults.Config{
-		Seed:       run.r.Uint64(),
-		CrashAfter: 1 + int(run.r.Uint64n(uint64(opt.KillWindow))),
-		TornWrites: true,
-	})
-	fs := faults.WrapFS(vfs.OS{}, in)
-
-	// crashRound adjudicates a recovery-stage failure: a kill ends the
-	// round (the next one recovers); anything else is a contract
-	// violation — in particular the journal publishes atomically, so a
-	// crash must never leave an unresolvable history.
-	crashRound := func(stage string, err error) (bool, error) {
-		if !in.Crashed() {
-			return false, fmt.Errorf("check: round %d: %s failed without a crash: %w", rep.Rounds, stage, err)
-		}
-		rep.Crashes++
-		rep.Sites[crashSiteKind(in.CrashSite())]++
-		return false, nil
-	}
-
-	fleet, err := run.open(fs)
+	fleet, err := run.open(inc)
 	if err != nil {
-		return crashRound("recovering the serving fleet", err)
+		return err
 	}
-	defer fleet.Close()
 	lay := fleet.Layout()
 	if lay.Active == nil && lay.MaxGen > 0 {
-		return true, nil // migration terminal (cut over or rolled back)
+		run.terminal = true // cut over or rolled back
+		return nil
 	}
 
 	// Resume the journaled migration, or durably begin a new one.
@@ -269,45 +192,43 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 	}
 	target, err := fleet.OpenTarget(opt.To)
 	if err != nil {
-		return crashRound("beginning or recovering the target fleet", err)
+		return failed("beginning or recovering the target fleet", err)
 	}
-
-	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
+	sh, read, err := run.serve(inc, fleet)
 	if err != nil {
-		return false, fmt.Errorf("check: round %d: %w", rep.Rounds, err)
+		return err
 	}
-	defer sh.Close() // error paths; runs before the fleet's, schedulers stop first
 	sh.SetGeneration(lay.Gen)
-	res, err := fleet.BeginReshard(sh, target, server.ReshardConfig{RangeSize: opt.RangeSize})
+	res, err := fleet.BeginReshard(sh, target, server.ReshardConfig{RangeSize: reshardRangeSize})
 	if err != nil {
-		return false, fmt.Errorf("check: round %d: begin: %w", rep.Rounds, err)
+		return fmt.Errorf("begin: %w", err)
 	}
 
-	// The recovered dual routing must already serve the acked model (a
-	// bounded sample per round; the final sweep reads everything).
-	if err := run.verify(sh, fmt.Sprintf("round %d recovery", rep.Rounds), 48); err != nil {
-		return false, err
+	// The recovered dual routing must already serve the acked model.
+	if err := run.model.verifyWindow(read, inc.n, reshardRoundSample); err != nil {
+		return err
 	}
 
 	runDone := make(chan error, 1)
 	go func() { runDone <- res.Run() }()
 
 	ctx := context.Background()
-	var migErr error
+	var migErr, writeErr error
 	migDone, abortAsked, writes := false, false, 0
 	writeOne := func() bool {
 		blk := int64(run.r.Uint64n(uint64(run.space)))
 		run.seq++
-		data := reshardFill(run.blockB, blk, run.seq)
+		data := reshardFill(run.model.blockB, blk, run.seq)
 		if err := sh.Write(ctx, blk, data); err != nil {
-			run.pending = &pendingWrite{block: blk, old: run.model[blk], new: data}
+			run.model.doubt(blk, data)
+			writeErr = failed(fmt.Sprintf("write to block %d", blk), err)
 			return false
 		}
-		run.model[blk] = data
+		run.model.ack(blk, data)
 		rep.AckedWrites++
 		return true
 	}
-	for !in.Crashed() && run.pending == nil {
+	for !inc.in.Crashed() && writeErr == nil {
 		select {
 		case migErr = <-runDone:
 			migDone = true
@@ -322,7 +243,7 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 				abortAsked = true
 			}
 		}
-		if writes < opt.WritesPerRound {
+		if writes < reshardWritesPerRound {
 			if !writeOne() {
 				break
 			}
@@ -331,11 +252,11 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	if migDone && migErr == nil && !in.Crashed() {
+	if migDone && migErr == nil && !inc.in.Crashed() {
 		// Exercise the cut-over (or rolled-back) layout until the kill or
 		// a small extra budget — the schedule also covers post-terminal
 		// serving crashes.
-		for extra := 0; extra < 24 && !in.Crashed(); extra++ {
+		for extra := 0; extra < 24 && !inc.in.Crashed(); extra++ {
 			if !writeOne() {
 				break
 			}
@@ -343,92 +264,83 @@ func (run *reshardCrashRun) round() (done bool, err error) {
 	}
 	if !migDone {
 		res.Stop()
-		migErr = <-runDone
+		<-runDone // a stopped copier's error is the stop itself
+	} else if migErr != nil && writeErr == nil {
+		return failed("migration", migErr)
 	}
-	// Tear down before adjudicating: the closes sync the WALs, so the kill
-	// may still land here. (The deferred closes are then no-ops.)
-	sh.Close()
-	fleet.Close()
-
-	switch {
-	case in.Crashed():
-		rep.Crashes++
-		rep.Sites[crashSiteKind(in.CrashSite())]++
-	case run.pending != nil:
-		return false, fmt.Errorf("check: round %d: write to block %d failed without a crash", rep.Rounds, run.pending.block)
-	case migDone && migErr != nil:
-		return false, fmt.Errorf("check: round %d: migration failed without a crash: %w", rep.Rounds, migErr)
-	}
-	return false, nil
+	return writeErr
 }
 
 // finish recovers the terminal layout on the clean filesystem, verifies
 // the full model through it, and fingerprints it against an offline
 // rebuild: fresh final-width trees fed the acknowledged model directly.
-func (run *reshardCrashRun) finish() error {
+func (run *reshardCrashRun) finish(inc *incarnation) error {
 	opt, rep := run.opt, run.rep
-	rep.Rounds++
-	fleet, err := run.open(vfs.OS{})
+	fleet, err := run.open(inc)
 	if err != nil {
-		return fmt.Errorf("check: final recovery: %w", err)
+		return err
 	}
-	defer fleet.Close()
 	lay := fleet.Layout()
 	if lay.Active != nil {
-		return fmt.Errorf("check: final recovery: migration still active (%+v)", lay.Active)
+		return fmt.Errorf("migration still active (%+v)", lay.Active)
 	}
 	// A rollback leaves generation 0 serving with a generation burned.
 	rep.Aborted = lay.Gen < lay.MaxGen
 	rep.FinalShards, rep.FinalGen = lay.Shards, lay.Gen
 
-	sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
+	sh, read, err := run.serve(inc, fleet)
 	if err != nil {
 		return err
 	}
-	defer sh.Close()
-	if err := run.verify(sh, "final recovery", 0); err != nil {
+	if err := run.model.verify(read); err != nil {
 		return err
 	}
 
 	// Online fingerprint: plaintext content of every block, in order.
-	ctx := context.Background()
 	n := sh.NumBlocks()
-	online := sha256.New()
-	for b := int64(0); b < n; b++ {
-		data, err := sh.Read(ctx, b)
-		if err != nil {
-			return fmt.Errorf("check: fingerprinting block %d: %w", b, err)
-		}
-		online.Write(data)
+	if rep.Fingerprint, err = contentHash(n, read); err != nil {
+		return fmt.Errorf("fingerprinting the recovered layout: %w", err)
 	}
-	copy(rep.Fingerprint[:], online.Sum(nil))
 
-	// Offline rebuild: fresh trees at the final width, fed the model.
+	// Offline rebuild: fresh trees at the final width, fed the model in
+	// sorted block order.
 	rebuilt := make([]*aboram.ORAM, lay.Shards)
 	for i := range rebuilt {
-		o, err := aboram.New(aboram.Options{Levels: opt.Levels, Seed: server.ShardSeed(server.GenSeed(opt.Seed, lay.Gen), i), EncryptionKey: oracleKey})
+		o, err := aboram.New(oracleORAM(server.ShardSeed(server.GenSeed(opt.Seed, lay.Gen), i)))
 		if err != nil {
 			return err
 		}
 		rebuilt[i] = o
 	}
-	for blk, data := range run.model {
+	for _, blk := range run.model.blocks() {
 		shard, local := server.RouteBlock(blk, lay.Shards)
-		if err := rebuilt[shard].Write(local, data); err != nil {
-			return fmt.Errorf("check: offline rebuild write %d: %w", blk, err)
+		if err := rebuilt[shard].Write(local, run.model.acked[blk]); err != nil {
+			return fmt.Errorf("offline rebuild write %d: %w", blk, err)
 		}
 	}
-	offline := sha256.New()
-	for b := int64(0); b < n; b++ {
+	offline, err := contentHash(n, func(b int64) ([]byte, error) {
 		shard, local := server.RouteBlock(b, lay.Shards)
-		data, err := rebuilt[shard].Read(local)
-		if err != nil {
-			return fmt.Errorf("check: offline rebuild read %d: %w", b, err)
-		}
-		offline.Write(data)
+		return rebuilt[shard].Read(local)
+	})
+	if err != nil {
+		return fmt.Errorf("fingerprinting the offline rebuild: %w", err)
 	}
-	if !bytes.Equal(online.Sum(nil), offline.Sum(nil)) {
-		return fmt.Errorf("check: final layout fingerprint diverges from the offline %d→%d rebuild", opt.From, lay.Shards)
+	if rep.Fingerprint != offline {
+		return fmt.Errorf("final layout fingerprint diverges from the offline %d→%d rebuild", opt.From, lay.Shards)
 	}
 	return nil
+}
+
+// contentHash is SHA-256 over the plaintext of blocks 0..n-1 in order.
+func contentHash(n int64, read func(int64) ([]byte, error)) (sum [32]byte, err error) {
+	h := sha256.New()
+	for b := int64(0); b < n; b++ {
+		data, err := read(b)
+		if err != nil {
+			return sum, fmt.Errorf("block %d: %w", b, err)
+		}
+		h.Write(data)
+	}
+	copy(sum[:], h.Sum(nil))
+	return sum, nil
 }

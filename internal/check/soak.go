@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/aboram"
 	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
@@ -45,12 +44,6 @@ type SoakOptions struct {
 	Seed uint64
 	// Duration is the serving-time budget (excluding final verification).
 	Duration time.Duration
-	// Workers is the number of writer/reader clients, each owning a
-	// disjoint block set. Default 3.
-	Workers int
-	// BurstClients is the number of extra overload generators that hammer
-	// the server during burst windows. Default 6.
-	BurstClients int
 	// Shards is the number of independent ORAM trees behind the router
 	// (block b on shard b mod Shards). 1 (the default) is the unsharded
 	// soak; larger values run every incarnation as a sharded fleet whose
@@ -91,15 +84,18 @@ type SoakOptions struct {
 	Dir string
 }
 
+const (
+	// soakWorkers is the number of writer/reader clients, each owning a
+	// disjoint block set.
+	soakWorkers = 3
+	// soakBurstClients is the number of extra overload generators that
+	// hammer the server during burst windows.
+	soakBurstClients = 6
+)
+
 func (o SoakOptions) withDefaults() SoakOptions {
 	if o.Reshard {
 		o.Shards = 2 // the plan's starting (and final) width
-	}
-	if o.Workers <= 0 {
-		o.Workers = 3
-	}
-	if o.BurstClients <= 0 {
-		o.BurstClients = 6
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -593,28 +589,27 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	// lifecycle: per-shard seeds, directories, and shippers follow its law
 	// (generation 0 keeps the base seed and the bare directory, so
 	// Shards=1 is the pre-sharding soak unchanged).
-	probe, err := aboram.New(crashOptions(opt.Dir, opt.Seed, vfs.OS{}, false).ORAM)
+	perShard, blockB, err := oracleGeometry(opt.Seed)
 	if err != nil {
 		return nil, err
 	}
-	blockB := probe.BlockSize()
 	// Global address space the workers write: the plan's minimum width,
 	// so every owned block stays in range through every layout the
 	// Reshard plan serves (migrations serve perShard*min(P, P′)).
-	numBlocks := probe.NumBlocks() * int64(opt.Shards)
+	numBlocks := perShard * int64(opt.Shards)
 
 	st := &soakState{led: newLedger()}
 	st.addr.Store("")
 	st.led.setWidth(0, opt.Shards)
 
 	// Workers own disjoint block partitions: worker i gets blocks
-	// congruent to i modulo Workers (capped to a small working set so
+	// congruent to i modulo soakWorkers (capped to a small working set so
 	// blocks are rewritten, not touched once).
-	workers := make([]*soakWorker, opt.Workers)
+	workers := make([]*soakWorker, soakWorkers)
 	var wg sync.WaitGroup
 	for i := range workers {
 		var blocks []int64
-		for b := int64(i); b < numBlocks && len(blocks) < 8; b += int64(opt.Workers) {
+		for b := int64(i); b < numBlocks && len(blocks) < 8; b += soakWorkers {
 			blocks = append(blocks, b)
 		}
 		workers[i] = &soakWorker{
@@ -663,7 +658,7 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	}
 
 	var bstats burstStats
-	for i := 0; i < opt.BurstClients; i++ {
+	for i := 0; i < soakBurstClients; i++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
@@ -699,22 +694,22 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 		rep.Incarnations++
 		// One injector shared by every shard's filesystem: the kill hits
 		// the whole fleet at once, the daemon's failure mode.
-		in := faults.New(faults.Config{
+		inc := newIncarnation(rep.Incarnations, faults.Config{
 			Seed:         r.Uint64(),
 			CrashAfter:   60 + int(r.Uint64n(400)),
 			TornWrites:   true,
 			DropUnsynced: true,
 		})
-		fs := faults.WrapFS(vfs.OS{}, in)
+		in, fs := inc.in, inc.fs
 
-		// crashSkip adjudicates an incarnation-setup failure: under an
-		// injected crash the incarnation simply ends and the next one
-		// recovers; without one the failure is a soak bug.
+		// crashSkip puts an incarnation-setup failure to the harness's
+		// adjudicator: under an injected crash the incarnation simply ends
+		// and the next one recovers; without one the failure is a soak bug.
 		crashSkip := func(stage string, err error) error {
-			if !in.Crashed() {
+			if _, err := inc.adjudicate(failed(stage, err)); err != nil {
 				st.stop.Store(true)
 				wg.Wait()
-				return fmt.Errorf("soak: incarnation %d: %s failed without a crash: %w", rep.Incarnations, stage, err)
+				return err
 			}
 			rep.Crashes++
 			return nil

@@ -66,8 +66,8 @@ type Shipper struct {
 	flushed  uint64    // seq covered by sent wal-batches
 	acked    uint64    // replica's durable watermark
 	ackCh    chan struct{}
-	batch    []byte // framed records appended since the last flush
-	recLens  []int  // per-record frame lengths in batch (split points)
+	batch    []byte    // framed records appended since the last flush
+	recLens  []int     // per-record frame lengths in batch (split points)
 	outBytes []shipOut // unacked flushes, for byte-lag accounting
 	degraded bool
 	stats    ShipStats

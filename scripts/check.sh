@@ -1,5 +1,6 @@
 #!/bin/sh
 # The full verification gate (also reachable as `make check`):
+# gofmt over every tracked .go file (bench/ included) +
 # vet + build + tests + the race-detector pass over the concurrent
 # packages (the sim orchestrator's worker pool, the ringoram engine, the
 # serving layer's scheduler/TCP front end and fleet lifecycle, the
@@ -7,6 +8,8 @@
 # reshard/promotion/shutdown paths), race-mode crash-recovery and
 # exactly-once smokes
 # (kill-recover oracle in both full-snapshot and delta-chain modes,
+# the seed-purity tests that compare two runs of one seed down to the
+# recovered engine's fingerprint,
 # the live-reshard kill-recover oracle in forward and rollback
 # directions, the replication failover oracle with its mid-frame kill
 # sites and fencing check, retry/group-commit schedules, single- and
@@ -23,11 +26,16 @@
 # `make soak SOAKTIME=60s`, or see EXPERIMENTS.md.
 set -eux
 
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on: $unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
-go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashRecoveryDeltaSchedules$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
+go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashRecoveryDeltaSchedules$|^TestCrashScheduleDeterminism$|^TestRetryScheduleDeterminism$|^TestGroupCommitScheduleDeterminism$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
 (cd bench && go vet ./... && go build -o /dev/null ./... && go test ./...)
 
 FUZZTIME="${FUZZTIME:-5s}"
