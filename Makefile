@@ -17,8 +17,11 @@ test:
 race:
 	go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
 
+# The repo's end-to-end benchmark (BENCHMARK.json: four workloads, one
+# seeded run each). The root microbenchmarks remain
+# `go test -bench=. -benchmem` (README, "Benchmarks").
 bench:
-	go test -bench=. -benchmem
+	bash bench/run.sh -seed 7
 
 # Run each native fuzz target for FUZZTIME (default 30s per target).
 FUZZTIME ?= 30s
@@ -36,13 +39,16 @@ fuzz:
 
 # Long kill-recover campaign: the full (non-short) crash-recovery,
 # live-reshard, and replication-failover oracles under the race
-# detector. `make check` runs the -short variants.
+# detector, all against the engine's one write protocol (group commit,
+# the delta chain, batch-boundary checkpoints). `make check` runs the
+# -short variants.
 crash:
 	go test -race -count=1 -run '^TestCrashRecovery|^TestReshardKillRecover|^TestFailover' -v ./internal/check
 
 # Chaos soak: live daemon under kill -9 schedules, overload bursts, and a
 # network blackout, checked for exactly-once and zero acked loss
-# (internal/check RunSoak) — run unsharded, against a 2-shard fleet with
+# (internal/check RunSoak), with background checkpoint publishes racing
+# the kills — run unsharded, against a 2-shard fleet with
 # cross-shard apply checks, in reshard mode (live 2→3→2 migrations
 # under the same fire), and in replication mode (semi-sync shipping to a
 # chaos-partitioned standby, promoted and re-verified at the end).

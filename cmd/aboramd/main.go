@@ -22,25 +22,25 @@
 // serving"). -shards 1 (the default) is observationally identical to the
 // unsharded daemon.
 //
-// With -data-dir the store is crash-safe: every acknowledged write is
-// appended to a write-ahead log (fsynced per -sync-every) and the full
-// instance is snapshotted every -snapshot-every writes; on start the
-// daemon recovers the newest snapshot plus the WAL suffix, discarding at
-// most a torn final record. Under -shards P with P > 1 each shard keeps
-// its own snapshot+WAL under <data-dir>/shard-<i>, all recovered on
-// start; shard checkpoint schedules are phase-staggered so the fleet
-// never pauses in lockstep. Without -data-dir state lives in memory and
-// dies with the process (the pre-durability behavior).
-//
-// -delta-snapshots makes checkpoints incremental: most rotations
+// With -data-dir the store is crash-safe: every write is appended to a
+// write-ahead log, and the scheduler fsyncs the log once per drained
+// batch before acknowledging that batch's writes (group commit). Every
+// -snapshot-every writes a checkpoint is cut at a batch boundary: most
 // capture only the state touched since the previous cut (a pause
 // proportional to the dirty set, not the tree) and publish in the
 // background while serving continues, with a full base image every
-// -base-every rotations bounding the recovery chain. -compact-every N
-// additionally rewrites the live WAL after N appends, shrinking
-// superseded whole-block writes to id-only stubs. Both compose with
-// -group-commit and -shards; recovery reads either layout regardless of
-// the current flags.
+// -base-every rotations bounding the recovery chain (-base-every 1: a
+// full image every time). -compact-every N additionally rewrites the
+// live WAL after N appends, shrinking superseded whole-block writes to
+// id-only stubs. On start the daemon recovers the newest checkpoint
+// chain plus the WAL suffix, discarding at most a torn final record,
+// whatever cadence wrote the directory. Under -shards P with P > 1 each
+// shard keeps its own checkpoints+WAL under <data-dir>/shard-<i>, all
+// recovered on start; shard checkpoint schedules are phase-staggered so
+// the fleet never pauses in lockstep. Without -data-dir state lives in
+// memory and dies with the process (the pre-durability behavior).
+// -group-commit and -delta-snapshots are deprecated no-ops, accepted so
+// existing command lines keep working.
 //
 // Live resharding (-reshard P′, or the OpReshard admin op at runtime)
 // migrates a serving deployment to a different shard count without
@@ -154,12 +154,10 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, onReady func(net.A
 	reqTO := fs.Duration("req-timeout", 10*time.Second, "per-request queue+service budget (0 = none)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight connections")
 	dataDir := fs.String("data-dir", "", "durable data directory (snapshot + WAL); empty = in-memory only")
-	snapEvery := fs.Int("snapshot-every", 1024, "with -data-dir: writes between snapshot rotations")
-	snapInterval := fs.Duration("snapshot-interval", 0, "with -data-dir: also rotate after this much wall time (0 = off)")
-	syncEvery := fs.Int("sync-every", 1, "with -data-dir: fsync the WAL every N writes (1 = zero acknowledged loss)")
-	groupCommit := fs.Bool("group-commit", false, "with -data-dir: one WAL fsync per scheduler batch instead of per write (acks stay durable)")
-	deltaSnaps := fs.Bool("delta-snapshots", false, "with -data-dir: incremental checkpoints — rotations capture only state touched since the last cut and publish in the background, with a full base every -base-every rotations")
-	baseEvery := fs.Int("base-every", 8, "with -delta-snapshots: delta rotations between full base images")
+	snapEvery := fs.Int("snapshot-every", 1024, "with -data-dir: writes between checkpoint rotations")
+	fs.Bool("group-commit", false, "deprecated, no effect: one WAL fsync per scheduler batch is the only policy")
+	fs.Bool("delta-snapshots", false, "deprecated, no effect: checkpoints are always incremental between -base-every full bases")
+	baseEvery := fs.Int("base-every", 8, "with -data-dir: every Nth checkpoint is a full base image, the rest deltas of what changed (1 = full images only)")
 	compactEvery := fs.Int("compact-every", 0, "with -data-dir: rewrite the live WAL segment after N appends, shrinking superseded writes to id stubs (0 = off)")
 	reshardTo := fs.Int("reshard", 0, "begin a live migration to this many shards at startup (0 = none); also available at runtime via the OpReshard admin op")
 	reshardRange := fs.Int64("reshard-range", 64, "blocks fenced and copied per migration step (smaller = shorter write stalls)")
@@ -223,18 +221,10 @@ func run(args []string, out io.Writer, stop <-chan os.Signal, onReady func(net.A
 				EncryptionKey: key,
 				XORRead:       *xor,
 			},
-			SnapshotEvery:    *snapEvery,
-			SnapshotInterval: *snapInterval,
-			DeltaSnapshots:   *deltaSnaps,
-			BaseEvery:        *baseEvery,
-			CompactEvery:     *compactEvery,
-			// Checkpoint work rides batch boundaries (the scheduler calls
-			// MaybeCheckpoint), so a delta's consistent cut never lands
-			// between a write and its acknowledgment.
-			DeferCheckpoints: true,
-			SyncEvery:        *syncEvery,
-			GroupCommit:      *groupCommit,
-			Logf:             d.logf,
+			SnapshotEvery: *snapEvery,
+			BaseEvery:     *baseEvery,
+			CompactEvery:  *compactEvery,
+			Logf:          d.logf,
 		},
 		SemiSync: *ackMode == "replica",
 	}

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"syscall"
@@ -13,6 +16,28 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/wire"
 )
+
+// daemonEnv, when set, makes the test binary run the daemon instead of
+// the tests: its value is the daemon's newline-separated argv. Tests
+// that must SIGKILL the daemon, or read what the real binary prints,
+// start it that way as a child process (daemonProcess).
+const daemonEnv = "ABORAMD_TEST_DAEMON"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(daemonEnv); ok {
+		os.Args = append([]string{"aboramd"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// daemonProcess is the daemon with args as a child process.
+func daemonProcess(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), daemonEnv+"="+strings.Join(args, "\n"))
+	return cmd
+}
 
 // startDaemon runs the daemon on an ephemeral port and returns its address
 // plus a shutdown func that sends SIGTERM and waits for a clean exit.
@@ -673,6 +698,104 @@ func TestDaemonReshardDumpAndResume(t *testing.T) {
 		got, err := c2.Read(blk)
 		if err != nil || !bytes.Equal(got, d) {
 			t.Fatalf("block %d after the resumed migration: %v", blk, err)
+		}
+	}
+}
+
+// benchDurableArgs is the durable argv bench/daemon.go starts aboramd
+// with, deprecated flags included; it must keep working.
+func benchDurableArgs(dir string) []string {
+	return []string{"-data-dir", dir, "-group-commit", "-delta-snapshots", "-snapshot-every", "1024", "-base-every", "8"}
+}
+
+// TestDaemonBenchArgvKillRestart starts a real daemon process with the
+// benchmark's durable argv, writes through it, SIGKILLs it — no drain,
+// no Close — restarts it on the same directory, and reads every
+// acknowledged write back.
+func TestDaemonBenchArgvKillRestart(t *testing.T) {
+	dir := t.TempDir()
+	cmd := daemonProcess(append([]string{"-addr", "127.0.0.1:0", "-levels", "8"}, benchDurableArgs(dir)...)...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill() // a no-op once the test has killed it
+	lines := bufio.NewScanner(stdout)
+	var addr string
+	for addr == "" && lines.Scan() {
+		if l := lines.Text(); strings.HasPrefix(l, "aboramd: serving ") {
+			addr = l[strings.LastIndex(l, " on ")+len(" on "):]
+		}
+	}
+	if addr == "" {
+		t.Fatalf("daemon process never served (scan: %v)", lines.Err())
+	}
+	go io.Copy(io.Discard, stdout) // keep the child's pipe drained
+
+	c, err := server.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, info.BlockSize)
+	for i := range want {
+		want[i] = byte(i*5 + 3)
+	}
+	for blk := int64(0); blk < 8; blk++ {
+		if err := c.Write(blk, want); err != nil {
+			t.Fatalf("write %d: %v", blk, err)
+		}
+	}
+	c.Close()
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+
+	addr2, out2, shutdown2 := startDaemon(t, benchDurableArgs(dir)...)
+	defer shutdown2()
+	if s := out2.String(); !strings.Contains(s, "recovered "+dir+": base epoch 1, 8 WAL records replayed") {
+		t.Fatalf("restart after SIGKILL did not replay the 8 acknowledged writes:\n%s", s)
+	}
+	c2, err := server.Dial(addr2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for blk := int64(0); blk < 8; blk++ {
+		got, err := c2.Read(blk)
+		if err != nil {
+			t.Fatalf("read %d after SIGKILL restart: %v", blk, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d lost across SIGKILL restart", blk)
+		}
+	}
+}
+
+// TestDaemonUsage checks the real binary's -h: the removed durability
+// flags are gone, and the two kept for old command lines say they do
+// nothing.
+func TestDaemonUsage(t *testing.T) {
+	out, _ := daemonProcess("-h").CombinedOutput() // -h exits non-zero
+	usage := string(out)
+	if !strings.Contains(usage, "-data-dir") {
+		t.Fatalf("-h printed no flag list:\n%s", usage)
+	}
+	for _, gone := range []string{"-sync-every", "-snapshot-interval"} {
+		if strings.Contains(usage, gone) {
+			t.Errorf("-h still lists the removed %s", gone)
+		}
+	}
+	for _, kept := range []string{"-group-commit", "-delta-snapshots"} {
+		if !strings.Contains(usage, "  "+kept+"\n    \tdeprecated, no effect") {
+			t.Errorf("-h does not mark %s deprecated:\n%s", kept, usage)
 		}
 	}
 }

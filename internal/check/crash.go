@@ -67,27 +67,23 @@ func crashSiteKind(site string) string {
 	}
 }
 
-// crashOptions builds the engine configuration for one incarnation.
-// SnapshotEvery is tiny so a schedule of a few hundred writes crosses
-// many epoch rotations and the crash counter can land inside snapshot
-// publishes, not just WAL appends. The delta variant is the incremental
-// configuration: most rotations publish a delta, every third a full
-// base, the live segment compacts every 5 appends, and publishes are
-// synchronous so the whole schedule stays a pure function of its seed.
-func crashOptions(dir string, seed uint64, fs vfs.FS, delta bool) durable.Options {
-	opt := durable.Options{
+// crashOptions builds the engine configuration every kill-recover
+// oracle runs. SnapshotEvery is tiny so a schedule of a few hundred
+// writes crosses many epoch rotations and the crash counter can land
+// inside checkpoint publishes, not just WAL appends: most rotations
+// publish a delta, every third a full base, the live segment compacts
+// every 5 appends, and publishes are synchronous so the whole schedule
+// stays a pure function of its seed.
+func crashOptions(dir string, seed uint64, fs vfs.FS) durable.Options {
+	return durable.Options{
 		Dir:           dir,
 		ORAM:          oracleORAM(seed),
 		SnapshotEvery: 8,
+		BaseEvery:     3,
+		CompactEvery:  5,
+		SyncPublish:   true,
 		FS:            fs,
 	}
-	if delta {
-		opt.DeltaSnapshots = true
-		opt.BaseEvery = 3
-		opt.CompactEvery = 5
-		opt.SyncPublish = true
-	}
-	return opt
 }
 
 // RunCrashSchedule runs one seeded schedule of totalOps operations in dir
@@ -96,19 +92,6 @@ func crashOptions(dir string, seed uint64, fs vfs.FS, delta bool) durable.Option
 // clean recovery and full read-back. It returns the report, or an error
 // describing the first contract violation.
 func RunCrashSchedule(dir string, seed uint64, totalOps int) (*CrashReport, error) {
-	return runCrashSchedule(dir, seed, totalOps, false)
-}
-
-// RunCrashScheduleDelta is RunCrashSchedule against the delta-snapshot
-// engine configuration: incremental checkpoints chained on periodic full
-// bases plus live-WAL compaction, so the seeded kills also land inside
-// delta publishes and compaction rewrites. The durability contract being
-// checked is identical.
-func RunCrashScheduleDelta(dir string, seed uint64, totalOps int) (*CrashReport, error) {
-	return runCrashSchedule(dir, seed, totalOps, true)
-}
-
-func runCrashSchedule(dir string, seed uint64, totalOps int, delta bool) (*CrashReport, error) {
 	r := rng.New(seed ^ 0x6372617368) // decorrelate from the engine's protocol stream
 	rep := &CrashReport{ScheduleHeader: newHeader(seed)}
 	numBlocks, blockB, err := oracleGeometry(seed)
@@ -126,7 +109,7 @@ func runCrashSchedule(dir string, seed uint64, totalOps int, delta bool) (*Crash
 	// epoch publish) acknowledged nothing new, so the contract is
 	// unchanged and the next incarnation picks the pieces up.
 	reopen := func(inc *incarnation) (*durable.Engine, error) {
-		eng, err := inc.open(crashOptions(dir, seed, inc.fs, delta))
+		eng, err := inc.open(crashOptions(dir, seed, inc.fs))
 		if err != nil {
 			return nil, err
 		}
@@ -169,20 +152,34 @@ func runCrashSchedule(dir string, seed uint64, totalOps int, delta bool) (*Crash
 
 // serveGenOps applies the generated op stream to a durable engine from
 // *next on, checking reads against the model and acknowledging writes
-// into it, until the stream is spent or the engine dies inside an op. An
-// op the kill interrupted is spent, not retried: no response reached a
-// client, so a write is left in doubt. died, when set, reports a death
-// the op did not surface as an error (the failover oracle's link kills).
+// into it, until the stream is spent or the engine dies inside an op.
+// Each write is a batch of one in the scheduler's order: Write,
+// BatchSync (the acknowledgment point), then MaybeCheckpoint. An op the
+// kill interrupted is spent, not retried: a write killed before its ack
+// reached a client is left in doubt, one killed in its checkpoint was
+// already acknowledged. died, when set, reports a death the op did not
+// surface as an error (the failover oracle's link kills).
 func serveGenOps(eng *durable.Engine, model *ackModel, ops []Op, next *int, h *ScheduleHeader, died func() bool) error {
+	dead := func() bool { return died != nil && died() }
 	for *next < len(ops) {
 		i, op := *next, ops[*next]
 		*next++
-		var data []byte
 		var err error
+		after := "" // " checkpoint" once the write is acknowledged: err is then its checkpoint's
 		switch op.Kind {
 		case OpWrite:
-			data = Fill(model.blockB, op.Block, op.Fill)
-			err = eng.Write(op.Block, data)
+			data := Fill(model.blockB, op.Block, op.Fill)
+			if err = eng.Write(op.Block, data); err == nil {
+				err = eng.BatchSync()
+			}
+			if err != nil || dead() {
+				model.doubt(op.Block, data)
+				break
+			}
+			model.ack(op.Block, data)
+			h.AckedWrites++
+			after = " checkpoint"
+			err = eng.MaybeCheckpoint()
 		case OpRead:
 			var got []byte
 			if got, err = eng.Read(op.Block); err == nil && !bytes.Equal(got, model.want(op.Block)) {
@@ -191,19 +188,11 @@ func serveGenOps(eng *durable.Engine, model *ackModel, ops []Op, next *int, h *S
 		default: // OpAccess and OpCheckpoint both become pattern-only touches
 			err = eng.Access(op.Block)
 		}
-		dead := died != nil && died()
-		if err != nil || dead {
-			if op.Kind == OpWrite {
-				model.doubt(op.Block, data)
-			}
-			if err != nil {
-				err = failed(fmt.Sprintf("op %d (%v)", i, op.Kind), err)
-			}
-			return err
+		if err != nil {
+			return failed(fmt.Sprintf("op %d (%v)%s", i, op.Kind, after), err)
 		}
-		if op.Kind == OpWrite {
-			model.ack(op.Block, data)
-			h.AckedWrites++
+		if dead() {
+			return nil
 		}
 	}
 	return nil

@@ -10,9 +10,10 @@ import (
 )
 
 // Group-commit kill-recover oracle. The driver plays the scheduler's
-// role: it applies writes in batches through Engine.WriteIdentified and
-// acknowledges a batch only after Engine.BatchSync returns — exactly the
-// deferred-ack protocol internal/server runs under group commit. The
+// role: it applies writes in batches through Engine.WriteIdentified,
+// acknowledges a batch only after Engine.BatchSync returns, and then
+// runs Engine.MaybeCheckpoint — exactly the protocol internal/server
+// drives for every drained batch. The
 // injected filesystem runs in DropUnsynced mode (a volatile page cache:
 // unsynced appends survive a crash only as a seeded prefix), which is
 // the failure model that makes group commit's loss window observable.
@@ -39,12 +40,12 @@ func (r *GroupReport) String() string {
 		&r.ScheduleHeader, r.Syncs, r.Batched, r.Writes, r.Dropped)
 }
 
-// groupOptions is crashOptions with group commit on and the max-delay
-// safety net parked out of the way, so sync counts reflect BatchSync
-// alone and the test is deterministic under scheduler stalls.
+// groupOptions is crashOptions with the max-delay safety net parked
+// out of the way: multi-write batches would otherwise trip it, so sync
+// counts reflect BatchSync alone and the test is deterministic under
+// scheduler stalls.
 func groupOptions(dir string, seed uint64, fs vfs.FS) durable.Options {
-	o := crashOptions(dir, seed, fs, false)
-	o.GroupCommit = true
+	o := crashOptions(dir, seed, fs)
 	o.MaxSyncDelay = 1 << 40 // ~18min: never fires inside a test
 	return o
 }
@@ -122,10 +123,15 @@ func RunGroupCommitSchedule(dir string, seed uint64, totalOps int) (*GroupReport
 				if err := eng.BatchSync(); err != nil {
 					return unacked("batch sync", err)
 				}
-				// Acks released: the batch is durable.
+				// Acks released: the batch is durable. Then the batch
+				// boundary's checkpoint work, which can no longer put any of
+				// them in doubt.
 				for _, w := range batch {
 					model.ack(w.block, w.data)
 					rep.AckedWrites++
+				}
+				if err := eng.MaybeCheckpoint(); err != nil {
+					return failed(fmt.Sprintf("op %d: checkpoint", opsDone), err)
 				}
 			}
 			return nil

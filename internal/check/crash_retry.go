@@ -85,7 +85,7 @@ func RunRetrySchedule(dir string, seed uint64, totalOps int, opt RetryOptions) (
 	// recovered set (the schedule stays far below DedupTrack, so capacity
 	// eviction cannot excuse an absence).
 	reopen := func(inc *incarnation) (*durable.Engine, map[uint64]bool, error) {
-		eng, err := inc.open(crashOptions(dir, seed, inc.fs, false))
+		eng, err := inc.open(crashOptions(dir, seed, inc.fs))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -100,10 +100,12 @@ func RunRetrySchedule(dir string, seed uint64, totalOps int, opt RetryOptions) (
 		}
 		return eng, recovered, nil
 	}
-	// issue executes w. A failure leaves it in doubt for the next
-	// incarnation's retry; an ack makes it the block's content.
+	// issue executes w as a batch of one. A failure before the ack
+	// leaves it in doubt for the next incarnation's retry; an ack makes
+	// it the block's content, even if the checkpoint after it then dies.
 	issue := func(eng *durable.Engine, w *retryWrite, stage string) error {
-		if err := eng.WriteIdentified(w.id, w.block, w.data); err != nil {
+		ok, err := commitOne(eng, w.id, w.block, w.data)
+		if !ok {
 			if inDoubt != w { // a failed retry is in doubt already
 				inDoubt = w
 				model.doubt(w.block, w.data)
@@ -113,6 +115,10 @@ func RunRetrySchedule(dir string, seed uint64, totalOps int, opt RetryOptions) (
 		inDoubt = nil
 		model.ack(w.block, w.data)
 		acked[w.id] = true
+		rep.AckedWrites++
+		if err != nil {
+			return failed(stage+" checkpoint", err)
+		}
 		return nil
 	}
 	// readBack is the model's verify under this oracle's name for wrong
@@ -178,12 +184,11 @@ func RunRetrySchedule(dir string, seed uint64, totalOps int, opt RetryOptions) (
 				if err := issue(eng, conflict, "conflict write"); err != nil {
 					return err // the duplicate stays staged for the next round
 				}
-				rep.AckedWrites++
 				rep.Straddles++
 				staged = nil
 				if recovered[dup.id] && !opt.IgnoreRecoveredIDs {
 					rep.DedupSkips++ // absorbed: model keeps the conflict's value
-				} else if err := eng.WriteIdentified(dup.id, dup.block, dup.data); err != nil {
+				} else if _, err := commitOne(eng, dup.id, dup.block, dup.data); err != nil {
 					// The simulated server forgot the id: the duplicate
 					// re-executes, but the MODEL keeps the conflict's value —
 					// exactly-once semantics say a duplicate of an acked
@@ -202,7 +207,6 @@ func RunRetrySchedule(dir string, seed uint64, totalOps int, opt RetryOptions) (
 				if err := issue(eng, w, fmt.Sprintf("op %d: write", opsDone)); err != nil {
 					return err
 				}
-				rep.AckedWrites++
 				// Occasionally hold an acked write back as a future
 				// cross-crash duplicate.
 				if staged == nil && r.Float64() < 0.25 {

@@ -92,8 +92,8 @@ func TestRetryScheduleDeterminism(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same seed diverged:\n  %v\n  %v", a, b)
 	}
-	fa := recoveredFingerprint(t, crashOptions(dirA, 77, vfs.OS{}, false))
-	fb := recoveredFingerprint(t, crashOptions(dirB, 77, vfs.OS{}, false))
+	fa := recoveredFingerprint(t, crashOptions(dirA, 77, vfs.OS{}))
+	fb := recoveredFingerprint(t, crashOptions(dirB, 77, vfs.OS{}))
 	if fa != fb {
 		t.Fatalf("same seed, same report, different engine state: fingerprints %x vs %x", fa[:8], fb[:8])
 	}

@@ -45,11 +45,8 @@ import (
 // must return the data-loss error — proving the fence is what holds the
 // split-brain line, and that the oracle can see it fall.
 
-// FailoverOptions selects the engine configuration and the control arm.
+// FailoverOptions selects the control arm.
 type FailoverOptions struct {
-	// Delta runs the delta-snapshot engine configuration (chained
-	// incremental checkpoints plus live-WAL compaction).
-	Delta bool
 	// FenceOff is the negative control: the promoted directory accepts
 	// the deposed primary's stale stream, and the schedule must FAIL.
 	FenceOff bool
@@ -175,7 +172,7 @@ func RunFailoverSchedule(dir string, seed uint64, totalOps int, opt FailoverOpti
 			})
 			ship := &durable.Shipper{Shard: 0, SemiSync: true, AckTimeout: 10 * time.Millisecond, ChunkBytes: 2 << 10}
 			sink.m, sink.s = m, ship
-			engOpt := crashOptions(pdir, seed, inc.fs, opt.Delta)
+			engOpt := crashOptions(pdir, seed, inc.fs)
 			engOpt.Ship = ship
 			eng, err := inc.open(engOpt)
 			if err != nil {
@@ -223,7 +220,7 @@ func failoverCoda(rep *FailoverReport, r *rng.Source, model *ackModel, opt Failo
 	}
 	// The width-1 fleet over src is exactly the oracle's engine (the P=1
 	// identity), opened and fenced the way a promoting daemon does it.
-	fleet, err := server.OpenFleet(server.FleetConfig{Engine: crashOptions(src, seed, vfs.OS{}, opt.Delta)}, 1)
+	fleet, err := server.OpenFleet(server.FleetConfig{Engine: crashOptions(src, seed, vfs.OS{})}, 1)
 	if err != nil {
 		return fmt.Errorf("promotion recovery: %w", err)
 	}
@@ -245,7 +242,7 @@ func failoverCoda(rep *FailoverReport, r *rng.Source, model *ackModel, opt Failo
 	for i := 0; i < 8; i++ {
 		blk := int64(r.Uint64n(uint64(prom.NumBlocks())))
 		data := Fill(model.blockB, blk, 0xD0+byte(i))
-		if err := prom.Write(blk, data); err != nil {
+		if _, err := commitOne(prom, 0, blk, data); err != nil {
 			return fmt.Errorf("post-promotion write: %w", err)
 		}
 		post.ack(blk, data)
@@ -258,7 +255,7 @@ func failoverCoda(rep *FailoverReport, r *rng.Source, model *ackModel, opt Failo
 	// The deposed primary comes back and tries to resume shipping its
 	// stale stream into the promoted directory.
 	depShip := &durable.Shipper{Shard: 0, ChunkBytes: 2 << 10}
-	depOpt := crashOptions(pdir, seed, vfs.OS{}, opt.Delta)
+	depOpt := crashOptions(pdir, seed, vfs.OS{})
 	depOpt.Ship = depShip
 	dep, err := durable.Open(depOpt)
 	if err != nil {
@@ -283,7 +280,7 @@ func failoverCoda(rep *FailoverReport, r *rng.Source, model *ackModel, opt Failo
 	// Reopen the promoted directory: the term must still be the promoted
 	// one and every acknowledged write — the post-promotion ones first —
 	// must read back. Under FenceOff this is where the oracle fires.
-	fin, err := durable.Open(crashOptions(rdir, seed, vfs.OS{}, opt.Delta))
+	fin, err := durable.Open(crashOptions(rdir, seed, vfs.OS{}))
 	if err != nil {
 		return fmt.Errorf("reopening promoted dir: %w", err)
 	}

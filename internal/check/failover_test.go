@@ -5,20 +5,18 @@ import (
 	"testing"
 )
 
-// TestFailoverSmoke is the short race-gated arm of the failover oracle:
-// a few seeds through both engine configurations. The full sweep with
-// kill-site coverage assertions is TestFailoverSchedules.
+// TestFailoverSmoke is the short race-gated arm of the failover oracle.
+// The full sweep with kill-site coverage assertions is
+// TestFailoverSchedules.
 func TestFailoverSmoke(t *testing.T) {
-	for _, delta := range []bool{false, true} {
-		rep, err := RunFailoverSchedule(t.TempDir(), 1, 60, FailoverOptions{Delta: delta})
-		if err != nil {
-			t.Fatalf("delta=%v: %v\n%s", delta, err, rep)
-		}
-		if rep.AckedWrites == 0 || rep.Crashes == 0 {
-			t.Fatalf("delta=%v: schedule exercised nothing: %s", delta, rep)
-		}
-		t.Logf("delta=%v: %s", delta, rep)
+	rep, err := RunFailoverSchedule(t.TempDir(), 1, 60, FailoverOptions{})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, rep)
 	}
+	if rep.AckedWrites == 0 || rep.Crashes == 0 {
+		t.Fatalf("schedule exercised nothing: %s", rep)
+	}
+	t.Logf("%s", rep)
 }
 
 // TestFailoverSchedules sweeps seeds and asserts the kill-site coverage
@@ -32,7 +30,7 @@ func TestFailoverSchedules(t *testing.T) {
 	sites := make(map[string]int)
 	var promoted, fenced, acked int
 	for seed := uint64(1); seed <= 10; seed++ {
-		rep, err := RunFailoverSchedule(t.TempDir(), seed, 90, FailoverOptions{Delta: seed%2 == 0})
+		rep, err := RunFailoverSchedule(t.TempDir(), seed, 90, FailoverOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, rep)
 		}

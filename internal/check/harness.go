@@ -17,8 +17,8 @@ import (
 // written once: the acknowledged-write model (ackModel), the seeded
 // incarnation loop with its one adjudication rule (ScheduleHeader.run,
 // incarnation.adjudicate), and the report header the five report types
-// embed. Crash (full and delta), group commit, retry, live reshard, and
-// failover are round bodies on it; the chaos soak keeps its own loop and
+// embed. Crash, group commit, retry, live reshard, and failover are
+// round bodies on it; the chaos soak keeps its own loop and
 // ledger but borrows the incarnation and the adjudicator.
 
 // ScheduleHeader opens every kill-recover report.
@@ -154,6 +154,21 @@ func (m *ackModel) verifyWindow(read func(int64) ([]byte, error), round, window 
 		}
 	}
 	return nil
+}
+
+// commitOne drives one write through a durable engine the way the
+// scheduler drives a batch of one: apply and append, BatchSync — the
+// acknowledgment point — then MaybeCheckpoint for whatever the write
+// made due. acked reports whether the write reached its
+// acknowledgment; an error alongside it is the checkpoint's.
+func commitOne(eng *durable.Engine, id uint64, block int64, data []byte) (acked bool, err error) {
+	if err := eng.WriteIdentified(id, block, data); err != nil {
+		return false, err
+	}
+	if err := eng.BatchSync(); err != nil {
+		return false, err
+	}
+	return true, eng.MaybeCheckpoint()
 }
 
 // opFailure is an operation the system under test failed — as opposed

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/aboram"
-	"repro/internal/durable"
 	"repro/internal/faults"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -106,12 +105,9 @@ type reshardCrashRun struct {
 // open recovers the deployment on fs: journal, layout, and the serving
 // generation's engines.
 func (run *reshardCrashRun) open(inc *incarnation) (*server.Fleet, error) {
-	fleet, err := server.OpenFleet(server.FleetConfig{Engine: durable.Options{
-		Dir:           run.opt.Dir,
-		ORAM:          oracleORAM(run.opt.Seed),
-		SnapshotEvery: 16,
-		FS:            inc.fs,
-	}}, run.opt.From)
+	eng := crashOptions(run.opt.Dir, run.opt.Seed, inc.fs)
+	eng.SnapshotEvery = 16
+	fleet, err := server.OpenFleet(server.FleetConfig{Engine: eng}, run.opt.From)
 	if err != nil {
 		return nil, failed("recovering the serving fleet", err)
 	}

@@ -59,12 +59,6 @@ type SoakOptions struct {
 	// and after the serving budget any unfinished migration is driven
 	// to completion cleanly before the final sweep. Forces Shards=2.
 	Reshard bool
-	// Delta switches every incarnation to the incremental durability
-	// configuration: delta checkpoints with periodic full bases, live-WAL
-	// compaction, rotations deferred to batch boundaries, and — unlike
-	// the deterministic crash schedules — background checkpoint
-	// publishes, so kills race genuinely concurrent publish goroutines.
-	Delta bool
 	// Replicate runs the whole soak with warm-standby replication live:
 	// every incarnation's shards ship their durability stream (semi-sync,
 	// short ack timeout) to one long-lived ReplicaSession mirroring into
@@ -130,8 +124,8 @@ type SoakReport struct {
 	Deduped      uint64 // retries answered from the dedup window
 	IDsRecovered int    // ids recovered across all restarts
 
-	EngineDeltas      uint64 // delta checkpoints published (Delta mode)
-	EngineCompactions uint64 // live-WAL compaction runs (Delta mode)
+	EngineDeltas      uint64 // delta checkpoints published
+	EngineCompactions uint64 // live-WAL compaction runs
 	DeltasApplied     int    // chain deltas applied across all recoveries
 
 	ReshardsStarted   int    // Begin records in the journal (Reshard mode)
@@ -821,7 +815,15 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 		}
 		crashed := in.Crashed()
 		st.addr.Store("")
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		// A killed daemon drains nothing: its connections die with it. Only
+		// a budget-end incarnation gets the graceful drain — waiting it out
+		// on a dead one would spend the soak's serving time on idle client
+		// connections instead of under chaos.
+		grace := time.Second
+		if crashed {
+			grace = 0
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), grace)
 		tsrv.Shutdown(ctx)
 		cancel()
 		srv.Close()   // stops any in-flight migration before draining the schedulers
@@ -959,20 +961,18 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 }
 
 // soakFleetConfig describes the soak's fleet under dir: the crash
-// oracle's engine template under group commit, with semi-sync shipping
-// in Replicate mode. The short ack timeout is the soak's liveness
+// oracle's engine template, with semi-sync shipping in Replicate mode.
+// Two cadence knobs differ, for the soak's longer wall-clock
+// incarnations: rotations every 32 writes and compactions every 12.
+// And publishes run in the background as when serving — unlike the
+// deterministic crash schedules — so kills race genuinely concurrent
+// publish goroutines. The short ack timeout is the soak's liveness
 // guarantee: a blackholed or partitioned link degrades to local-only
 // acks within one client timeout instead of wedging a shard's scheduler.
 func soakFleetConfig(opt SoakOptions, dir string, fs vfs.FS) server.FleetConfig {
-	eng := crashOptions(dir, opt.Seed, fs, false)
-	eng.SnapshotEvery = 32
-	eng.GroupCommit = true
-	if opt.Delta {
-		eng.DeltaSnapshots = true
-		eng.BaseEvery = 3
-		eng.CompactEvery = 12
-		eng.DeferCheckpoints = true // cuts land at batch boundaries via MaybeCheckpoint
-	}
+	eng := crashOptions(dir, opt.Seed, fs)
+	eng.SnapshotEvery, eng.CompactEvery = 32, 12
+	eng.SyncPublish = false
 	return server.FleetConfig{
 		Engine:         eng,
 		SemiSync:       opt.Replicate,
@@ -1040,36 +1040,45 @@ func (l *soakReplLink) current() *faults.Conn {
 // one-way partitions while the soak serves: the standby's sends
 // (acks) vanish while frames still arrive, or the wire goes silent
 // while acks still flow out, or the link drops outright and the
-// session redials. On exit it heals the current link so the final
-// drain isn't reading a stalled connection.
+// session redials. Every other action is a partition, so even a soak
+// with only a handful of live links between its kills cannot draw a
+// schedule that never partitions one. On exit it heals the current link
+// so the final drain isn't reading a stalled connection.
 func runLinkChaos(st *soakState, link *soakReplLink, seed uint64) {
 	r := rng.New(seed ^ 0x1e4c4a05)
-	for !st.stop.Load() {
+	for acts := 0; !st.stop.Load(); {
 		sleepUnlessStopped(st, time.Duration(20+r.Uint64n(100))*time.Millisecond)
 		// Only act while a primary is serving: a partition nobody is
 		// writing through exercises nothing.
 		if addr, _ := st.addr.Load().(string); addr == "" {
 			continue
 		}
+		// Nor on the previous incarnation's dead link, until the session
+		// has redialed the live one.
 		c := link.current()
-		if c == nil {
+		if c == nil || c.Closed() {
 			continue
 		}
-		switch r.Uint64n(6) {
-		case 0, 1:
+		acts++
+		switch {
+		case acts%2 == 1:
 			if r.Uint64n(2) == 0 {
 				c.SetPartition(true, false) // acks vanish; the primary's semi-sync degrades
 			} else {
 				c.SetPartition(false, true) // frames stall; delivered in a burst on heal
 			}
 			// Dwell for several ack timeouts so the partition provably
-			// outlives the semi-sync wait, then heal.
-			sleepUnlessStopped(st, time.Duration(100+r.Uint64n(100))*time.Millisecond)
+			// outlives the semi-sync wait, then heal — or move on as soon
+			// as a kill takes the link down, to partition its successor.
+			end := time.Now().Add(time.Duration(100+r.Uint64n(100)) * time.Millisecond)
+			for time.Now().Before(end) && !c.Closed() && !st.stop.Load() {
+				time.Sleep(2 * time.Millisecond)
+			}
 			c.SetPartition(false, false)
-		case 2:
+		case r.Uint64n(3) == 0:
 			c.Close() // blackout: the session redials and re-bootstraps
 		default:
-			c.SetPartition(false, false) // heal anything a dead link left set
+			// A quiet turn: the healed link carries traffic undisturbed.
 		}
 	}
 	if c := link.current(); c != nil {

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,15 +14,12 @@ import (
 	"repro/internal/vfs"
 )
 
-// deltaOptions is testOptions switched to the incremental configuration:
-// a rotation every 2 writes, a full base every 4th rotation, synchronous
-// publishes so tests see the directory settle deterministically.
+// deltaOptions is testOptions at a chain cadence: a rotation every 2
+// writes, a full base every 4th rotation (three deltas between bases).
 func deltaOptions(dir string) Options {
 	opt := testOptions(dir)
 	opt.SnapshotEvery = 2
-	opt.DeltaSnapshots = true
 	opt.BaseEvery = 4
-	opt.SyncPublish = true
 	return opt
 }
 
@@ -36,7 +34,7 @@ func TestDeltaChainRecovery(t *testing.T) {
 	}
 	const n = 13 // 6 rotations at every-2: a base, deltas, another base, deltas
 	for i := 0; i < n; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(0x10+i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(0x10+i))); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
@@ -44,7 +42,7 @@ func TestDeltaChainRecovery(t *testing.T) {
 	if st.Snapshots == 0 || st.DeltasWritten == 0 {
 		t.Fatalf("stats = %+v, want both full bases and deltas published", st)
 	}
-	// No Close: SyncEvery=1 already made every acknowledged write durable.
+	// No Close: BatchSync already made every acknowledged write durable.
 
 	r, err := Open(deltaOptions(dir))
 	if err != nil {
@@ -77,9 +75,9 @@ func TestCorruptMiddleDeltaShortensChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	const n = 8 // base + a 3-delta chain at every-2, BaseEvery=4
+	const n = 7 // base + a 3-delta chain at every-2, BaseEvery=4
 	for i := 0; i < n; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(0x20+i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(0x20+i))); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
@@ -115,60 +113,79 @@ func TestCorruptMiddleDeltaShortensChain(t *testing.T) {
 	}
 }
 
-// TestCrossModeDirectories checks a directory written in either mode
-// opens in either mode: recovery is driven by the files present, the
-// flag only selects what new rotations write.
+// TestCrossModeDirectories checks the full-base cadence may change
+// between opens of one directory: recovery is driven by the files
+// present, BaseEvery only selects what new rotations write. A
+// full-image directory (BaseEvery 1) is extended into a chain under
+// BaseEvery 3, and the chain is pruned at the first base once the
+// cadence switches back.
 func TestCrossModeDirectories(t *testing.T) {
 	dir := t.TempDir()
 	full := testOptions(dir)
 	full.SnapshotEvery = 3
+	chain := full
+	chain.SnapshotEvery = 2
+	chain.BaseEvery = 3
+	files := func(prefix string) (n int) {
+		names, err := vfs.OS{}.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasPrefix(name, prefix) {
+				n++
+			}
+		}
+		return n
+	}
 
 	e, err := Open(full)
 	if err != nil {
-		t.Fatalf("Open full: %v", err)
+		t.Fatalf("Open at BaseEvery 1: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(0x30+i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(0x30+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Close()
+	if n := files("delta-"); n != 0 {
+		t.Fatalf("BaseEvery 1 wrote %d deltas, want full images only", n)
+	}
 
-	// Full-mode directory opened by a delta engine; write more through it.
-	d, err := Open(deltaOptions(dir))
+	// The full-image directory, extended into a chain: Open's base, then
+	// two deltas (every third rotation would be the next base).
+	d, err := Open(chain)
 	if err != nil {
-		t.Fatalf("Open delta over full dir: %v", err)
+		t.Fatalf("Open at BaseEvery 3 over full images: %v", err)
 	}
 	for i := 5; i < 10; i++ {
-		if err := d.Write(int64(i), payload(d.BlockSize(), byte(0x30+i))); err != nil {
+		if err := commit(d, 0, int64(i), payload(d.BlockSize(), byte(0x30+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d.Stats().DeltasWritten == 0 {
-		t.Fatalf("stats = %+v, want delta rotations after the mode switch", d.Stats())
+	if st := d.Stats(); st.DeltasWritten != 2 || st.Snapshots != 0 {
+		t.Fatalf("stats = %+v, want the chain extended by 2 deltas", st)
 	}
 	d.Close()
 
-	// Delta-mode directory (chain on disk) opened by a full engine.
+	// Back to BaseEvery 1: recovery applies the chain, and Open's base
+	// prunes it.
 	r, err := Open(full)
 	if err != nil {
-		t.Fatalf("Open full over delta dir: %v", err)
+		t.Fatalf("Open at BaseEvery 1 over a chain: %v", err)
 	}
 	defer r.Close()
+	if rec := r.Recovery(); rec.DeltasApplied != 2 {
+		t.Fatalf("recovery = %+v, want the 2-delta chain applied", rec)
+	}
+	if n := files("delta-"); n != 0 {
+		t.Fatalf("%d chain files alive after the first base at BaseEvery 1", n)
+	}
 	for i := 0; i < 10; i++ {
 		got, err := r.Read(int64(i))
 		if err != nil || !bytes.Equal(got, payload(r.BlockSize(), byte(0x30+i))) {
-			t.Fatalf("block %d wrong after mode round-trip (err %v)", i, err)
-		}
-	}
-	// A full engine must not keep extending the old chain.
-	names, err := vfs.OS{}.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if strings.HasPrefix(name, "delta-") {
-			t.Fatalf("full-mode open left chain file %q alive after its base rotation", name)
+			t.Fatalf("block %d wrong after the cadence round-trip (err %v)", i, err)
 		}
 	}
 }
@@ -176,10 +193,10 @@ func TestCrossModeDirectories(t *testing.T) {
 // TestLegacyHeaderlessSnapshotLoads pins backward compatibility with the
 // oldest checkpoint format: a raw aboram.Save image with neither the
 // ABSNAP01 id header nor delta framing, dropped into the directory under
-// a snapshot name, must recover in both modes.
+// a snapshot name, must recover.
 func TestLegacyHeaderlessSnapshotLoads(t *testing.T) {
 	dir := t.TempDir()
-	opt := testOptions(dir)
+	opt := deltaOptions(dir)
 	o, err := aboram.New(opt.ORAM)
 	if err != nil {
 		t.Fatal(err)
@@ -192,46 +209,77 @@ func TestLegacyHeaderlessSnapshotLoads(t *testing.T) {
 	if err := o.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, snapName(1))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, mode := range []struct {
-		name string
-		opts Options
-	}{
-		{"full", opt},
-		{"delta", deltaOptions(dir)},
-	} {
-		e, err := Open(mode.opts)
+	e, err := Open(opt)
+	if err != nil {
+		t.Fatalf("Open over legacy snapshot: %v", err)
+	}
+	defer e.Close()
+	if e.Recovery().BaseEpoch != 1 {
+		t.Fatalf("recovery = %+v, want the legacy snapshot as base", e.Recovery())
+	}
+	got, err := e.Read(3)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("legacy content lost (err %v)", err)
+	}
+}
+
+// legacyFullFingerprint is the Fingerprint() of the engine the
+// testdata/legacy-full directory recovers to, recorded by the writer
+// that produced it (the removed full-image rotation path).
+const legacyFullFingerprint = "e7b128cc61b1dd202336c5200547dd1f10a779db6e4a14837fea80ffea54f732"
+
+// TestLegacyFullDirectoryRecovers opens a directory written by the
+// removed full-image writer (testOptions, SnapshotEvery 4, ten writes to
+// blocks 0..9, Close): one snapshot at epoch 3 plus a two-record WAL.
+// It must recover to the very state that writer's own recovery reached.
+func TestLegacyFullDirectoryRecovers(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "legacy-full")
+	names, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names { // Open publishes a fresh base: work on a copy
+		data, err := os.ReadFile(filepath.Join(src, n.Name()))
 		if err != nil {
-			t.Fatalf("%s Open over legacy snapshot: %v", mode.name, err)
+			t.Fatal(err)
 		}
-		if e.Recovery().BaseEpoch != 1 {
-			t.Fatalf("%s recovery = %+v, want the legacy snapshot as base", mode.name, e.Recovery())
+		if err := os.WriteFile(filepath.Join(dir, n.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		got, err := e.Read(3)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: legacy content lost (err %v)", mode.name, err)
-		}
-		e.Close()
-		// Reinstate the legacy layout for the second mode's pass.
-		if mode.name == "full" {
-			names, _ := vfs.OS{}.ReadDir(dir)
-			for _, name := range names {
-				os.Remove(filepath.Join(dir, name))
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
+	}
+
+	e, err := Open(testOptions(dir))
+	if err != nil {
+		t.Fatalf("Open over the legacy full-image directory: %v", err)
+	}
+	defer e.Close()
+	if rec := e.Recovery(); rec.BaseEpoch != 3 || rec.RecordsReplayed != 2 {
+		t.Fatalf("recovery = %+v, want base epoch 3 and 2 replayed records", rec)
+	}
+	fp, err := e.Fingerprint() // before any read: reads move protocol state
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", fp); got != legacyFullFingerprint {
+		t.Fatalf("recovered fingerprint %s, want %s", got, legacyFullFingerprint)
+	}
+	for i := 0; i < 10; i++ {
+		got, err := e.Read(int64(i))
+		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
+			t.Fatalf("block %d wrong after legacy recovery (err %v)", i, err)
 		}
 	}
 }
 
 // TestDeltaRecoveryFingerprintMatchesFull is the correctness pin for the
-// whole incremental path: two engines — one full-image, one delta — are
-// driven through the identical seeded op sequence, dropped without Close,
+// whole incremental path: two engines — one full-image (BaseEvery 1),
+// one chaining deltas — are driven through the identical seeded op
+// sequence, dropped without Close,
 // and recovered. Their logical-state fingerprints must be identical: the
 // chain of base + deltas + WAL replay reconstructs bit-for-bit the state
 // the full snapshot + WAL replay does.
@@ -246,7 +294,7 @@ func TestDeltaRecoveryFingerprintMatchesFull(t *testing.T) {
 			blk := int64(r.Uint64n(uint64(e.NumBlocks())))
 			switch {
 			case r.Float64() < 0.6:
-				if err := e.Write(blk, payload(e.BlockSize(), byte(i))); err != nil {
+				if err := commit(e, 0, blk, payload(e.BlockSize(), byte(i))); err != nil {
 					t.Fatalf("Write %d: %v", i, err)
 				}
 			default:
@@ -293,36 +341,28 @@ func TestDeltaRecoveryFingerprintMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDeferredCheckpoints checks the write path only marks work due
-// under DeferCheckpoints, and MaybeCheckpoint performs it.
+// TestDeferredCheckpoints checks the write path only makes rotations
+// due, and MaybeCheckpoint — the scheduler's batch boundary — performs
+// them.
 func TestDeferredCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	opt := deltaOptions(dir)
-	opt.DeferCheckpoints = true
-	e, err := Open(opt)
+	e, err := Open(deltaOptions(t.TempDir()))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer e.Close()
 	for i := 0; i < 4; i++ { // two rotations due at every-2
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatal(err)
-		}
-		if err := e.MaybeCheckpoint(); err != nil {
-			t.Fatalf("MaybeCheckpoint after write %d: %v", i, err)
 		}
 	}
 	st := e.Stats()
-	if st.Snapshots+st.DeltasWritten < 2 {
+	if st.Snapshots+st.DeltasWritten != 2 {
 		t.Fatalf("stats = %+v, want deferred rotations performed at the batch boundary", st)
 	}
 
 	// Without the MaybeCheckpoint call nothing rotates, however many
 	// writes pass: the work only becomes due.
-	dir2 := t.TempDir()
-	opt2 := deltaOptions(dir2)
-	opt2.DeferCheckpoints = true
-	e2, err := Open(opt2)
+	e2, err := Open(deltaOptions(t.TempDir()))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -331,9 +371,74 @@ func TestDeferredCheckpoints(t *testing.T) {
 		if err := e2.Write(int64(i), payload(e2.BlockSize(), byte(i))); err != nil {
 			t.Fatal(err)
 		}
+		if err := e2.BatchSync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := e2.Stats(); st.Snapshots != 0 || st.DeltasWritten != 0 {
 		t.Fatalf("stats = %+v, want no rotation without MaybeCheckpoint", st)
+	}
+}
+
+// TestDeprecatedOptionsInert pins that the three deprecated Options
+// fields change nothing: one op sequence run with all of them set and
+// with none of them set must leave the same recovered fingerprint, the
+// same durability counters (the wall-clock pause aside), and the same
+// directory listing.
+func TestDeprecatedOptionsInert(t *testing.T) {
+	type outcome struct {
+		fp    [32]byte
+		stats Stats
+		files []string
+	}
+	run := func(set bool) outcome {
+		dir := t.TempDir()
+		opt := deltaOptions(dir)
+		opt.SnapshotEvery, opt.CompactEvery = 8, 3
+		opt.GroupCommit, opt.DeltaSnapshots, opt.DeferCheckpoints = set, set, set
+		e, err := Open(opt)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		r := rng.New(5)
+		for i := 0; i < 30; i++ {
+			blk := int64(r.Uint64n(4))
+			if err := commit(e, uint64(i+1), blk, payload(e.BlockSize(), byte(i))); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		var out outcome
+		out.stats = e.Stats()
+		out.stats.SnapshotPauseNanos = 0
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if out.files, err = (vfs.OS{}).ReadDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(out.files)
+		rec, err := Open(opt)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer rec.Close()
+		if out.fp, err = rec.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	on, off := run(true), run(false)
+	if on.stats != off.stats {
+		t.Fatalf("stats diverge: deprecated fields set %+v, unset %+v", on.stats, off.stats)
+	}
+	if fmt.Sprint(on.files) != fmt.Sprint(off.files) {
+		t.Fatalf("directories diverge: set %v, unset %v", on.files, off.files)
+	}
+	if on.fp != off.fp {
+		t.Fatalf("recovered fingerprints diverge: set %x, unset %x", on.fp[:8], off.fp[:8])
+	}
+	if on.stats.DeltasWritten == 0 || on.stats.CompactionRuns == 0 {
+		t.Fatalf("stats = %+v, want the sequence to cross deltas and compactions", on.stats)
 	}
 }
 
@@ -355,7 +460,7 @@ func TestCompactionShrinksReplay(t *testing.T) {
 		blk := int64(i % 2)
 		data := payload(e.BlockSize(), byte(0x60+i))
 		id := uint64(1000 + i)
-		if err := e.WriteIdentified(id, blk, data); err != nil {
+		if err := commit(e, id, blk, data); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 		ids = append(ids, id)

@@ -4,19 +4,30 @@
 // with a write-ahead log of acknowledged mutating operations, framed as
 // CRC-checked wire-protocol records (see wal.go).
 //
-// The contract is zero acknowledged-write loss: a Write returns only
-// after its record is appended to the WAL and — at the default
-// SyncEvery=1 — fsynced. Recovery loads the newest readable snapshot,
-// replays the WAL suffix up to the first damaged record, and discards the
-// torn tail; an op that was never acknowledged may or may not survive,
-// an acknowledged one always does. internal/check's crash harness
-// enforces exactly this contract at fault-injected kill points.
+// The engine has one write protocol, the one the serving scheduler
+// drives for every drained batch:
 //
-// Under GroupCommit the fsync moves from the write path to BatchSync,
-// which the scheduler calls once per drained batch before releasing that
-// batch's write acknowledgments — the ack-implies-durable contract is
-// unchanged, only the fsync count drops. MaxSyncDelay bounds how long an
+//  1. Write / WriteIdentified apply the op and append its record to the
+//     WAL. They do not fsync (except through the MaxSyncDelay safety net
+//     below), and a nil return is not yet an acknowledgment.
+//  2. BatchSync fsyncs everything appended since the last sync and, with
+//     semi-sync replication, waits for the standby. It is the
+//     acknowledgment point: the batch's writes are durable when it
+//     returns nil, and only then may they be acknowledged.
+//  3. MaybeCheckpoint, after the acknowledgments, performs any rotation
+//     or WAL compaction the batch's writes made due, so a checkpoint cut
+//     never lands between a write and its acknowledgment.
+//
+// A driver without batches is a batch of one: Write, BatchSync,
+// acknowledge, MaybeCheckpoint. MaxSyncDelay bounds how long an
 // appended-but-unsynced record may wait if no BatchSync arrives.
+//
+// The contract is zero acknowledged-write loss. Recovery loads the newest
+// readable checkpoint chain, replays the WAL suffix up to the first
+// damaged record, and discards the torn tail; an op that was never
+// acknowledged may or may not survive, an acknowledged one always does.
+// internal/check's crash harness enforces exactly this contract at
+// fault-injected kill points.
 //
 // Writes also carry wire request ids (WriteIdentified): each id is
 // logged in the WAL record and the recent-id set rides in every
@@ -24,19 +35,19 @@
 // (RecentWriteIDs) and the front end can seed its retry-dedup window —
 // a retried write straddling a crash is recognized, not applied twice.
 //
-// DeltaSnapshots replaces most full-image rotations with incremental
-// checkpoints: the instance stamps every bucket, position-map entry, and
-// data slot it mutates, and a rotation captures only the state touched
-// since the previous cut (plus a full base image every BaseEvery
-// rotations, bounding the recovery chain). The capture is an in-memory
-// copy of the dirty set, so the serving pause is proportional to what
-// changed, not to the tree; the encoded checkpoint publishes in the
-// background while serving continues, and publishes are serialized so a
-// crash can tear at most the newest chain element — which recovery
-// drops, falling back to the WAL segment that the unpublished element
-// would have covered. CompactEvery independently bounds replay work for
-// write-hot blocks by rewriting the live WAL segment in place,
-// shrinking superseded whole-block writes to id-only dedup stubs.
+// Checkpoints form a chain: the instance stamps every bucket,
+// position-map entry, and data slot it mutates, and a rotation captures
+// only the state touched since the previous cut, except that every
+// BaseEvery-th rotation captures a full base image, bounding the
+// recovery chain (BaseEvery 1 makes every checkpoint a full image). The
+// capture is an in-memory copy, so the serving pause is proportional to
+// what it copies; the encoded checkpoint publishes in the background
+// while serving continues, and publishes are serialized so a crash can
+// tear at most the newest chain element — which recovery drops, falling
+// back to the WAL segment that the unpublished element would have
+// covered. CompactEvery independently bounds replay work for write-hot
+// blocks by rewriting the live WAL segment in place, shrinking
+// superseded whole-block writes to id-only dedup stubs.
 //
 // The engine is fail-stop: any error on the durability path (append,
 // fsync, checkpoint capture or publish, compaction) poisons the instance
@@ -50,9 +61,7 @@
 // is the one cmd/aboramd builds: Engine implements internal/server's
 // Engine interface and is driven only by the scheduler's single protocol
 // goroutine, which also means the WAL write order equals the
-// acknowledgment order. Under DeferCheckpoints the scheduler additionally
-// calls MaybeCheckpoint at batch boundaries, so the checkpoint cut lands
-// between batches, never between a write and its acknowledgment.
+// acknowledgment order.
 package durable
 
 import (
@@ -76,59 +85,34 @@ type Options struct {
 	// on every open of the same directory (the snapshot image carries no
 	// key material, so the encryption key in particular must match).
 	ORAM aboram.Options
-	// SnapshotEvery rotates the epoch (checkpoint + fresh WAL) after this
-	// many acknowledged writes. Default 1024.
+	// SnapshotEvery makes a rotation (checkpoint + fresh WAL) due after
+	// this many writes; the next MaybeCheckpoint performs it. Default 1024.
 	SnapshotEvery int
-	// SnapshotInterval additionally rotates when this much wall time has
-	// passed since the last checkpoint, checked on the write path.
-	// 0 disables the timer (the default, and what deterministic tests
-	// rely on).
-	SnapshotInterval time.Duration
 	// SnapshotPhase offsets the first rotation after Open by this many
 	// writes (taken modulo SnapshotEvery), so a fleet of shards opened
 	// together staggers its checkpoint work instead of pausing in
-	// lockstep. The same fraction offsets the SnapshotInterval timer.
+	// lockstep.
 	SnapshotPhase int
-	// DeltaSnapshots switches rotation to incremental checkpoints: most
-	// rotations publish a delta of the state touched since the last cut,
-	// and every BaseEvery-th rotation publishes a full base image.
-	// Recovery follows the chain (newest readable base, then its
-	// consecutive readable deltas) before WAL replay. Directories written
-	// in either mode open in either mode: recovery is driven by the files
-	// present, the flag only selects what new rotations write.
-	DeltaSnapshots bool
-	// BaseEvery is the full-base cadence under DeltaSnapshots: after this
-	// many consecutive delta rotations, the next rotation writes a full
-	// snapshot (bounding chain length and reclaiming chain disk).
-	// Default 8.
+	// BaseEvery is the full-base cadence: every BaseEvery-th rotation
+	// writes a full base image, and the rotations between write deltas of
+	// the state touched since the previous cut (bounding chain length and
+	// reclaiming chain disk). 1 makes every rotation a full image.
+	// Recovery follows whatever chain is on disk, so the cadence may
+	// change between opens of one directory. Default 8.
 	BaseEvery int
-	// CompactEvery, when > 0, rewrites the live WAL segment after this
-	// many appends since the segment started (or was last compacted):
-	// superseded whole-block writes shrink to id-only dedup stubs. This
-	// bounds replay work and log disk for write-hot blocks even when
-	// rotations are far apart.
+	// CompactEvery, when > 0, makes a rewrite of the live WAL segment due
+	// after this many appends since the segment started (or was last
+	// compacted): superseded whole-block writes shrink to id-only dedup
+	// stubs. This bounds replay work and log disk for write-hot blocks
+	// even when rotations are far apart.
 	CompactEvery int
-	// DeferCheckpoints moves rotation and compaction off the write path:
-	// writes only mark them due, and MaybeCheckpoint — called by the
-	// scheduler at batch boundaries — performs them. This gives delta
-	// captures a consistent cut between batches.
-	DeferCheckpoints bool
-	// SyncPublish forces delta-mode rotations to publish the encoded
-	// checkpoint inline before returning, instead of in the background.
+	// SyncPublish forces rotations to publish the encoded checkpoint
+	// inline before returning, instead of in the background.
 	// Deterministic crash tests use it; serving keeps the default.
 	SyncPublish bool
-	// SyncEvery fsyncs the WAL every N appends. 1 (the default) is the
-	// zero-acknowledged-loss setting; larger values trade an N-op loss
-	// window for throughput. Ignored under GroupCommit.
-	SyncEvery int
-	// GroupCommit defers WAL fsyncs to BatchSync, which the scheduler
-	// calls once per drained batch before acknowledging that batch's
-	// writes. Acknowledged writes remain crash-durable; only the fsync
-	// count changes.
-	GroupCommit bool
-	// MaxSyncDelay bounds how long an unsynced record may sit in the WAL
-	// under GroupCommit before the write path syncs it anyway (a safety
-	// net for drivers that never call BatchSync). Default 5ms.
+	// MaxSyncDelay bounds how long an appended record may sit unsynced
+	// before a later write syncs it anyway (a safety net for drivers that
+	// never call BatchSync). Default 5ms.
 	MaxSyncDelay time.Duration
 	// DedupTrack is how many recent acknowledged write ids the engine
 	// remembers for crash-durable retry dedup (checkpoint header + WAL
@@ -146,6 +130,18 @@ type Options struct {
 	// FS is the filesystem to write through; tests inject a
 	// faults-wrapped one. Default vfs.OS{}.
 	FS vfs.FS
+
+	// Deprecated: group commit is the engine's only sync policy. Read
+	// nowhere; kept until the benchmark harness stops setting it.
+	GroupCommit bool
+	// Deprecated: every rotation writes the checkpoint chain; BaseEvery
+	// alone sets the full-base cadence. Read nowhere; kept until the
+	// benchmark harness stops setting it.
+	DeltaSnapshots bool
+	// Deprecated: rotations and compactions always wait for
+	// MaybeCheckpoint. Read nowhere; kept until the benchmark harness
+	// stops setting it.
+	DeferCheckpoints bool
 }
 
 func (o Options) withDefaults() Options {
@@ -154,9 +150,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BaseEvery <= 0 {
 		o.BaseEvery = 8
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
 	}
 	if o.MaxSyncDelay <= 0 {
 		o.MaxSyncDelay = 5 * time.Millisecond
@@ -224,15 +217,16 @@ func (r RecoveryStats) String() string {
 
 // Stats counts the engine's durability work since Open.
 type Stats struct {
-	Writes        uint64 // acknowledged (logged) writes
+	Writes        uint64 // logged writes
 	Syncs         uint64 // WAL fsyncs (all causes)
-	BatchedSyncs  uint64 // the subset issued by BatchSync (group commit)
-	Snapshots     uint64 // full-image checkpoints (all rotations in full mode)
-	DeltasWritten uint64 // delta checkpoints (delta-mode rotations between bases)
+	BatchedSyncs  uint64 // the subset issued by BatchSync
+	Snapshots     uint64 // full base images
+	DeltasWritten uint64 // delta checkpoints (rotations between bases)
 	// SnapshotPauseNanos is cumulative wall time serving was blocked by
-	// rotations: the whole publish in full mode; only the in-memory
-	// capture, final old-segment fsync, and fresh-segment creation in
-	// delta mode (the publish itself overlaps serving).
+	// rotations: the in-memory capture (the whole image for a base, the
+	// dirty set for a delta), any final old-segment fsync, and
+	// fresh-segment creation. The publish itself overlaps serving unless
+	// SyncPublish is set, and is never counted.
 	SnapshotPauseNanos uint64
 	// LastSnapshotBytes is the encoded size of the newest checkpoint
 	// (full or delta) captured so far.
@@ -283,22 +277,18 @@ type Engine struct {
 	w     *wal
 	epoch uint64
 
-	sinceSnap    int
-	sinceSync    int
+	sinceSnap    int    // writes since the last rotation
 	sinceBase    int    // delta rotations since the last full base
 	sinceCompact int    // appends to the live segment since its last compaction
 	lastCut      uint64 // instance mutation epoch of the newest capture's cut
-	ckptDue      bool   // rotation requested, deferred to MaybeCheckpoint
-	compactDue   bool   // compaction requested, deferred to MaybeCheckpoint
-	dirty        int    // appended-but-unsynced records (group commit)
+	dirty        int    // appended-but-unsynced records
 	firstDirty   time.Time
-	lastSnap     time.Time
 	failed       error
 
 	ids         *idRing
 	pruneLogged bool
 
-	// Background checkpoint publish (delta mode): at most one in flight,
+	// Background checkpoint publish: at most one in flight,
 	// serialized by awaitPublish before the next rotation or compaction.
 	pubWG  sync.WaitGroup
 	pubMu  sync.Mutex
@@ -328,8 +318,8 @@ func (e *Engine) bump(f func(*Stats)) {
 
 // Open recovers (or initializes) the data directory and returns a
 // serving-ready engine. On return a fresh epoch has been published: the
-// newest checkpoint (always a full image, regardless of mode) reflects
-// everything recovered, and the WAL is empty.
+// newest checkpoint (always a full base image) reflects everything
+// recovered, and the WAL is empty.
 func Open(opt Options) (*Engine, error) {
 	opt = opt.withDefaults()
 	fs := opt.FS
@@ -477,27 +467,25 @@ baseLoop:
 	e.recovery.IDsRecovered = e.ids.n
 
 	// Publish the recovered state as a fresh epoch, then drop the old
-	// generation. The first delta-mode rotation must be a full base (the
-	// recovered instance's mutation stamps don't line up with any on-disk
-	// cut), which sinceBase = BaseEvery forces. Failing to publish fails
-	// Open: an engine that cannot checkpoint must not start acknowledging
+	// generation. This first rotation must be a full base (the recovered
+	// instance's mutation stamps don't line up with any on-disk cut),
+	// which sinceBase = BaseEvery forces. Failing to publish fails Open:
+	// an engine that cannot checkpoint must not start acknowledging
 	// writes.
 	e.epoch = maxEpoch
 	e.sinceBase = e.opt.BaseEvery
 	e.term = maxTerm // before the rotation below, so the fresh base stamps it
 	if err := e.rotate(true); err != nil {
+		if e.w != nil { // the fresh segment opens before the base publishes
+			e.w.close()
+		}
 		return nil, err
 	}
 	e.statsMu.Lock()
 	e.stats = Stats{} // rotation above is recovery work, not serving work
 	e.statsMu.Unlock()
 	if opt.SnapshotPhase > 0 {
-		phase := opt.SnapshotPhase % opt.SnapshotEvery
-		e.sinceSnap = phase
-		if opt.SnapshotInterval > 0 {
-			e.lastSnap = e.lastSnap.Add(-time.Duration(
-				float64(opt.SnapshotInterval) * float64(phase) / float64(opt.SnapshotEvery)))
-		}
+		e.sinceSnap = opt.SnapshotPhase % opt.SnapshotEvery
 	}
 	return e, nil
 }
@@ -541,9 +529,9 @@ func (e *Engine) Fingerprint() ([32]byte, error) { return e.oram.Fingerprint() }
 // window with them before serving.
 func (e *Engine) RecentWriteIDs() []uint64 { return e.ids.list() }
 
-// GroupCommit reports whether BatchSync carries the fsync duty
-// (satisfies internal/server's BatchSyncer).
-func (e *Engine) GroupCommit() bool { return e.opt.GroupCommit }
+// GroupCommit reports that BatchSync carries the fsync duty (satisfies
+// internal/server's BatchSyncer). Always true: it is the only protocol.
+func (e *Engine) GroupCommit() bool { return true }
 
 // Durability reports the engine's durability counters in wire form, for
 // the serving layer's Info response (satisfies internal/server's
@@ -621,10 +609,9 @@ func (e *Engine) ReadXOR(block int64) (*aboram.XORResult, error) {
 	return e.oram.ReadXOR(block)
 }
 
-// Write applies, logs, and (per the sync policy) fsyncs one mutating op
-// with no request id. On a nil return under the default policy the write
-// is durable; under GroupCommit durability arrives at the next BatchSync
-// (which the scheduler awaits before acknowledging).
+// Write applies and logs one mutating op with no request id. A nil
+// return is not an acknowledgment: the write is durable once the next
+// BatchSync returns nil (see the package doc for the protocol).
 func (e *Engine) Write(block int64, data []byte) error {
 	return e.WriteIdentified(0, block, data)
 }
@@ -658,29 +645,17 @@ func (e *Engine) WriteIdentified(id uint64, block int64, data []byte) error {
 	if id != 0 {
 		e.ids.push(id)
 	}
-	if e.opt.GroupCommit {
-		if e.dirty == 0 {
-			e.firstDirty = time.Now()
-		}
-		e.dirty++
-		// Safety net: if no BatchSync has arrived for MaxSyncDelay, sync
-		// here so an unsynced record cannot linger unboundedly. The
-		// semi-sync replica wait stays at BatchSync — the batch's acks
-		// are not released before then anyway.
-		if time.Since(e.firstDirty) >= e.opt.MaxSyncDelay {
-			if err := e.syncWAL(); err != nil {
-				return e.fail(err)
-			}
-		}
-	} else {
-		e.sinceSync++
-		if e.sinceSync >= e.opt.SyncEvery {
-			if err := e.syncWAL(); err != nil {
-				return e.fail(err)
-			}
-			// Semi-sync: the write is locally durable and shipped; hold
-			// the acknowledgment until the replica has fsynced it too.
-			e.shipSemiSync()
+	// Safety net: a record that has waited MaxSyncDelay for a BatchSync
+	// is synced by the next write. The record just appended has waited
+	// no time, so a batch of one never trips it. The semi-sync replica
+	// wait stays at BatchSync — no ack is released before then anyway.
+	e.dirty++
+	switch {
+	case e.dirty == 1:
+		e.firstDirty = time.Now()
+	case time.Since(e.firstDirty) >= e.opt.MaxSyncDelay:
+		if err := e.syncWAL(); err != nil {
+			return e.fail(err)
 		}
 	}
 	e.bump(func(s *Stats) { s.Writes++ })
@@ -688,36 +663,15 @@ func (e *Engine) WriteIdentified(id uint64, block int64, data []byte) error {
 	if e.opt.CompactEvery > 0 {
 		e.sinceCompact++
 	}
-	due := e.sinceSnap >= e.opt.SnapshotEvery ||
-		(e.opt.SnapshotInterval > 0 && time.Since(e.lastSnap) >= e.opt.SnapshotInterval)
-	compactNow := e.opt.CompactEvery > 0 && e.sinceCompact >= e.opt.CompactEvery
-	switch {
-	case due && e.opt.DeferCheckpoints:
-		e.ckptDue = true
-	case due:
-		if err := e.rotate(e.opt.SyncPublish); err != nil {
-			// The write itself is recoverable (logged above, and the
-			// rotation attempt captures the applied state before anything
-			// else); the failed rotation is what poisons the engine.
-			// Returning the error anyway keeps the contract simple: nil
-			// means everything, including housekeeping, is healthy.
-			return e.fail(err)
-		}
-	case compactNow && e.opt.DeferCheckpoints:
-		e.compactDue = true
-	case compactNow:
-		if err := e.compactWAL(); err != nil {
-			return e.fail(err)
-		}
-	}
 	return nil
 }
 
-// MaybeCheckpoint performs any rotation or compaction the write path
-// deferred (satisfies internal/server's Checkpointer). The scheduler
-// calls it at batch boundaries, so under DeferCheckpoints the delta cut
-// is consistent: no request is between its apply and its acknowledgment
-// when the capture happens. A no-op when nothing is due.
+// MaybeCheckpoint performs any rotation or compaction the writes made
+// due (satisfies internal/server's Checkpointer). The scheduler calls it
+// at batch boundaries, after the batch's acknowledgments, so the cut is
+// consistent: no request is between its apply and its acknowledgment
+// when the capture happens. A rotation wins over a compaction (the fresh
+// segment starts empty). A no-op when nothing is due.
 func (e *Engine) MaybeCheckpoint() error {
 	if e.failed != nil {
 		return e.failed
@@ -725,26 +679,24 @@ func (e *Engine) MaybeCheckpoint() error {
 	if err := e.maybeAttach(); err != nil {
 		return err
 	}
+	var err error
 	switch {
-	case e.ckptDue:
-		e.ckptDue = false
-		e.compactDue = false // the fresh segment starts empty
-		if err := e.rotate(e.opt.SyncPublish); err != nil {
-			return e.fail(err)
-		}
-	case e.compactDue:
-		e.compactDue = false
-		if err := e.compactWAL(); err != nil {
-			return e.fail(err)
-		}
+	case e.sinceSnap >= e.opt.SnapshotEvery:
+		err = e.rotate(e.opt.SyncPublish)
+	case e.opt.CompactEvery > 0 && e.sinceCompact >= e.opt.CompactEvery:
+		err = e.compactWAL()
+	}
+	if err != nil {
+		return e.fail(err)
 	}
 	return nil
 }
 
 // BatchSync flushes every appended-but-unsynced WAL record to stable
-// storage. Under group commit the scheduler calls this once per drained
-// batch, before acknowledging the batch's writes. A no-op when nothing
-// is dirty.
+// storage and, under semi-sync replication, waits for the standby: the
+// acknowledgment point for every write since the previous call. The
+// scheduler calls it once per drained batch, before acknowledging the
+// batch's writes. The fsync is skipped when nothing is dirty.
 func (e *Engine) BatchSync() error {
 	if e.failed != nil {
 		return e.failed
@@ -776,15 +728,14 @@ func (e *Engine) syncWAL() error {
 		return err
 	}
 	e.bump(func(s *Stats) { s.Syncs++ })
-	e.sinceSync = 0
 	e.dirty = 0
 	e.firstDirty = time.Time{}
 	e.shipFlush()
 	return nil
 }
 
-// Snapshot forces an epoch rotation (checkpoint + fresh WAL) now. In
-// delta mode the checkpoint is whichever chain element is due.
+// Snapshot forces an epoch rotation (checkpoint + fresh WAL) now; the
+// checkpoint is whichever chain element is due.
 func (e *Engine) Snapshot() error {
 	if e.failed != nil {
 		return e.failed
@@ -795,60 +746,13 @@ func (e *Engine) Snapshot() error {
 	return nil
 }
 
-// rotate publishes epoch+1 and opens its fresh WAL segment. Full mode
-// writes the image synchronously; delta mode splits the rotation into a
-// serving pause (in-memory capture of the dirty set, any final fsync of
-// the old segment, fresh segment creation) and a publish — encoding the
-// captured snapshot and writing it out — that runs in the background
-// unless syncPublish is set.
+// rotate publishes epoch+1 and opens its fresh WAL segment, in two
+// halves: a serving pause (in-memory capture — the whole image for a
+// base, the dirty set for a delta — any final fsync of the old segment,
+// fresh segment creation) and a publish — encoding the captured
+// checkpoint and writing it out — that runs in the background unless
+// syncPublish is set.
 func (e *Engine) rotate(syncPublish bool) error {
-	if !e.opt.DeltaSnapshots {
-		return e.rotateFull()
-	}
-	return e.rotateDelta(syncPublish)
-}
-
-func (e *Engine) rotateFull() error {
-	start := time.Now()
-	next := e.epoch + 1
-	term := e.Term()
-	n, err := writeSnapshot(e.fs, e.opt.Dir, next, e.oram, term, e.ids.list())
-	if err != nil {
-		return err
-	}
-	// Ship the published image before the rotate frame, mirroring the
-	// local order (checkpoint durable before the fresh segment exists).
-	// Reading the file back costs one pass, only when a replica is on.
-	if s := e.opt.Ship; s != nil && s.isAttached() {
-		if blob, err := readFile(e.fs, filepath.Join(e.opt.Dir, snapName(next))); err == nil {
-			s.shipFile(term, wire.ReplFileBase, next, blob)
-		} else {
-			s.logf("durable: shard %d reading back snapshot to ship: %v", s.Shard, err)
-			s.Detach()
-		}
-	}
-	if e.w != nil {
-		e.w.close()
-	}
-	w, err := createWAL(e.fs, filepath.Join(e.opt.Dir, walName(next)))
-	if err != nil {
-		return fmt.Errorf("durable: creating WAL segment: %w", err)
-	}
-	e.w = w
-	e.finishRotation(next)
-	if s := e.opt.Ship; s != nil {
-		s.rotate(term, next)
-	}
-	e.bump(func(s *Stats) {
-		s.Snapshots++
-		s.SnapshotPauseNanos += uint64(time.Since(start))
-		s.LastSnapshotBytes = n
-	})
-	e.prune(next, true)
-	return nil
-}
-
-func (e *Engine) rotateDelta(syncPublish bool) error {
 	// Publishes are serialized: the previous chain element must be
 	// durable before its successor captures (and before the WAL segments
 	// it covers are pruned), so a crash can tear at most the newest
@@ -859,9 +763,9 @@ func (e *Engine) rotateDelta(syncPublish bool) error {
 	start := time.Now()
 	next := e.epoch + 1
 	term := e.Term()
-	isBase := e.sinceBase >= e.opt.BaseEvery
-	// Bases are encoded here (they are rare and recovery depends on them
-	// being the simple path); deltas are only *captured* here — the gob
+	isBase := e.sinceBase+1 >= e.opt.BaseEvery
+	// Bases are encoded here (recovery depends on them being the simple
+	// path); deltas are only *captured* here — the gob
 	// encode, the expensive half of a delta cut, runs at publish time so
 	// the serving pause is proportional to the dirty set alone.
 	var buf bytes.Buffer
@@ -887,11 +791,11 @@ func (e *Engine) rotateDelta(syncPublish bool) error {
 	// The in-memory capture is not durable until the publish lands, so
 	// the old segment — which covers everything the capture holds — must
 	// be fully on stable storage before it stops being the newest. When
-	// every append already is (the per-write sync policy, or a
-	// group-commit flush at the batch boundary), the fsync is skipped and
-	// the serving pause holds only the capture and the segment handoff.
+	// every append already is (the BatchSync that preceded the scheduler's
+	// MaybeCheckpoint), the fsync is skipped and the serving pause holds
+	// only the capture and the segment handoff.
 	if e.w != nil {
-		if e.dirty != 0 || e.sinceSync != 0 {
+		if e.dirty != 0 {
 			if err := e.syncWAL(); err != nil {
 				return err
 			}
@@ -908,7 +812,11 @@ func (e *Engine) rotateDelta(syncPublish bool) error {
 	} else {
 		e.sinceBase++
 	}
-	e.finishRotation(next)
+	// The old segment was synced above, so the fresh one starts clean.
+	e.statsMu.Lock()
+	e.epoch = next
+	e.statsMu.Unlock()
+	e.sinceSnap, e.sinceCompact = 0, 0
 	// The rotate frame ships from the engine thread, before the
 	// checkpoint blob (which publishes — and ships — in the background):
 	// the replica opens its fresh segment in lockstep and the blob
@@ -967,24 +875,6 @@ func (e *Engine) rotateDelta(syncPublish bool) error {
 	return nil
 }
 
-// finishRotation installs the new epoch and resets the per-segment
-// accounting.
-func (e *Engine) finishRotation(next uint64) {
-	e.statsMu.Lock()
-	e.epoch = next
-	e.statsMu.Unlock()
-	e.sinceSnap = 0
-	e.sinceSync = 0
-	e.sinceCompact = 0
-	// Unsynced records from the old segment are covered by the checkpoint
-	// just captured (full mode: already published; delta mode: the old
-	// segment was fsynced before closing), so the dirty accounting
-	// restarts with the fresh segment.
-	e.dirty = 0
-	e.firstDirty = time.Time{}
-	e.lastSnap = time.Now()
-}
-
 // prune removes files the checkpoint just published at epoch pub makes
 // redundant: WAL segments below it always (chain element N captures
 // everything through wal-(N-1)), older snapshots and deltas only when
@@ -1038,11 +928,13 @@ func (e *Engine) compactWAL() error {
 	if err := e.awaitPublish(); err != nil {
 		return err
 	}
-	// The rewrite reads the segment back from the filesystem, so every
-	// buffered append must be flushed (and, for the group-commit ack
-	// contract, durable) first.
-	if err := e.syncWAL(); err != nil {
-		return err
+	// The rewrite replaces the segment, so every append must be durable
+	// (and shipped) first — already true after the BatchSync that
+	// precedes the scheduler's MaybeCheckpoint.
+	if e.dirty != 0 {
+		if err := e.syncWAL(); err != nil {
+			return err
+		}
 	}
 	path := filepath.Join(e.opt.Dir, walName(e.epoch))
 	data, err := readWAL(e.fs, path)

@@ -14,12 +14,30 @@ import (
 
 var testKey = []byte("0123456789abcdef")
 
-// testOptions is a small, fast engine configuration.
+// testOptions is a small, fast engine configuration at the full-image
+// cadence: every rotation writes a base, so each epoch is one snap file.
+// Publishes are synchronous so tests see the directory settle
+// deterministically.
 func testOptions(dir string) Options {
 	return Options{
-		Dir:  dir,
-		ORAM: aboram.Options{Levels: 8, Seed: 7, EncryptionKey: testKey},
+		Dir:         dir,
+		ORAM:        aboram.Options{Levels: 8, Seed: 7, EncryptionKey: testKey},
+		BaseEvery:   1,
+		SyncPublish: true,
 	}
+}
+
+// commit drives one identified write the way the scheduler drives a
+// batch of one: apply and append, BatchSync (the acknowledgment point),
+// then MaybeCheckpoint for any rotation or compaction it made due.
+func commit(e *Engine, id uint64, block int64, data []byte) error {
+	if err := e.WriteIdentified(id, block, data); err != nil {
+		return err
+	}
+	if err := e.BatchSync(); err != nil {
+		return err
+	}
+	return e.MaybeCheckpoint()
 }
 
 // payload builds a distinguishable block content.
@@ -42,11 +60,11 @@ func TestRecoverReplaysAcknowledgedWrites(t *testing.T) {
 	}
 	const n = 12
 	for i := 0; i < n; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
-	// No Close: SyncEvery=1 already made every acknowledged write durable.
+	// No Close: BatchSync already made every acknowledged write durable.
 
 	r, err := Open(testOptions(dir))
 	if err != nil {
@@ -80,7 +98,7 @@ func TestRotationPrunesOldEpochs(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
@@ -120,7 +138,7 @@ func TestTornTailDiscarded(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(i+1))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(i+1))); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
@@ -177,7 +195,7 @@ func TestCorruptSnapshotFallsBackOneEpoch(t *testing.T) {
 	}
 	const n = 8 // crosses two rotations at SnapshotEvery=3
 	for i := 0; i < n; i++ {
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(0x40+i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(0x40+i))); err != nil {
 			t.Fatalf("Write %d: %v", i, err)
 		}
 	}
@@ -222,7 +240,7 @@ func TestFailStop(t *testing.T) {
 	}
 	var failAt = -1
 	for i := 0; i < 100; i++ {
-		if err := e.Write(int64(i%4), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, 0, int64(i%4), payload(e.BlockSize(), byte(i))); err != nil {
 			failAt = i
 			if !errors.Is(err, faults.ErrCrash) {
 				t.Fatalf("write %d failed with %v, want ErrCrash", i, err)
@@ -251,7 +269,7 @@ func TestAccessAndReadNotLogged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := e.Write(1, payload(e.BlockSize(), 0xaa)); err != nil {
+	if err := commit(e, 0, 1, payload(e.BlockSize(), 0xaa)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {

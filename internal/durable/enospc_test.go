@@ -15,27 +15,23 @@ import (
 // operation fail-stops with the same cause, and a reopen on a healthy
 // disk recovers exactly the writes that WERE acknowledged. The sweep is
 // wide enough that the disk fills at every stage of the pipeline —
-// WAL appends, full-snapshot rotations, and delta publishes.
+// WAL appends, base publishes, and delta publishes.
 func TestNoSpaceFailStop(t *testing.T) {
 	sites := map[string]bool{}
 	for budget := 2_000; budget <= 200_000; budget += 6_000 {
 		for _, mode := range []struct {
-			name  string
-			delta bool
-		}{{"full", false}, {"delta", true}} {
+			name      string
+			baseEvery int
+		}{{"full", 1}, {"delta", 3}} {
 			in := faults.New(faults.Config{Seed: uint64(budget), DiskBudget: budget})
 			dir := t.TempDir()
+			// testOptions publishes inline: a budget that runs out
+			// mid-publish surfaces on the checkpoint that triggered it, not
+			// on a background goroutine a later write would poll.
 			opt := testOptions(dir)
 			opt.SnapshotEvery = 4
+			opt.BaseEvery = mode.baseEvery
 			opt.FS = faults.WrapFS(vfs.OS{}, in)
-			if mode.delta {
-				opt.DeltaSnapshots = true
-				opt.BaseEvery = 3
-				// Publish inline: a budget that runs out mid-delta-publish
-				// surfaces on the write that triggered the rotation, not on a
-				// background goroutine a later write would poll.
-				opt.SyncPublish = true
-			}
 			e, err := Open(opt)
 			if err != nil {
 				// The budget ran out during recovery/bootstrap; nothing was
@@ -45,15 +41,20 @@ func TestNoSpaceFailStop(t *testing.T) {
 				}
 				continue
 			}
+			// A batch of one per write: acknowledged once BatchSync
+			// returns, whatever its checkpoint then hits.
 			acked := 0
 			var failErr error
-			for i := 0; i < 64; i++ {
+			for i := 0; i < 64 && failErr == nil; i++ {
 				blk := int64(i % int(e.NumBlocks()))
-				if err := e.Write(blk, payload(e.BlockSize(), byte(i))); err != nil {
-					failErr = err
+				if failErr = e.Write(blk, payload(e.BlockSize(), byte(i))); failErr != nil {
+					break
+				}
+				if failErr = e.BatchSync(); failErr != nil {
 					break
 				}
 				acked++
+				failErr = e.MaybeCheckpoint()
 			}
 			if failErr == nil {
 				t.Fatalf("budget %d (%s): 64 writes all acknowledged without filling the disk; shrink the budget", budget, mode.name)
@@ -74,12 +75,7 @@ func TestNoSpaceFailStop(t *testing.T) {
 			// Every acknowledged write must be recoverable from the surviving
 			// on-disk state (the fitting prefix of the crossing write is at
 			// worst a torn record recovery truncates).
-			ropt := testOptions(dir)
-			if mode.delta {
-				ropt.DeltaSnapshots = true
-				ropt.BaseEvery = 3
-			}
-			r, err := Open(ropt)
+			r, err := Open(testOptions(dir))
 			if err != nil {
 				t.Fatalf("budget %d (%s): reopen on healthy disk: %v", budget, mode.name, err)
 			}

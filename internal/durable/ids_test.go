@@ -25,12 +25,12 @@ func TestIDRecoveryFromWAL(t *testing.T) {
 	}
 	want := []uint64{101, 102, 103, 104}
 	for i, id := range want {
-		if err := e.WriteIdentified(id, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, id, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatalf("WriteIdentified %d: %v", id, err)
 		}
 	}
 	// Unidentified writes must not pollute the ring.
-	if err := e.Write(9, payload(e.BlockSize(), 0x9)); err != nil {
+	if err := commit(e, 0, 9, payload(e.BlockSize(), 0x9)); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the crash shape.
@@ -64,7 +64,7 @@ func TestIDRecoveryFromSnapshotHeader(t *testing.T) {
 	for i := 0; i < 9; i++ { // two rotations at every-4, one trailing record
 		id := uint64(0x500 + i)
 		want = append(want, id)
-		if err := e.WriteIdentified(id, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, id, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatalf("WriteIdentified %d: %v", id, err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestIDRingCapacity(t *testing.T) {
 	}
 	defer e.Close()
 	for id := uint64(1); id <= 7; id++ {
-		if err := e.WriteIdentified(id, int64(id%4), payload(e.BlockSize(), byte(id))); err != nil {
+		if err := commit(e, id, int64(id%4), payload(e.BlockSize(), byte(id))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestLegacySnapshotLoads(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 3; i++ { // exactly one rotation, empty WAL after
-		if err := e.WriteIdentified(uint64(20+i), int64(i), payload(e.BlockSize(), byte(0x70+i))); err != nil {
+		if err := commit(e, uint64(20+i), int64(i), payload(e.BlockSize(), byte(0x70+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,44 +193,53 @@ func TestLegacySnapshotLoads(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatchSync checks the fsync accounting contract: under
-// GroupCommit with the safety net parked, appends do not sync; BatchSync
-// issues exactly one fsync per dirty batch and none when clean.
+// TestGroupCommitBatchSync pins the one protocol and its fsync
+// accounting. With Options left at their defaults (only the safety net
+// parked), writes past SnapshotEvery neither fsync nor rotate; BatchSync
+// issues exactly one fsync per dirty batch and none when clean; and the
+// rotation the writes made due waits for MaybeCheckpoint.
 func TestGroupCommitBatchSync(t *testing.T) {
 	dir := t.TempDir()
-	opt := testOptions(dir)
-	opt.GroupCommit = true
-	opt.MaxSyncDelay = time.Hour
-	e, err := Open(opt)
+	e, err := Open(Options{Dir: dir, ORAM: testOptions(dir).ORAM, MaxSyncDelay: time.Hour})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer e.Close()
 	if !e.GroupCommit() {
-		t.Fatal("GroupCommit() = false on a group-commit engine")
+		t.Fatal("GroupCommit() = false; BatchSync is the only acknowledgment point")
 	}
 
-	base := e.Stats().Syncs
-	for i := 0; i < 5; i++ {
-		if err := e.WriteIdentified(uint64(i+1), int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+	rotations := func(st Stats) uint64 { return st.Snapshots + st.DeltasWritten }
+	n := e.opt.SnapshotEvery + 1
+	for i := 0; i < n; i++ {
+		blk := int64(i) % e.NumBlocks()
+		if err := e.WriteIdentified(uint64(i+1), blk, payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := e.Stats(); got.Syncs != base {
-		t.Fatalf("appends synced eagerly under group commit: %d syncs", got.Syncs-base)
+	if st := e.Stats(); st.Syncs != 0 || rotations(st) != 0 {
+		t.Fatalf("%d writes past SnapshotEvery: %d syncs, %d rotations; want 0 and 0 before the batch boundary",
+			n, st.Syncs, rotations(st))
 	}
 	if err := e.BatchSync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Stats(); got.Syncs != base+1 || got.BatchedSyncs != 1 {
-		t.Fatalf("after BatchSync: %d syncs / %d batched, want 1 / 1", got.Syncs-base, got.BatchedSyncs)
+	if st := e.Stats(); st.Syncs != 1 || st.BatchedSyncs != 1 || rotations(st) != 0 {
+		t.Fatalf("after BatchSync: %+v, want 1 batched sync and no rotation", st)
 	}
 	// A clean BatchSync is free.
 	if err := e.BatchSync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Stats(); got.Syncs != base+1 || got.BatchedSyncs != 1 {
-		t.Fatalf("clean BatchSync issued an fsync: %+v", got)
+	if st := e.Stats(); st.Syncs != 1 || st.BatchedSyncs != 1 {
+		t.Fatalf("clean BatchSync issued an fsync: %+v", st)
+	}
+	// The due rotation runs at the boundary, on an already-synced segment.
+	if err := e.MaybeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Syncs != 1 || rotations(st) != 1 {
+		t.Fatalf("after MaybeCheckpoint: %+v, want exactly the one due rotation and no extra sync", st)
 	}
 }
 
@@ -240,7 +249,6 @@ func TestGroupCommitBatchSync(t *testing.T) {
 func TestGroupCommitMaxSyncDelay(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOptions(dir)
-	opt.GroupCommit = true
 	opt.MaxSyncDelay = time.Nanosecond
 	e, err := Open(opt)
 	if err != nil {
@@ -275,7 +283,7 @@ func TestPruneFailuresCounted(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 8; i++ { // several rotations, each failing its prunes
-		if err := e.Write(int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
 			t.Fatalf("Write %d under failing prunes: %v", i, err)
 		}
 	}

@@ -94,7 +94,7 @@ func TestTermPersistsAcrossRecovery(t *testing.T) {
 	if err := e.SetTerm(3); err == nil {
 		t.Fatal("repeating the current term succeeded; terms must only rise")
 	}
-	if err := e.Write(1, payload(e.BlockSize(), 0xaa)); err != nil {
+	if err := commit(e, 0, 1, payload(e.BlockSize(), 0xaa)); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the term must survive the crash shape via the WAL record.
@@ -193,13 +193,13 @@ func TestMirrorStaysByteIdentical(t *testing.T) {
 			// non-trivial chain, then keep writing through rotations and
 			// compactions on the live link.
 			for i := 0; i < 7; i++ {
-				if err := e.WriteIdentified(uint64(100+i), int64(i%2), payload(e.BlockSize(), byte(i))); err != nil {
+				if err := commit(e, uint64(100+i), int64(i%2), payload(e.BlockSize(), byte(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			m := attachMirror(t, ship, mdir)
 			for i := 7; i < 25; i++ {
-				if err := e.WriteIdentified(uint64(100+i), int64(i%2), payload(e.BlockSize(), byte(i))); err != nil {
+				if err := commit(e, uint64(100+i), int64(i%2), payload(e.BlockSize(), byte(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -266,7 +266,7 @@ func TestMirrorFencesStaleTerm(t *testing.T) {
 	}
 	attachMirror(t, ship, bdir)
 	for i := 0; i < 6; i++ {
-		if err := a.Write(int64(i), payload(a.BlockSize(), byte(0x40+i))); err != nil {
+		if err := commit(a, 0, int64(i), payload(a.BlockSize(), byte(0x40+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestMirrorFencesStaleTerm(t *testing.T) {
 		t.Fatalf("SetTerm on promotion: %v", err)
 	}
 	promoted := payload(b.BlockSize(), 0x99)
-	if err := b.Write(0, promoted); err != nil { // acked under the new term
+	if err := commit(b, 0, 0, promoted); err != nil { // acked under the new term
 		t.Fatal(err)
 	}
 	b.Close()
@@ -358,7 +358,7 @@ func TestSemiSyncDegradesNotWedges(t *testing.T) {
 
 	// Unattached: semi-sync must not block at all.
 	start := time.Now()
-	if err := e.Write(0, payload(e.BlockSize(), 1)); err != nil {
+	if err := commit(e, 0, 0, payload(e.BlockSize(), 1)); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
@@ -371,7 +371,7 @@ func TestSemiSyncDegradesNotWedges(t *testing.T) {
 	}
 	ship.Attach(&mirrorSink{m: m, s: ship, mute: true})
 	start = time.Now()
-	if err := e.Write(1, payload(e.BlockSize(), 2)); err != nil {
+	if err := commit(e, 0, 1, payload(e.BlockSize(), 2)); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -387,7 +387,7 @@ func TestSemiSyncDegradesNotWedges(t *testing.T) {
 	// AckWaits counts entries into waitAcked; it must not grow.
 	waits := st.AckWaits
 	for i := 0; i < 3; i++ {
-		if err := e.Write(2, payload(e.BlockSize(), byte(3+i))); err != nil {
+		if err := commit(e, 0, 2, payload(e.BlockSize(), byte(3+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -472,7 +472,7 @@ func TestInstallAttachRaceKeepsLiveSink(t *testing.T) {
 	if s.pendingAttach.Load() {
 		t.Fatal("spurious install left pendingAttach set; the engine would loop")
 	}
-	if !s.isAttached() {
+	if !s.Stats().Attached {
 		t.Fatal("spurious install dropped the live sink")
 	}
 	frame, err := AppendRecord(nil, wire.Request{Op: wire.OpWrite, ID: 1, Block: 0, Data: []byte{1}})
@@ -489,8 +489,8 @@ func TestInstallAttachRaceKeepsLiveSink(t *testing.T) {
 // TestDeltaReplicaFingerprintMatchesFull extends the delta-chain
 // recovery-identity pin with replication (the PR's satellite): a replica
 // that bootstraps from a base mid-chain and then follows the live stream
-// must recover to the identical fingerprint a full-image engine's
-// recovery produces on the same seeded op sequence.
+// must recover to the identical fingerprint a full-image (BaseEvery 1)
+// engine's recovery produces on the same seeded op sequence.
 func TestDeltaReplicaFingerprintMatchesFull(t *testing.T) {
 	driveOps := func(t *testing.T, e *Engine, from, to int, r *rng.Source) {
 		t.Helper()
@@ -498,7 +498,7 @@ func TestDeltaReplicaFingerprintMatchesFull(t *testing.T) {
 			blk := int64(r.Uint64n(uint64(e.NumBlocks())))
 			switch {
 			case r.Float64() < 0.6:
-				if err := e.Write(blk, payload(e.BlockSize(), byte(i))); err != nil {
+				if err := commit(e, 0, blk, payload(e.BlockSize(), byte(i))); err != nil {
 					t.Fatalf("Write %d: %v", i, err)
 				}
 			default:
@@ -548,7 +548,7 @@ func TestDeltaReplicaFingerprintMatchesFull(t *testing.T) {
 		t.Fatalf("ship stats = %+v, want the link alive through the run", st)
 	}
 	// Crash shape on the primary: no Close. The replica has every synced
-	// record (SyncEvery=1 flushes each one), so its recovery must land on
+	// record (each write's BatchSync flushes it), so its recovery must land on
 	// the same state the primary's own recovery does — which in turn
 	// matches the full-image reference.
 	m.Close()

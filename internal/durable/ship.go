@@ -160,13 +160,6 @@ func (s *Shipper) Ack(seq uint64) {
 	s.mu.Unlock()
 }
 
-// isAttached reports a live link. Safe from any goroutine.
-func (s *Shipper) isAttached() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sink != nil
-}
-
 // Stats snapshots the link state. Safe from any goroutine.
 func (s *Shipper) Stats() ShipStats {
 	s.mu.Lock()
@@ -499,7 +492,7 @@ func (e *Engine) maybeAttach() error {
 	if err := e.awaitPublish(); err != nil {
 		return e.fail(err)
 	}
-	if e.dirty != 0 || e.sinceSync != 0 {
+	if e.dirty != 0 {
 		if err := e.syncWAL(); err != nil {
 			return e.fail(err)
 		}
@@ -508,10 +501,7 @@ func (e *Engine) maybeAttach() error {
 		return nil
 	}
 	term := e.Term()
-	base := e.epoch
-	if e.opt.DeltaSnapshots {
-		base = e.epoch - uint64(e.sinceBase)
-	}
+	base := e.epoch - uint64(e.sinceBase)
 	drop := func(err error) error {
 		// A bootstrap read failure is a local-disk problem for the next
 		// recovery to surface, not a serving failure: the primary keeps

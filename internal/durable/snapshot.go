@@ -21,10 +21,10 @@ import (
 //	*.tmp              checkpoint in flight; never read, deleted on recovery
 //	wal-<epoch>.log    acknowledged writes since epoch <epoch> was captured
 //
-// In full-snapshot mode every epoch is a snap file. In delta mode most
-// epochs are delta files over the previous chain element, with a full
-// snap every BaseEvery rotations; a delta at epoch E applies on top of
-// the chain snap-B, delta-(B+1), ..., delta-(E-1).
+// Most epochs are delta files over the previous chain element, with a
+// full snap every BaseEvery rotations (BaseEvery 1: every epoch is a
+// snap file, the layout that predates deltas); a delta at epoch E
+// applies on top of the chain snap-B, delta-(B+1), ..., delta-(E-1).
 //
 // Invariant: wal-<E>.log is created only after the epoch-E checkpoint
 // is captured, and the checkpoint is durably published (temp file +
@@ -205,65 +205,10 @@ func readMetaBody(br *bufio.Reader, withTerm bool) ([]uint64, uint64, error) {
 	return ids, term, nil
 }
 
-// countingWriter counts bytes passed through to the wrapped writer.
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	return n, err
-}
-
-// writeSnapshot durably publishes a full checkpoint for the given epoch:
-// write to a temp name, fsync, rename into place, fsync the directory.
-// Any error leaves at most a stale .tmp file behind, which recovery (and
-// the next successful snapshot) ignores and cleans up. Returns the
-// published file size.
-func writeSnapshot(fs vfs.FS, dir string, epoch uint64, o *aboram.ORAM, term uint64, ids []uint64) (uint64, error) {
-	tmp := filepath.Join(dir, snapTmpName(epoch))
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("durable: creating snapshot temp: %w", err)
-	}
-	// Buffer the gob stream: Save emits many small writes, and one large
-	// write per buffer flush keeps the fault surface (and syscall count)
-	// proportional to the image size, not the encoder's chattiness.
-	cw := &countingWriter{w: f}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.Write(appendSnapMeta(nil, term, ids)); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: writing snapshot metadata: %w", err)
-	}
-	if err := o.Save(bw); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: writing snapshot: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: flushing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("durable: closing snapshot: %w", err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, snapName(epoch))); err != nil {
-		return 0, fmt.Errorf("durable: publishing snapshot: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return 0, fmt.Errorf("durable: syncing directory: %w", err)
-	}
-	return cw.n, nil
-}
-
 // writeBlob durably publishes one already-encoded checkpoint blob:
 // temp file, single write, fsync, rename into place, directory fsync.
-// Any error leaves at most a stale .tmp behind.
+// Any error leaves at most a stale .tmp behind, which recovery (and the
+// next successful publish) ignores and cleans up.
 func writeBlob(fs vfs.FS, dir, tmpName, finalName string, data []byte) error {
 	tmp := filepath.Join(dir, tmpName)
 	f, err := fs.Create(tmp)

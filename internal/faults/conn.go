@@ -43,6 +43,10 @@ func (c *Conn) SetPartition(dropSend, dropRecv bool) {
 	c.dropRecv.Store(dropRecv)
 }
 
+// Closed reports whether Close has been called: the link is dead and a
+// partition set on it would exercise nothing.
+func (c *Conn) Closed() bool { return c.closed.Load() }
+
 // Read implements net.Conn.
 func (c *Conn) Read(p []byte) (int, error) {
 	for c.dropRecv.Load() {

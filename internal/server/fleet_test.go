@@ -72,6 +72,23 @@ func refFingerprint(t *testing.T, seed uint64, ops func(Engine)) [32]byte {
 	return fp
 }
 
+// commitWrite writes through a durable engine the way the scheduler
+// drives a batch of one: Write, BatchSync (the acknowledgment point),
+// then MaybeCheckpoint.
+func commitWrite(t *testing.T, e Engine, block int64, data []byte) {
+	t.Helper()
+	d := e.(*durable.Engine)
+	if err := d.Write(block, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.BatchSync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MaybeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func fingerprint(t *testing.T, e Engine) [32]byte {
 	t.Helper()
 	fp, err := e.(*durable.Engine).Fingerprint()
@@ -89,9 +106,7 @@ func fingerprint(t *testing.T, e Engine) [32]byte {
 func TestFleetSeedDirLaw(t *testing.T) {
 	writes := func(e Engine) {
 		for b := int64(0); b < 5; b++ {
-			if err := e.Write(b, bytes.Repeat([]byte{byte(b + 1)}, e.BlockSize())); err != nil {
-				t.Fatal(err)
-			}
+			commitWrite(t, e, b, bytes.Repeat([]byte{byte(b + 1)}, e.BlockSize()))
 		}
 	}
 	dir := t.TempDir()
@@ -149,9 +164,7 @@ func TestFleetSeedDirLaw(t *testing.T) {
 	before := f2.Stats()
 	for _, e := range f2.Engines() {
 		for b := int64(0); b < 4; b++ {
-			if err := e.Write(b, make([]byte, e.BlockSize())); err != nil {
-				t.Fatal(err)
-			}
+			commitWrite(t, e, b, make([]byte, e.BlockSize()))
 		}
 	}
 	after := f2.Stats()

@@ -87,7 +87,7 @@ type BatchSyncer interface {
 }
 
 // Checkpointer is implemented by engines that defer checkpoint work to
-// batch boundaries (the durable engine under DeferCheckpoints): the
+// batch boundaries (the durable engine, always): the
 // write path only marks a rotation or log compaction due, and the
 // scheduler calls MaybeCheckpoint once per drained batch — after the
 // batch's acknowledgments — so the checkpoint's consistent cut never

@@ -12,14 +12,18 @@ import (
 	"repro/internal/rng"
 )
 
-// Snapshot bench mode: the durable engine's checkpoint cost, full-image
-// rotations against dirty-delta rotations, as a function of how much of
-// the store an epoch actually touches. The claim being measured is the
-// one internal/durable's delta mode makes: the serving pause and the
-// encoded checkpoint size should be proportional to the epoch's dirty
-// set, not to the tree — so at a lightly-touched epoch both should drop
-// by an order of magnitude, and at a fully-rewritten epoch the delta
-// should cost about what the full image does.
+// Snapshot bench mode: the durable engine's checkpoint cost, full-base
+// rotations against delta rotations, as a function of how much of the
+// store an epoch actually touches. Both columns run the one engine
+// configuration through the one chain writer and differ only in
+// BaseEvery: 1 (every rotation a full base) against effectively
+// infinite (every rotation after Open's base a delta). The claim being
+// measured is the one internal/durable's checkpoint chain makes: the
+// serving pause and the encoded checkpoint size should be proportional
+// to the epoch's dirty set, not to the tree — so at a lightly-touched
+// epoch both should drop by an order of magnitude, and at a
+// fully-rewritten epoch the delta should cost about what the full image
+// does.
 
 // snapshotFractions are the touched-per-epoch fractions the table sweeps.
 var snapshotFractions = []float64{0.01, 0.10, 0.50, 1.00}
@@ -35,7 +39,7 @@ type snapshotCell struct {
 	bytes uint64        // median encoded checkpoint size
 }
 
-// runSnapshotCell measures one (mode, fraction) cell: populate the
+// runSnapshotCell measures one (cadence, fraction) cell: populate the
 // store, cut a first checkpoint so the measured epochs start clean, then
 // alternate "touch frac·N random blocks" with a forced rotation,
 // averaging the engine's own pause and size counters.
@@ -50,16 +54,11 @@ func runSnapshotCell(p Params, delta bool, frac float64) (snapshotCell, error) {
 		Dir:           dir,
 		ORAM:          aboram.Options{Levels: p.Levels, Seed: p.Seed, EncryptionKey: []byte("0123456789abcdef")},
 		SnapshotEvery: 1 << 30, // rotations happen only when forced below
-		// The serving deployment shape: appends are made durable by a
-		// group-commit flush at the batch boundary, so the epoch's WAL
-		// fsync cost lands on the write path, not inside the checkpoint
-		// pause this bench measures.
-		GroupCommit: true,
+		BaseEvery:     1,       // every rotation a full base
+		SyncPublish:   true,    // directories settle before the next epoch starts
 	}
 	if delta {
-		opt.DeltaSnapshots = true
 		opt.BaseEvery = 1 << 30 // after Open's base, every forced rotation is a delta
-		opt.SyncPublish = true  // directories settle before the next epoch starts
 	}
 	e, err := durable.Open(opt)
 	if err != nil {
@@ -164,8 +163,8 @@ func RunSnapshot(p Params) ([]*report.Table, error) {
 			report.Float(bytesRatio, 1),
 		)
 	}
-	t.AddNote("each row: median of %d measured epochs per engine, %d-level tree, every rotation forced at the epoch boundary", snapshotEpochs, p.Levels)
-	t.AddNote("pause is the engine's own SnapshotPauseNanos counter: the whole publish for full images, the in-memory dirty-set capture plus WAL handoff for deltas (records group-commit-flushed before the pause, as the serving scheduler does)")
+	t.AddNote("each row: median of %d measured epochs per engine, %d-level tree, every rotation forced at the epoch boundary; full = BaseEvery 1, delta = BaseEvery ∞", snapshotEpochs, p.Levels)
+	t.AddNote("pause is the engine's own SnapshotPauseNanos counter: the in-memory capture (whole image for full, dirty set for delta) plus WAL handoff; the publish is never inside it (records BatchSync-flushed before the pause, as the serving scheduler does)")
 	t.AddNote("ratio columns are full/delta: how much the incremental path saves at that epoch's touch rate")
 	t.AddNote("wall-clock measurement: numbers vary by machine and are excluded from -exp all")
 	return []*report.Table{t}, nil

@@ -6,14 +6,15 @@
 # serving layer's scheduler/TCP front end and fleet lifecycle, the
 # durability stack with its fault injector, and the daemon's own
 # reshard/promotion/shutdown paths), race-mode crash-recovery and
-# exactly-once smokes
-# (kill-recover oracle in both full-snapshot and delta-chain modes,
+# exactly-once smokes, all against the engine's one write protocol
+# (group commit, the delta chain, batch-boundary checkpoints)
+# (the kill-recover oracle,
 # the seed-purity tests that compare two runs of one seed down to the
 # recovered engine's fingerprint,
 # the live-reshard kill-recover oracle in forward and rollback
 # directions, the replication failover oracle with its mid-frame kill
 # sites and fencing check, retry/group-commit schedules, single- and
-# multi-shard chaos soak plus its delta-, reshard-, and
+# multi-shard chaos soak plus its reshard- and
 # replication-failover-mode variants; internal/check),
 # a race-mode pass of the XOR fast-path oracle (the sweep-shaped
 # differential oracle with Config.XORRead on) and of the shard
@@ -35,7 +36,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
-go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashRecoveryDeltaSchedules$|^TestCrashScheduleDeterminism$|^TestRetryScheduleDeterminism$|^TestGroupCommitScheduleDeterminism$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
+go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashScheduleDeterminism$|^TestRetryScheduleDeterminism$|^TestGroupCommitScheduleDeterminism$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
 (cd bench && go vet ./... && go build -o /dev/null ./... && go test ./...)
 
 FUZZTIME="${FUZZTIME:-5s}"
