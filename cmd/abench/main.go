@@ -138,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		// Wall-clock experiments (serve) are machine-dependent, which would
+		// Wall-clock experiments (snapshot) are machine-dependent, which would
 		// break `-exp all`'s byte-identical output contract; run them by name.
 		ids = ids[:0]
 		for _, id := range sim.ExperimentIDs() {

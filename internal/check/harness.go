@@ -16,10 +16,10 @@ import (
 // This file is the core the kill-recover oracles share, each part
 // written once: the acknowledged-write model (ackModel), the seeded
 // incarnation loop with its one adjudication rule (ScheduleHeader.run,
-// incarnation.adjudicate), and the report header the five report types
-// embed. Crash, group commit, retry, live reshard, and failover are
-// round bodies on it; the chaos soak keeps its own loop and
-// ledger but borrows the incarnation and the adjudicator.
+// incarnation.adjudicate), and the report header their reports embed.
+// All six oracles are round bodies on it: crash, group commit, retry,
+// live reshard, failover, and the chaos soak, which keeps only its
+// exactly-once ledger beside the model.
 
 // ScheduleHeader opens every kill-recover report.
 type ScheduleHeader struct {
@@ -92,6 +92,14 @@ func (m *ackModel) ack(block int64, data []byte) {
 // acknowledged.
 func (m *ackModel) doubt(block int64, data []byte) {
 	m.inDoubt[block] = append(m.inDoubt[block], data)
+}
+
+// holds reports whether got is a value block may hold while writes are
+// still in flight: its acknowledged content or a value in doubt. Unlike
+// verify it pins nothing, because a live read may see an applied but
+// unsynced write that a later kill legally loses.
+func (m *ackModel) holds(block int64, got []byte) bool {
+	return bytes.Equal(got, m.want(block)) || slices.ContainsFunc(m.inDoubt[block], func(v []byte) bool { return bytes.Equal(got, v) })
 }
 
 // sortedKeys lists a block-keyed map's keys in ascending order.

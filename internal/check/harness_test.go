@@ -1,9 +1,11 @@
 package check
 
 import (
+	"bytes"
 	"errors"
 	"maps"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -93,6 +95,108 @@ func TestAckModelAdjudication(t *testing.T) {
 	if !isOpFailure(err) || !errors.Is(err, boom) {
 		t.Fatalf("read failure came back as %v, want an opFailure wrapping it", err)
 	}
+}
+
+// seqRule is the sequence-number rule the soak's reads were checked
+// against before its workers kept an ackModel: all-zeros while nothing
+// is acknowledged, otherwise this worker's payload for this block at an
+// issued, unshed seq no older than the last acknowledged one.
+func seqRule(worker uint64, block int64, issued, shed map[uint64]bool, lastAcked uint64, got []byte) bool {
+	w, seq, b, ok := decodePayload(got)
+	if !ok {
+		return lastAcked == 0 && !slices.ContainsFunc(got, func(c byte) bool { return c != 0 })
+	}
+	return w == worker && b == block && issued[seq] && !shed[seq] && seq >= lastAcked
+}
+
+// TestAckModelHolds runs the soak's live-read check over every shape of
+// write history a worker can build — acknowledged, in doubt, shed — and
+// every answer a read can give. Each verdict must equal the
+// sequence-number rule's on the same history, holds must never change
+// the model, and verify must still pin what a read chose.
+func TestAckModelHolds(t *testing.T) {
+	const blockB, worker, block = 40, 1, int64(7)
+	pay := func(seq uint64) []byte { return encodePayload(blockB, worker, seq, block) }
+	zero := make([]byte, blockB)
+	type event struct {
+		kind byte // 'a' acknowledged, 'd' in doubt, 's' shed
+		seq  uint64
+	}
+	for _, tc := range []struct {
+		name    string
+		history []event
+		got     []byte
+		want    bool
+	}{
+		{"zeros before any ack", nil, zero, true},
+		{"zeros with a write in doubt", []event{{'d', 1}}, zero, true},
+		{"zeros after an ack", []event{{'a', 1}}, zero, false},
+		{"the acked value", []event{{'a', 1}}, pay(1), true},
+		{"the acked value under a later doubt", []event{{'a', 1}, {'d', 2}}, pay(1), true},
+		{"an in-doubt value after an ack", []event{{'a', 1}, {'d', 2}}, pay(2), true},
+		{"one of several values in doubt", []event{{'a', 1}, {'d', 2}, {'d', 3}}, pay(2), true},
+		{"a shed value", []event{{'a', 1}, {'s', 2}}, pay(2), false},
+		{"a shed value before any ack", []event{{'s', 1}}, pay(1), false},
+		{"an in-doubt value superseded by a later ack", []event{{'a', 1}, {'d', 2}, {'a', 3}}, pay(2), false},
+		{"an older acked value", []event{{'a', 1}, {'a', 2}}, pay(1), false},
+		{"a never-issued value", []event{{'a', 1}}, pay(9), false},
+		{"a foreign worker's payload", []event{{'a', 1}}, encodePayload(blockB, worker+1, 1, block), false},
+		{"another block's payload", []event{{'a', 1}}, encodePayload(blockB, worker, 1, block+1), false},
+		{"garbage", []event{{'a', 1}}, Fill(blockB, block, 9), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newAckModel(blockB)
+			issued, shed, lastAcked := make(map[uint64]bool), make(map[uint64]bool), uint64(0)
+			for _, e := range tc.history {
+				issued[e.seq] = true
+				switch e.kind {
+				case 'a':
+					m.ack(block, pay(e.seq))
+					lastAcked = e.seq
+				case 'd':
+					m.doubt(block, pay(e.seq))
+				case 's':
+					shed[e.seq] = true
+				}
+			}
+			before := cloneAckModel(m)
+			if got := m.holds(block, tc.got); got != tc.want {
+				t.Fatalf("holds = %v, want %v", got, tc.want)
+			}
+			if ref := seqRule(worker, block, issued, shed, lastAcked, tc.got); ref != tc.want {
+				t.Fatalf("the sequence-number rule says %v, the table %v", ref, tc.want)
+			}
+			if !reflect.DeepEqual(m, before) {
+				t.Fatalf("holds changed the model: %+v, was %+v", m, before)
+			}
+		})
+	}
+
+	// verify still pins: once a sweep has read a value in doubt, that value
+	// is the block's acknowledged content and the older one no longer holds.
+	m := newAckModel(blockB)
+	m.ack(block, pay(1))
+	m.doubt(block, pay(2))
+	if err := m.verify(func(int64) ([]byte, error) { return pay(2), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.inDoubt) != 0 || !m.holds(block, pay(2)) || m.holds(block, pay(1)) {
+		t.Fatalf("verify did not pin the value it read: %+v", m)
+	}
+}
+
+// cloneAckModel deep-copies m, so a test can tell whether it changed.
+func cloneAckModel(m *ackModel) *ackModel {
+	c := newAckModel(m.blockB)
+	for b, v := range m.acked {
+		c.acked[b] = bytes.Clone(v)
+	}
+	for b, vs := range m.inDoubt {
+		for _, v := range vs {
+			c.inDoubt[b] = append(c.inDoubt[b], bytes.Clone(v))
+		}
+	}
+	return c
 }
 
 // TestAckModelSweepOrder pins seed-purity at its root: the block

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"time"
 
 	"repro/aboram"
 	"repro/internal/faults"
@@ -245,7 +244,11 @@ func (run *reshardCrashRun) round(inc *incarnation) error {
 			}
 			writes++
 		} else {
-			time.Sleep(200 * time.Microsecond)
+			select { // the round's writes are spent: wait out the copy or the kill
+			case migErr = <-runDone:
+				migDone = true
+			case <-inc.in.Dead():
+			}
 		}
 	}
 	if migDone && migErr == nil && !inc.in.Crashed() {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +25,11 @@ import (
 // in-process under seeded kill/restart schedules, overload bursts, and
 // one full blackout, then verified end to end:
 //
-//   - zero acked-write loss: every block's final content is an issued
-//     write with sequence >= the last acknowledged one for that block;
+//   - zero acked-write loss: each worker keeps the harness's ackModel
+//     over its blocks. A live read must return a block's acknowledged
+//     content or a write still in doubt; the final sweep pins each doubt
+//     to what recovery chose, and the promoted replica, in Replicate
+//     mode, must then match those pins byte for byte;
 //   - zero double-apply: the engine never applies a write id after that
 //     id was acknowledged (per-id write fingerprints, checked inline by
 //     an engine wrapper and again in the final sweep);
@@ -36,7 +41,9 @@ import (
 // interleavings are not, so the soak asserts invariants, not exact
 // counts. Workers own disjoint block sets and stamp every payload with
 // (worker, seq, block), which is what makes loss, rollback, and
-// double-apply distinguishable at read time.
+// double-apply distinguishable at read time. Every incarnation, the
+// final clean one included, is a round body on the harness's loop
+// (harness.go), whose adjudicator alone decides crash or bug.
 
 // SoakOptions tunes RunSoak.
 type SoakOptions struct {
@@ -82,6 +89,9 @@ const (
 	// soakWorkers is the number of writer/reader clients, each owning a
 	// disjoint block set.
 	soakWorkers = 3
+	// soakWorkerBlocks caps each worker's block set, so blocks are
+	// rewritten, not touched once.
+	soakWorkerBlocks = 8
 	// soakBurstClients is the number of extra overload generators that
 	// hammer the server during burst windows.
 	soakBurstClients = 6
@@ -100,17 +110,16 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	return o
 }
 
-// SoakReport summarizes a soak run.
+// SoakReport summarizes a soak run; its header counts the incarnations,
+// the kills by site, and the writes acknowledged to workers.
 type SoakReport struct {
-	Seed         uint64
-	Shards       int // ORAM trees behind the router
-	Incarnations int // engine incarnations (including the final clean one)
-	Crashes      int
+	ScheduleHeader
+	Shards int // ORAM trees behind the router
 
-	AckedWrites   uint64 // writes acknowledged to workers
 	ShedWrites    uint64 // writes definitively not executed (overload/breaker)
 	Indeterminate uint64 // writes whose fate a crash left unknown
 	Reads         uint64 // verified reads served
+	Pinned        int    // blocks still in doubt that the final recovery resolved
 
 	Overloaded       uint64 // overloaded responses clients received
 	BreakerOpens     uint64 // breaker open transitions across all clients
@@ -144,10 +153,10 @@ type SoakReport struct {
 }
 
 func (r *SoakReport) String() string {
-	s := fmt.Sprintf("seed %d (%d shards): %d incarnations (%d crashes), %d acked, %d shed, %d indeterminate, %d reads, "+
+	s := fmt.Sprintf("%v; %d shards: %d shed, %d indeterminate, %d reads, %d pinned, "+
 		"%d overloaded, %d breaker opens, %d applies, %d syncs (%d batched) for %d appends, %d deduped, %d ids recovered, "+
 		"%d deltas (%d applied on recovery), %d compactions, %d violations",
-		r.Seed, r.Shards, r.Incarnations, r.Crashes, r.AckedWrites, r.ShedWrites, r.Indeterminate, r.Reads,
+		&r.ScheduleHeader, r.Shards, r.ShedWrites, r.Indeterminate, r.Reads, r.Pinned,
 		r.Overloaded, r.BreakerOpens, r.Applies, r.EngineSyncs, r.BatchedSyncs, r.EngineWrites,
 		r.Deduped, r.IDsRecovered, r.EngineDeltas, r.DeltasApplied, r.EngineCompactions, len(r.Violations))
 	if r.ReshardsStarted > 0 {
@@ -286,16 +295,15 @@ func (l *ledger) apply(id uint64, gen uint64, shard int) {
 	}
 }
 
-func (l *ledger) markAcked(k soakKey) {
+// settle records a write the client saw acknowledged, or shed.
+func (l *ledger) settle(k soakKey, acked bool) {
 	l.mu.Lock()
-	l.acked[k] = true
-	l.mu.Unlock()
-}
-
-func (l *ledger) markShed(k soakKey) {
-	l.mu.Lock()
-	l.shed[k] = true
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	if acked {
+		l.acked[k] = true
+	} else {
+		l.shed[k] = true
+	}
 }
 
 // finalSweepChecks runs the whole-run ledger assertions: no shed write
@@ -359,27 +367,26 @@ func (t *applyTracker) MaybeCheckpoint() error { return t.eng.MaybeCheckpoint() 
 // clients coordinate through.
 type soakState struct {
 	addr     atomic.Value // string; "" while the server is down
-	burstOn  atomic.Bool
+	start    time.Time    // the burst windows' phase origin
 	stop     atomic.Bool
 	blackout atomic.Bool // set once the blackout has ended
 	led      *ledger
+}
+
+// bursting reports whether an overload window is open: the first 80 ms
+// of every 200 since the soak started, the rest calm.
+func (s *soakState) bursting() bool {
+	return time.Since(s.start)%(200*time.Millisecond) < 80*time.Millisecond
 }
 
 func (s *soakState) dialer(timeout time.Duration) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		addr, _ := s.addr.Load().(string)
 		if addr == "" {
-			return nil, errors.New("soak: server down (blackout)")
+			return nil, errors.New("soak: server down")
 		}
 		return net.DialTimeout("tcp", addr, timeout)
 	}
-}
-
-// blockState is a worker's view of one owned block.
-type blockState struct {
-	lastAcked uint64          // highest acknowledged seq
-	issued    map[uint64]bool // every seq ever sent for this block
-	shed      map[uint64]bool // seqs definitively not executed
 }
 
 // soakWorker drives identified writes and verifying reads over its own
@@ -387,17 +394,14 @@ type blockState struct {
 type soakWorker struct {
 	id     uint64
 	blocks []int64
-	blockB int
 	r      *rng.Source
 	st     *soakState
 
 	seq    uint64
-	per    map[int64]*blockState
-	report struct {
-		acked, shed, indeterminate, reads uint64
-		overloaded, opens, fastFails      uint64
-		postBlackoutAcks                  uint64
-	}
+	model  *ackModel          // the worker's blocks; every one starts acknowledged as zeros
+	client server.ClientStats // its client's counters, once it stops
+
+	acked, shed, indeterminate, reads, postBlackoutAcks uint64
 }
 
 func (w *soakWorker) run(clientSeed uint64) {
@@ -411,58 +415,45 @@ func (w *soakWorker) run(clientSeed uint64) {
 		BreakerThreshold: 5,
 		BreakerCooldown:  15 * time.Millisecond,
 	}
-	var c *server.Client
-	dial := func() bool {
-		var err error
-		c, err = server.DialConfig("", cfg)
-		return err == nil
-	}
-	for !dial() {
+	c, err := server.DialConfig("", cfg)
+	for ; err != nil; c, err = server.DialConfig("", cfg) {
 		if w.st.stop.Load() {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	defer func() {
-		st := c.Stats()
-		w.report.overloaded += st.Overloaded
-		w.report.opens += st.BreakerOpens
-		w.report.fastFails += st.BreakerFastFails
+		w.client = c.Stats()
 		c.Close()
 	}()
 
 	for !w.st.stop.Load() {
 		block := w.blocks[w.r.Uint64n(uint64(len(w.blocks)))]
-		bs := w.per[block]
-		if bs == nil {
-			bs = &blockState{issued: make(map[uint64]bool), shed: make(map[uint64]bool)}
-			w.per[block] = bs
-		}
 		switch p := w.r.Float64(); {
 		case p < 0.55:
 			w.seq++
-			seq := w.seq
-			data := encodePayload(w.blockB, w.id, seq, block)
-			bs.issued[seq] = true
-			id := soakWriteID(w.id, seq)
-			w.st.led.registerID(id, soakKey{w.id, seq}, block)
+			key := soakKey{w.id, w.seq}
+			data := encodePayload(w.model.blockB, w.id, w.seq, block)
+			id := soakWriteID(w.id, w.seq)
+			w.st.led.registerID(id, key, block)
 			err := c.WriteID(id, block, data)
 			switch {
 			case err == nil:
-				w.st.led.markAcked(soakKey{w.id, seq})
-				bs.lastAcked = seq
-				w.report.acked++
+				w.st.led.settle(key, true)
+				w.model.ack(block, data)
+				w.acked++
 				if w.st.blackout.Load() {
-					w.report.postBlackoutAcks++
+					w.postBlackoutAcks++
 				}
 			case errors.Is(err, server.ErrOverloaded) || errors.Is(err, server.ErrBreakerOpen):
-				w.st.led.markShed(soakKey{w.id, seq})
-				bs.shed[seq] = true
-				w.report.shed++
+				// Definitively not executed: never a candidate value.
+				w.st.led.settle(key, false)
+				w.shed++
 				time.Sleep(time.Millisecond) // shed means back off
 			default:
 				// Crash, connection break, or server error: in doubt.
-				w.report.indeterminate++
+				w.model.doubt(block, data)
+				w.indeterminate++
 				time.Sleep(2 * time.Millisecond)
 			}
 		case p < 0.85:
@@ -470,9 +461,10 @@ func (w *soakWorker) run(clientSeed uint64) {
 			if err != nil {
 				continue
 			}
-			w.report.reads++
-			if v := w.checkRead(block, got); v != "" {
-				w.st.led.violate("%s", v)
+			w.reads++
+			if !w.model.holds(block, got) {
+				w.st.led.violate("worker %d block %d: read %s, neither its acknowledged content nor a write in doubt",
+					w.id, block, payloadString(got))
 			}
 		default:
 			c.Access(block) // pattern-only load; outcome irrelevant
@@ -480,40 +472,12 @@ func (w *soakWorker) run(clientSeed uint64) {
 	}
 }
 
-// checkRead validates one read of an owned block against the worker's
-// issue history: the value must be all-zeros (nothing acked yet), or an
-// issued seq that is neither shed nor older than the last ack.
-func (w *soakWorker) checkRead(block int64, got []byte) string {
-	bs := w.per[block]
-	if bs == nil {
-		bs = &blockState{issued: make(map[uint64]bool), shed: make(map[uint64]bool)}
-		w.per[block] = bs
+// payloadString names what a block held, for a violation message.
+func payloadString(d []byte) string {
+	if worker, seq, block, ok := decodePayload(d); ok {
+		return fmt.Sprintf("the write (worker %d, seq %d) to block %d", worker, seq, block)
 	}
-	rw, rseq, rblock, ok := decodePayload(got)
-	if !ok {
-		allZero := true
-		for _, b := range got {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero && bs.lastAcked == 0 {
-			return ""
-		}
-		return fmt.Sprintf("worker %d block %d: unrecognized content (acked through seq %d)", w.id, block, bs.lastAcked)
-	}
-	switch {
-	case rw != w.id || rblock != block:
-		return fmt.Sprintf("worker %d block %d: holds foreign payload (worker %d, block %d)", w.id, block, rw, rblock)
-	case !bs.issued[rseq]:
-		return fmt.Sprintf("worker %d block %d: holds never-issued seq %d", w.id, block, rseq)
-	case bs.shed[rseq]:
-		return fmt.Sprintf("worker %d block %d: holds SHED seq %d (not-executed contract broken)", w.id, block, rseq)
-	case rseq < bs.lastAcked:
-		return fmt.Sprintf("worker %d block %d: rolled back to seq %d below acked seq %d", w.id, block, rseq, bs.lastAcked)
-	}
-	return ""
+	return "content no worker wrote"
 }
 
 // soakWriteID derives the wire request id a worker uses for (worker,
@@ -524,15 +488,9 @@ func soakWriteID(worker, seq uint64) uint64 {
 	return (worker+1)<<40 | (seq & 0xffffffffff)
 }
 
-// burstStats aggregates the overload generators' client counters.
-type burstStats struct {
-	mu                           sync.Mutex
-	overloaded, opens, fastFails uint64
-}
-
 // runBurst hammers Access ops during burst windows to push the
-// scheduler into overload.
-func runBurst(st *soakState, seed uint64, numBlocks int64, stats *burstStats) {
+// scheduler into overload, and returns its client's counters.
+func runBurst(st *soakState, seed uint64, numBlocks int64) (stats server.ClientStats) {
 	cfg := server.ClientConfig{
 		Timeout:          100 * time.Millisecond,
 		MaxAttempts:      1,
@@ -544,7 +502,7 @@ func runBurst(st *soakState, seed uint64, numBlocks int64, stats *burstStats) {
 	r := rng.New(seed ^ 0xb0057)
 	var c *server.Client
 	for !st.stop.Load() {
-		if !st.burstOn.Load() {
+		if !st.bursting() {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
@@ -558,14 +516,26 @@ func runBurst(st *soakState, seed uint64, numBlocks int64, stats *burstStats) {
 		c.Access(int64(r.Uint64n(uint64(numBlocks))))
 	}
 	if c != nil {
-		s := c.Stats()
-		stats.mu.Lock()
-		stats.overloaded += s.Overloaded
-		stats.opens += s.BreakerOpens
-		stats.fastFails += s.BreakerFastFails
-		stats.mu.Unlock()
+		stats = c.Stats()
 		c.Close()
 	}
+	return stats
+}
+
+// soakRun is one soak's state threaded across incarnations: the clients
+// that outlive every kill, the standby session, and the serving clock.
+type soakRun struct {
+	opt     SoakOptions
+	r       *rng.Source
+	rep     *SoakReport
+	st      *soakState
+	workers []*soakWorker
+	bursts  []server.ClientStats // one per overload generator, once it stops
+	clients sync.WaitGroup
+	sess    *server.ReplicaSession // Replicate mode's standby
+
+	deadline, blackoutAt time.Time
+	blackedOut           bool
 }
 
 // RunSoak runs the chaos soak and returns its report; the error is
@@ -576,9 +546,6 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	if opt.Replicate && opt.Reshard {
 		return nil, errors.New("soak: Replicate and Reshard are mutually exclusive (a standby pins one layout generation)")
 	}
-	r := rng.New(opt.Seed ^ 0x736f616b)
-	rep := &SoakReport{Seed: opt.Seed, Shards: opt.Shards}
-
 	// Every fleet below opens through server.Fleet, the daemon's own
 	// lifecycle: per-shard seeds, directories, and shippers follow its law
 	// (generation 0 keeps the base seed and the bare directory, so
@@ -587,297 +554,274 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	run := &soakRun{
+		opt:    opt,
+		r:      rng.New(opt.Seed ^ 0x736f616b),
+		rep:    &SoakReport{ScheduleHeader: newHeader(opt.Seed), Shards: opt.Shards},
+		st:     &soakState{led: newLedger(), start: time.Now()},
+		bursts: make([]server.ClientStats, soakBurstClients),
+	}
+	st := run.st
+	st.led.setWidth(0, opt.Shards)
+	defer run.stopClients()
 	// Global address space the workers write: the plan's minimum width,
 	// so every owned block stays in range through every layout the
 	// Reshard plan serves (migrations serve perShard*min(P, P′)).
 	numBlocks := perShard * int64(opt.Shards)
 
-	st := &soakState{led: newLedger()}
-	st.addr.Store("")
-	st.led.setWidth(0, opt.Shards)
-
 	// Workers own disjoint block partitions: worker i gets blocks
-	// congruent to i modulo soakWorkers (capped to a small working set so
-	// blocks are rewritten, not touched once).
-	workers := make([]*soakWorker, soakWorkers)
-	var wg sync.WaitGroup
-	for i := range workers {
-		var blocks []int64
-		for b := int64(i); b < numBlocks && len(blocks) < 8; b += soakWorkers {
-			blocks = append(blocks, b)
-		}
-		workers[i] = &soakWorker{
-			id: uint64(i + 1), blocks: blocks, blockB: blockB,
+	// congruent to i modulo soakWorkers. Every one starts acknowledged as
+	// zeros, so each sweep reads the whole partition.
+	for i := 0; i < soakWorkers; i++ {
+		w := &soakWorker{
+			id: uint64(i + 1), model: newAckModel(blockB),
 			r: rng.New(opt.Seed ^ (0x77<<8 | uint64(i))), st: st,
-			per: make(map[int64]*blockState),
 		}
+		for b := int64(i); b < numBlocks && len(w.blocks) < soakWorkerBlocks; b += soakWorkers {
+			w.blocks = append(w.blocks, b)
+			w.model.ack(b, make([]byte, blockB))
+		}
+		run.workers = append(run.workers, w)
 	}
 
 	// Replicate mode: one standby session lives across every primary
 	// incarnation, redialing whatever address the supervisor publishes;
 	// its link runs through a faults.Conn so the chaos goroutine can
 	// partition it one direction at a time or drop it outright.
-	var sess *server.ReplicaSession
-	var link *soakReplLink
 	if opt.Replicate {
-		link = &soakReplLink{}
-		linkIn := faults.New(faults.Config{Seed: r.Uint64()})
-		sess = server.NewReplicaSession(server.ReplicaSessionConfig{
+		link := new(atomic.Pointer[faults.Conn]) // the standby's live link, for the chaos goroutine
+		linkIn := faults.New(faults.Config{Seed: run.r.Uint64()})
+		dial := st.dialer(250 * time.Millisecond)
+		run.sess = server.NewReplicaSession(server.ReplicaSessionConfig{
 			Addrs:         []string{"soak-primary"}, // placeholder; the dial hook resolves st.addr
 			DataDir:       opt.Dir + "-replica",
 			Shards:        opt.Shards,
 			Timeout:       250 * time.Millisecond,
 			RedialBackoff: 15 * time.Millisecond,
 			Dial: func(string) (net.Conn, error) {
-				addr, _ := st.addr.Load().(string)
-				if addr == "" {
-					return nil, errors.New("soak: primary down")
-				}
-				raw, err := net.DialTimeout("tcp", addr, 250*time.Millisecond)
+				raw, err := dial()
 				if err != nil {
 					return nil, err
 				}
 				c := faults.WrapConn(raw, linkIn)
-				link.set(c)
+				link.Store(c)
 				return c, nil
 			},
 		})
-		go sess.Run()
-		defer sess.Stop()
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			runLinkChaos(st, link, seed)
-		}(r.Uint64())
+		go run.sess.Run()
+		defer run.sess.Stop()
+		chaosSeed := run.r.Uint64()
+		run.spawn(func() { runLinkChaos(st, link, chaosSeed) })
 	}
-
-	var bstats burstStats
 	for i := 0; i < soakBurstClients; i++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			runBurst(st, seed, numBlocks, &bstats)
-		}(opt.Seed ^ (0xb0<<8 | uint64(i)))
+		seed := opt.Seed ^ (0xb0<<8 | uint64(i))
+		run.spawn(func() { run.bursts[i] = runBurst(st, seed, numBlocks) })
 	}
-	for i, w := range workers {
-		wg.Add(1)
-		go func(w *soakWorker, seed uint64) {
-			defer wg.Done()
-			w.run(seed)
-		}(w, opt.Seed^(0xc0<<8|uint64(i)))
+	for i, w := range run.workers {
+		seed := opt.Seed ^ (0xc0<<8 | uint64(i))
+		run.spawn(func() { w.run(seed) })
 	}
 
-	// Burst scheduler: overload windows alternate with calm ones.
-	wg.Add(1)
+	run.deadline = time.Now().Add(opt.Duration)
+	run.blackoutAt = time.Now().Add(opt.Duration / 2)
+	return run.rep, run.rep.run(schedule{
+		name:      "soak",
+		maxRounds: math.MaxInt, // the serving deadline, not a round count, bounds a soak
+		done:      run.done,
+		draw: func() faults.Config {
+			// One injector shared by every shard's filesystem: the kill hits
+			// the whole fleet at once, the daemon's failure mode.
+			return faults.Config{Seed: run.r.Uint64(), CrashAfter: 60 + int(run.r.Uint64n(400)), TornWrites: true, DropUnsynced: true}
+		},
+		round: run.round,
+		final: run.final,
+	})
+}
+
+// spawn starts one client-side goroutine the soak stops and joins
+// before its final incarnation.
+func (run *soakRun) spawn(f func()) {
+	run.clients.Add(1)
 	go func() {
-		defer wg.Done()
-		for !st.stop.Load() {
-			st.burstOn.Store(true)
-			sleepUnlessStopped(st, 80*time.Millisecond)
-			st.burstOn.Store(false)
-			sleepUnlessStopped(st, 120*time.Millisecond)
-		}
+		defer run.clients.Done()
+		f()
 	}()
+}
 
-	// Supervisor: run incarnations until the time budget is spent,
-	// inserting one full blackout at roughly half time.
-	deadline := time.Now().Add(opt.Duration)
-	blackoutAt := time.Now().Add(opt.Duration / 2)
-	blackoutDone := false
-	for time.Now().Before(deadline) {
-		rep.Incarnations++
-		// One injector shared by every shard's filesystem: the kill hits
-		// the whole fleet at once, the daemon's failure mode.
-		inc := newIncarnation(rep.Incarnations, faults.Config{
-			Seed:         r.Uint64(),
-			CrashAfter:   60 + int(r.Uint64n(400)),
-			TornWrites:   true,
-			DropUnsynced: true,
-		})
-		in, fs := inc.in, inc.fs
+// stopClients stops and joins every client-side goroutine, then folds
+// the workers' and burst generators' counters into the report. Only the
+// first call does anything.
+func (run *soakRun) stopClients() {
+	if run.st.stop.Swap(true) {
+		return
+	}
+	run.clients.Wait()
+	rep, clients := run.rep, run.bursts
+	for _, w := range run.workers {
+		rep.AckedWrites += int(w.acked)
+		rep.ShedWrites += w.shed
+		rep.Indeterminate += w.indeterminate
+		rep.Reads += w.reads
+		rep.PostBlackoutAcks += w.postBlackoutAcks
+		clients = append(clients, w.client)
+	}
+	for _, cs := range clients {
+		rep.Overloaded += cs.Overloaded
+		rep.BreakerOpens += cs.BreakerOpens
+		rep.BreakerFastFails += cs.BreakerFastFails
+	}
+}
 
-		// crashSkip puts an incarnation-setup failure to the harness's
-		// adjudicator: under an injected crash the incarnation simply ends
-		// and the next one recovers; without one the failure is a soak bug.
-		crashSkip := func(stage string, err error) error {
-			if _, err := inc.adjudicate(failed(stage, err)); err != nil {
-				st.stop.Store(true)
-				wg.Wait()
-				return err
-			}
-			rep.Crashes++
-			return nil
+// done reports the serving budget spent. It runs between incarnations,
+// with the last one torn down and its address withdrawn, so it is also
+// where the one blackout happens: once half the budget has passed, the
+// server stays down long enough for every worker's breaker to open, and
+// the deadline moves out far enough to see the breakers close again,
+// whatever the overall budget.
+func (run *soakRun) done() bool {
+	if !run.blackedOut && time.Now().After(run.blackoutAt) {
+		run.blackedOut = true
+		time.Sleep(250 * time.Millisecond)
+		run.st.blackout.Store(true)
+		if min := time.Now().Add(400 * time.Millisecond); run.deadline.Before(min) {
+			run.deadline = min
 		}
+	}
+	return !time.Now().Before(run.deadline)
+}
 
-		// Recover whatever layout the migration journal names — the static
-		// one unless Reshard has ever begun a migration — exactly as a
-		// restarted daemon does. Replicate mode's shippers run semi-sync;
-		// their short ack timeout means a partitioned link degrades to
-		// local-only acks instead of wedging the schedulers.
-		fleet, openErr := server.OpenFleet(soakFleetConfig(opt, opt.Dir, fs), opt.Shards)
-		if openErr != nil {
-			if err := crashSkip("recovery", openErr); err != nil {
-				return rep, err
-			}
-			continue
-		}
-		lay := fleet.Layout()
+// track wraps a generation's engines in apply trackers for the ledger.
+func (run *soakRun) track(gen uint64, engines []server.Engine) []server.Engine {
+	out := make([]server.Engine, len(engines))
+	for si, eng := range engines {
+		out[si] = &applyTracker{eng: eng.(*durable.Engine), led: run.st.led, gen: gen, shard: si}
+	}
+	return out
+}
 
-		// Pick this incarnation's migration: resume the journaled one from
-		// its durable watermark, or durably begin the next step of the
-		// 2→3→2 plan.
-		var targets []server.Engine
-		var tgen uint64
-		if to := soakPlanStep(lay); opt.Reshard && to != 0 {
-			if lay.Active != nil {
-				rep.ReshardsResumed++
-			}
-			var terr error
-			if targets, terr = fleet.OpenTarget(to); terr != nil {
-				fleet.Close()
-				if err := crashSkip("target recovery", terr); err != nil {
-					return rep, err
-				}
-				continue
-			}
-			tgen = fleet.Layout().Active.Gen
-			st.led.setWidth(tgen, to)
-		}
+// round is one faulted incarnation of the daemon: recover the layout the
+// migration journal names (the static one unless Reshard has begun a
+// migration), resume or begin the plan's next migration, and serve TCP
+// until the kill or the deadline.
+func (run *soakRun) round(inc *incarnation) error {
+	opt, st := run.opt, run.st
+	fleet, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir, inc.fs), opt.Shards)
+	if err != nil {
+		return failed("recovery", err)
+	}
+	inc.onClose(func() {
+		fleet.Close() // joins the copier, then closes each engine once
+		run.rep.tally(fleet)
+	})
+	lay := fleet.Layout()
 
-		track := func(gen uint64, engines []server.Engine) []server.Engine {
-			out := make([]server.Engine, len(engines))
-			for si, eng := range engines {
-				out[si] = &applyTracker{eng: eng.(*durable.Engine), led: st.led, gen: gen, shard: si}
-			}
-			return out
+	// A tiny queue relative to the client population guarantees the
+	// burst windows actually overflow it (overloaded responses). The
+	// Reshard soak runs slightly deeper: the copier's persistent ops
+	// share the queue, and with depth 2 they plus the bursts can
+	// starve the workers of every single ack.
+	queue := 2
+	if opt.Reshard {
+		queue = 8
+	}
+	srv, err := server.NewSharded(run.track(lay.Gen, fleet.Engines()), server.Config{Queue: queue, Batch: 8})
+	if err != nil {
+		return failed("scheduler", err)
+	}
+	inc.onClose(func() { srv.Close() }) // stops any in-flight migration before draining the schedulers
+	srv.SetGeneration(lay.Gen)
+
+	// Pick this incarnation's migration: resume the journaled one from
+	// its durable watermark, or durably begin the next step of the
+	// 2→3→2 plan. Small fenced ranges keep write stalls short while the
+	// copy competes with client and burst traffic, and the pace
+	// guarantees client ops a window between ranges.
+	if to := soakPlanStep(lay); opt.Reshard && to != 0 {
+		if lay.Active != nil {
+			run.rep.ReshardsResumed++
 		}
-		// fail ends the whole soak on a setup failure no crash explains.
-		fail := func(what string, err error, closers ...func() error) (*SoakReport, error) {
-			st.stop.Store(true)
-			wg.Wait()
-			for _, c := range closers {
-				c()
-			}
-			return rep, fmt.Errorf("soak: incarnation %d: %s: %w", rep.Incarnations, what, err)
-		}
-		// A tiny queue relative to the client population guarantees the
-		// burst windows actually overflow it (overloaded responses). The
-		// Reshard soak runs slightly deeper: the copier's persistent ops
-		// share the queue, and with depth 2 they plus the bursts can
-		// starve the workers of every single ack.
-		queue := 2
-		if opt.Reshard {
-			queue = 8
-		}
-		srv, err := server.NewSharded(track(lay.Gen, fleet.Engines()), server.Config{Queue: queue, Batch: 8})
+		targets, err := fleet.OpenTarget(to)
 		if err != nil {
-			return fail("sharded", err, fleet.Close)
+			return failed("target recovery", err)
 		}
-		srv.SetGeneration(lay.Gen)
-		var res *server.Resharder
-		if targets != nil {
-			// Small fenced ranges keep write stalls short while the copy
-			// competes with client and burst traffic, and the pace
-			// guarantees client ops a window between ranges.
-			res, err = fleet.BeginReshard(srv, track(tgen, targets), server.ReshardConfig{
-				RangeSize: 16,
-				Pace:      2 * time.Millisecond,
-			})
-			if err != nil {
-				return fail("begin reshard", err, srv.Close, fleet.Close)
-			}
-		}
-		tcfg := server.TCPConfig{
-			RequestTimeout: 250 * time.Millisecond,
-			DedupWindow:    4096,
-		}
-		if opt.Replicate {
-			hub := fleet.Hub(srv)
-			tcfg.ReplJoin = hub.Serve
-			tcfg.Replication = hub.Info
-		}
-		tsrv := server.NewTCP(srv, tcfg)
-		tsrv.SeedDedup(fleet.RecentWriteIDs())
-		if res != nil {
-			go res.Run() // terminal state is adjudicated by the journal
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		tgen := fleet.Layout().Active.Gen
+		st.led.setWidth(tgen, to)
+		res, err := fleet.BeginReshard(srv, run.track(tgen, targets), server.ReshardConfig{RangeSize: 16, Pace: 2 * time.Millisecond})
 		if err != nil {
-			return fail("listen", err, srv.Close, fleet.Close)
+			return failed("begin reshard", err)
 		}
-		serveDone := make(chan struct{})
-		go func() { tsrv.Serve(ln); close(serveDone) }()
-		st.addr.Store(ln.Addr().String())
+		go res.Run() // terminal state is adjudicated by the journal
+	}
 
-		// Serve until the injector kills the incarnation or time is up.
-		for !in.Crashed() && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		crashed := in.Crashed()
+	// Replicate mode's shippers run semi-sync; their short ack timeout
+	// means a partitioned link degrades to local-only acks instead of
+	// wedging the schedulers.
+	tcfg := server.TCPConfig{
+		RequestTimeout: 250 * time.Millisecond,
+		DedupWindow:    4096,
+	}
+	if opt.Replicate {
+		hub := fleet.Hub(srv)
+		tcfg.ReplJoin = hub.Serve
+		tcfg.Replication = hub.Info
+	}
+	tsrv := server.NewTCP(srv, tcfg)
+	tsrv.SeedDedup(fleet.RecentWriteIDs())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return failed("listen", err)
+	}
+	serveDone := make(chan struct{})
+	go func() { tsrv.Serve(ln); close(serveDone) }()
+	st.addr.Store(ln.Addr().String())
+	inc.onClose(func() {
 		st.addr.Store("")
 		// A killed daemon drains nothing: its connections die with it. Only
 		// a budget-end incarnation gets the graceful drain — waiting it out
 		// on a dead one would spend the soak's serving time on idle client
 		// connections instead of under chaos.
 		grace := time.Second
-		if crashed {
+		if inc.in.Crashed() {
 			grace = 0
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), grace)
 		tsrv.Shutdown(ctx)
 		cancel()
-		srv.Close()   // stops any in-flight migration before draining the schedulers
-		fleet.Close() // joins the copier, then closes each engine once
 		<-serveDone
-		rep.Deduped += tsrv.Metrics().Deduped
-		rep.tally(fleet)
-		if crashed {
-			rep.Crashes++
-		}
+		run.rep.Deduped += tsrv.Metrics().Deduped
+	})
 
-		// One blackout: leave the server down long enough for every
-		// worker's breaker to open, then continue — guaranteeing enough
-		// post-blackout serving time to observe the breakers close again,
-		// whatever the overall budget.
-		if !blackoutDone && time.Now().After(blackoutAt) {
-			blackoutDone = true
-			time.Sleep(250 * time.Millisecond)
-			st.blackout.Store(true)
-			if min := time.Now().Add(400 * time.Millisecond); deadline.Before(min) {
-				deadline = min
-			}
-		}
+	timer := time.NewTimer(time.Until(run.deadline))
+	defer timer.Stop()
+	select {
+	case <-inc.in.Dead():
+	case <-timer.C:
 	}
-	st.stop.Store(true)
-	wg.Wait()
+	return nil
+}
 
-	for _, w := range workers {
-		rep.AckedWrites += w.report.acked
-		rep.ShedWrites += w.report.shed
-		rep.Indeterminate += w.report.indeterminate
-		rep.Reads += w.report.reads
-		rep.Overloaded += w.report.overloaded
-		rep.BreakerOpens += w.report.opens
-		rep.BreakerFastFails += w.report.fastFails
-		rep.PostBlackoutAcks += w.report.postBlackoutAcks
+// final is the clean incarnation after the serving budget. In Reshard
+// mode it first drives the migration plan to completion, as a daemon
+// restarted after the chaos would, so the sweep reads through the plan's
+// terminal layout. In Replicate mode it drains the standby against the
+// recovered fleet, then promotes the replica and sweeps it too: the
+// standby must satisfy the zero-acked-loss contract exactly as the
+// primary does, or a failover after this soak would lose writes.
+func (run *soakRun) final(inc *incarnation) error {
+	opt, rep := run.opt, run.rep
+	run.stopClients()
+	fleet, err := run.recoverTerminal(inc)
+	if err != nil {
+		return err
 	}
-	rep.Overloaded += bstats.overloaded
-	rep.BreakerOpens += bstats.opens
-	rep.BreakerFastFails += bstats.fastFails
-
-	// In Reshard mode, drive the migration plan to completion on the
-	// clean filesystem first — a daemon restarted after the chaos does
-	// the same — so the final sweep reads through the plan's terminal
-	// layout.
+	lay := fleet.Layout()
+	rep.FinalShards, rep.FinalGen = lay.Shards, lay.Gen
 	if opt.Reshard {
-		if err := finishReshardPlan(opt); err != nil {
-			return rep, err
-		}
 		// Plan activity is counted from the journal itself, so chaos-time
 		// and clean-coda work land in the same tallies.
-		jn, err := durable.OpenReshardJournal(vfs.OS{}, opt.Dir)
+		jn, err := durable.OpenReshardJournal(inc.fs, opt.Dir)
 		if err != nil {
-			return rep, fmt.Errorf("soak: recounting the journal: %w", err)
+			return failed("recounting the journal", err)
 		}
 		for _, rec := range jn.Records() {
 			switch rec.Op {
@@ -888,76 +832,63 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 			}
 		}
 	}
-
-	// sweep reads every owned block back through a quiescent fleet's
-	// engines under the routing law.
-	sweep := func(fleet *server.Fleet, what string) (reads uint64, err error) {
-		engines := fleet.Engines()
-		for _, w := range workers {
-			for _, block := range w.blocks {
-				shard, local := server.RouteBlock(block, len(engines))
-				got, err := engines[shard].Read(local)
-				if err != nil {
-					return reads, fmt.Errorf("soak: %s read of block %d (shard %d): %w", what, block, shard, err)
-				}
-				if v := w.checkRead(block, got); v != "" {
-					st.led.violate("%s sweep: %s", what, v)
-				}
-				reads++
-			}
-		}
-		return reads, nil
-	}
-
-	// Final clean incarnation: recover every shard and read back every
-	// owned block through the routing law.
-	rep.Incarnations++
-	finals, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir, vfs.OS{}), opt.Shards)
-	if err != nil {
-		return rep, fmt.Errorf("soak: final recovery: %w", err)
-	}
-	defer finals.Close()
-	lay := finals.Layout()
-	rep.FinalShards, rep.FinalGen = lay.Shards, lay.Gen
-	// Replicate mode: before reading anything, serve the final fleet to
-	// the standby with the chaos stopped, until every shard bootstraps
-	// and the whole stream is acknowledged — the replica directory is
-	// then a durable image of the final state, ready for promotion.
+	// The standby drains before anything is read, so the replica directory
+	// is a durable image of exactly the state the sweep pins.
 	if opt.Replicate {
-		if err := drainReplica(st, finals, sess); err != nil {
-			return rep, err
+		if err := drainReplica(run.st, fleet, run.sess); err != nil {
+			return err
 		}
 	}
-	rep.tally(finals)
-	if _, err := sweep(finals, "final"); err != nil {
-		return rep, err
+	rep.tally(fleet)
+	for _, w := range run.workers {
+		rep.Pinned += len(w.model.inDoubt)
 	}
-	// Promote the drained replica and run the same sweep through it: the
-	// standby must satisfy the zero-acked-loss contract exactly as the
-	// primary does, or a failover after this soak would lose writes.
+	if _, err := run.sweep(fleet, "final"); err != nil {
+		return err
+	}
 	if opt.Replicate {
-		promoted, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir+"-replica", vfs.OS{}), opt.Shards)
+		promoted, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir+"-replica", inc.fs), opt.Shards)
 		if err != nil {
-			return rep, fmt.Errorf("soak: promoting the replica: %w", err)
+			return failed("promoting the replica", err)
 		}
-		defer promoted.Close()
+		inc.onClose(func() { promoted.Close() })
 		if rep.ReplPromoteTerm, err = promoted.Promote(); err != nil {
-			return rep, fmt.Errorf("soak: fencing the promoted replica: %w", err)
+			return failed("fencing the promoted replica", err)
 		}
-		if rep.ReplicaReads, err = sweep(promoted, "promoted replica"); err != nil {
-			return rep, err
+		if rep.ReplicaReads, err = run.sweep(promoted, "promoted replica"); err != nil {
+			return err
 		}
 	}
-	st.led.finalSweepChecks()
 
-	st.led.mu.Lock()
-	rep.Applies = st.led.applyCount
-	rep.Violations = append([]string(nil), st.led.violations...)
-	st.led.mu.Unlock()
+	led := run.st.led
+	led.finalSweepChecks()
+	led.mu.Lock()
+	rep.Applies = led.applyCount
+	rep.Violations = slices.Clone(led.violations)
+	led.mu.Unlock()
 	if len(rep.Violations) > 0 {
-		return rep, fmt.Errorf("soak: %d violation(s); first: %s", len(rep.Violations), rep.Violations[0])
+		return fmt.Errorf("%d violation(s); first: %s", len(rep.Violations), rep.Violations[0])
 	}
-	return rep, nil
+	return nil
+}
+
+// sweep verifies every worker's model through a quiescent fleet's
+// engines under the routing law and counts the reads it took. The first
+// sweep pins each block in doubt to whatever recovery chose; a later one
+// holds the fleet it reads to those pins.
+func (run *soakRun) sweep(fleet *server.Fleet, what string) (reads uint64, _ error) {
+	engines := fleet.Engines()
+	read := func(block int64) ([]byte, error) {
+		reads++
+		shard, local := server.RouteBlock(block, len(engines))
+		return engines[shard].Read(local)
+	}
+	for _, w := range run.workers {
+		if err := w.model.verify(read); err != nil {
+			return reads, fmt.Errorf("%s sweep, worker %d: %w", what, w.id, err)
+		}
+	}
+	return reads, nil
 }
 
 // soakFleetConfig describes the soak's fleet under dir: the crash
@@ -1017,25 +948,6 @@ func (r *SoakReport) tally(fleet *server.Fleet) {
 	}
 }
 
-// soakReplLink hands the chaos goroutine the standby's most recently
-// dialed connection, the one the session is currently reading.
-type soakReplLink struct {
-	mu  sync.Mutex
-	cur *faults.Conn
-}
-
-func (l *soakReplLink) set(c *faults.Conn) {
-	l.mu.Lock()
-	l.cur = c
-	l.mu.Unlock()
-}
-
-func (l *soakReplLink) current() *faults.Conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cur
-}
-
 // runLinkChaos subjects the replication link to seeded blackouts and
 // one-way partitions while the soak serves: the standby's sends
 // (acks) vanish while frames still arrive, or the wire goes silent
@@ -1044,7 +956,7 @@ func (l *soakReplLink) current() *faults.Conn {
 // with only a handful of live links between its kills cannot draw a
 // schedule that never partitions one. On exit it heals the current link
 // so the final drain isn't reading a stalled connection.
-func runLinkChaos(st *soakState, link *soakReplLink, seed uint64) {
+func runLinkChaos(st *soakState, link *atomic.Pointer[faults.Conn], seed uint64) {
 	r := rng.New(seed ^ 0x1e4c4a05)
 	for acts := 0; !st.stop.Load(); {
 		sleepUnlessStopped(st, time.Duration(20+r.Uint64n(100))*time.Millisecond)
@@ -1055,7 +967,7 @@ func runLinkChaos(st *soakState, link *soakReplLink, seed uint64) {
 		}
 		// Nor on the previous incarnation's dead link, until the session
 		// has redialed the live one.
-		c := link.current()
+		c := link.Load()
 		if c == nil || c.Closed() {
 			continue
 		}
@@ -1081,7 +993,7 @@ func runLinkChaos(st *soakState, link *soakReplLink, seed uint64) {
 			// A quiet turn: the healed link carries traffic undisturbed.
 		}
 	}
-	if c := link.current(); c != nil {
+	if c := link.Load(); c != nil {
 		c.SetPartition(false, false)
 	}
 }
@@ -1107,16 +1019,14 @@ func drainReplica(st *soakState, fleet *server.Fleet, sess *server.ReplicaSessio
 	go func() { tsrv.Serve(ln); close(serveDone) }()
 	st.addr.Store(ln.Addr().String())
 
-	deadline := time.Now().Add(15 * time.Second)
-	drained := false
-	for time.Now().Before(deadline) {
+	drained := func() bool {
 		hi, si := hub.Info(), sess.Info()
-		if hi.Attached && si.Attached && hi.AckedSeq == hi.ShippedSeq {
-			drained = true
-			break
-		}
+		return hi.Attached && si.Attached && hi.AckedSeq == hi.ShippedSeq
+	}
+	for deadline := time.Now().Add(15 * time.Second); !drained() && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)
 	}
+	ok := drained()
 	st.addr.Store("")
 	// The session must be fully stopped before promotion opens the
 	// mirror directories: a live link would still be writing them.
@@ -1126,52 +1036,49 @@ func drainReplica(st *soakState, fleet *server.Fleet, sess *server.ReplicaSessio
 	cancel()
 	srv.Close() // drains the schedulers; the engines stay open for the sweep
 	<-serveDone
-	if !drained {
+	if !ok {
 		return fmt.Errorf("soak: replication never drained: primary %+v, standby %+v", hub.Info(), sess.Info())
 	}
 	return nil
 }
 
-// finishReshardPlan drives any journaled in-flight migration — and the
-// remaining steps of the 2→3→2 plan — to completion on the clean
-// filesystem, the way a restarted daemon would.
-func finishReshardPlan(opt SoakOptions) error {
-	for step := 0; ; step++ {
-		if step > 8 {
-			return errors.New("soak: reshard plan failed to converge")
-		}
-		fleet, err := server.OpenFleet(soakFleetConfig(opt, opt.Dir, vfs.OS{}), opt.Shards)
+// recoverTerminal recovers the fleet on the final incarnation's
+// filesystem. In Reshard mode it first drives any journaled migration,
+// and the rest of the 2→3→2 plan, to completion, the way a daemon
+// restarted after the chaos would.
+func (run *soakRun) recoverTerminal(inc *incarnation) (*server.Fleet, error) {
+	for step := 0; step <= 8; step++ {
+		fleet, err := server.OpenFleet(soakFleetConfig(run.opt, run.opt.Dir, inc.fs), run.opt.Shards)
 		if err != nil {
-			return fmt.Errorf("soak: reshard coda recovery: %w", err)
+			return nil, failed("recovery", err)
 		}
+		inc.onClose(func() { fleet.Close() })
 		lay := fleet.Layout()
 		to := soakPlanStep(lay)
-		if to == 0 {
-			return fleet.Close()
+		if !run.opt.Reshard || to == 0 {
+			return fleet, nil
 		}
-		err = func() error {
-			targets, err := fleet.OpenTarget(to)
-			if err != nil {
-				return err
-			}
-			sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
-			if err != nil {
-				return err
-			}
-			defer sh.Close()
-			sh.SetGeneration(lay.Gen)
-			// No client traffic to stall; big strides for speed.
-			res, err := fleet.BeginReshard(sh, targets, server.ReshardConfig{RangeSize: 128})
-			if err != nil {
-				return err
-			}
-			return res.Run()
-		}()
+		targets, err := fleet.OpenTarget(to)
+		if err != nil {
+			return nil, failed("reshard coda target", err)
+		}
+		sh, err := server.NewSharded(fleet.Engines(), server.Config{Queue: 64, Batch: 8})
+		if err != nil {
+			return nil, failed("reshard coda scheduler", err)
+		}
+		sh.SetGeneration(lay.Gen)
+		// No client traffic to stall; big strides for speed.
+		res, err := fleet.BeginReshard(sh, targets, server.ReshardConfig{RangeSize: 128})
+		if err == nil {
+			err = res.Run()
+		}
+		sh.Close()
 		fleet.Close()
 		if err != nil {
-			return fmt.Errorf("soak: reshard coda migration to %d shards: %w", to, err)
+			return nil, failed(fmt.Sprintf("reshard coda to %d shards", to), err)
 		}
 	}
+	return nil, errors.New("reshard plan failed to converge")
 }
 
 func sleepUnlessStopped(st *soakState, d time.Duration) {

@@ -6,6 +6,61 @@ import (
 	"time"
 )
 
+// soakTest runs the soak at opt for dur (short under -short; SOAKTIME
+// overrides both), logs the report and every violation, and asserts the
+// floors every mode shares. The soak is only evidence if the hostile
+// conditions occurred; TCP scheduling is nondeterministic, so these are
+// floors, not counts.
+func soakTest(t *testing.T, opt SoakOptions, dur, short time.Duration) *SoakReport {
+	t.Helper()
+	opt.Duration = dur
+	if testing.Short() {
+		opt.Duration = short
+	}
+	if env := os.Getenv("SOAKTIME"); env != "" {
+		d, err := time.ParseDuration(env)
+		if err != nil {
+			t.Fatalf("SOAKTIME=%q: %v", env, err)
+		}
+		opt.Duration = d
+	}
+	opt.Dir = t.TempDir()
+
+	rep, err := RunSoak(opt)
+	if rep != nil {
+		t.Logf("%v", rep)
+		for _, v := range rep.Violations {
+			t.Errorf("violation: %s", v)
+		}
+	}
+	if err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+
+	if rep.AckedWrites == 0 {
+		t.Fatal("no write was ever acknowledged; the soak served nothing")
+	}
+	if rep.Crashes == 0 {
+		t.Error("no incarnation ever crashed; the fault injector never fired")
+	}
+	sites := 0
+	for _, n := range rep.Sites {
+		sites += n
+	}
+	if sites != rep.Crashes {
+		t.Errorf("kill sites %v sum to %d, but %d crashes were counted", rep.Sites, sites, rep.Crashes)
+	}
+	if !testing.Short() && rep.Sites["wal"] == 0 {
+		// Most mutations are WAL appends and syncs, but a short run under
+		// the race detector may see only two or three kills.
+		t.Errorf("no kill ever landed in the WAL (sites %v)", rep.Sites)
+	}
+	if rep.Applies == 0 {
+		t.Error("the apply tracker saw no identified writes; correlation is broken")
+	}
+	return rep
+}
+
 // TestChaosSoak runs the full-stack chaos soak: engine restarts under
 // injected crashes, overload bursts, one blackout, retrying breaker
 // clients — and requires zero exactly-once or shed-contract violations.
@@ -31,40 +86,7 @@ func TestChaosSoakDelta(t *testing.T) {
 // contracts and that every hostile condition actually occurred.
 func chaosSoakSingle(t *testing.T, seed uint64) {
 	t.Helper()
-	dur := 1500 * time.Millisecond
-	if testing.Short() {
-		dur = 800 * time.Millisecond
-	}
-	if env := os.Getenv("SOAKTIME"); env != "" {
-		d, err := time.ParseDuration(env)
-		if err != nil {
-			t.Fatalf("SOAKTIME=%q: %v", env, err)
-		}
-		dur = d
-	}
-
-	rep, err := RunSoak(SoakOptions{Seed: seed, Duration: dur, Dir: t.TempDir()})
-	if rep != nil {
-		t.Logf("%v", rep)
-		for _, v := range rep.Violations {
-			t.Errorf("violation: %s", v)
-		}
-	}
-	if err != nil {
-		t.Fatalf("soak: %v", err)
-	}
-
-	// The soak is only evidence if the hostile conditions occurred. TCP
-	// scheduling is nondeterministic, so these are floors, not counts.
-	if rep.AckedWrites == 0 {
-		t.Fatal("no write was ever acknowledged; the soak served nothing")
-	}
-	if rep.Crashes == 0 {
-		t.Error("no incarnation ever crashed; the fault injector never fired")
-	}
-	if rep.Applies == 0 {
-		t.Error("the apply tracker saw no identified writes; correlation is broken")
-	}
+	rep := soakTest(t, SoakOptions{Seed: seed}, 1500*time.Millisecond, 800*time.Millisecond)
 	if rep.IDsRecovered == 0 {
 		t.Error("no ids were ever recovered across restarts; dedup persistence untested")
 	}
@@ -102,38 +124,7 @@ func chaosSoakSingle(t *testing.T, seed uint64) {
 // contracts the ledger asserts no write is ever applied on a shard other
 // than the one the routing law names (cross-shard double-apply).
 func TestChaosSoakSharded(t *testing.T) {
-	dur := 1500 * time.Millisecond
-	if testing.Short() {
-		dur = 800 * time.Millisecond
-	}
-	if env := os.Getenv("SOAKTIME"); env != "" {
-		d, err := time.ParseDuration(env)
-		if err != nil {
-			t.Fatalf("SOAKTIME=%q: %v", env, err)
-		}
-		dur = d
-	}
-
-	rep, err := RunSoak(SoakOptions{Seed: 2, Duration: dur, Shards: 2, Dir: t.TempDir()})
-	if rep != nil {
-		t.Logf("%v", rep)
-		for _, v := range rep.Violations {
-			t.Errorf("violation: %s", v)
-		}
-	}
-	if err != nil {
-		t.Fatalf("sharded soak: %v", err)
-	}
-
-	if rep.AckedWrites == 0 {
-		t.Fatal("no write was ever acknowledged; the sharded soak served nothing")
-	}
-	if rep.Crashes == 0 {
-		t.Error("no incarnation ever crashed; the fault injector never fired")
-	}
-	if rep.Applies == 0 {
-		t.Error("the apply tracker saw no identified writes; shard correlation is broken")
-	}
+	rep := soakTest(t, SoakOptions{Seed: 2, Shards: 2}, 1500*time.Millisecond, 800*time.Millisecond)
 	if rep.IDsRecovered == 0 {
 		t.Error("no ids were ever recovered across restarts; per-shard dedup persistence untested")
 	}
@@ -151,38 +142,7 @@ func TestChaosSoakSharded(t *testing.T) {
 // against the width of the generation it landed in — a write applied on
 // the wrong tree of EITHER layout mid-migration is a violation.
 func TestChaosSoakReshard(t *testing.T) {
-	dur := 2 * time.Second
-	if testing.Short() {
-		dur = time.Second
-	}
-	if env := os.Getenv("SOAKTIME"); env != "" {
-		d, err := time.ParseDuration(env)
-		if err != nil {
-			t.Fatalf("SOAKTIME=%q: %v", env, err)
-		}
-		dur = d
-	}
-
-	rep, err := RunSoak(SoakOptions{Seed: 4, Duration: dur, Reshard: true, Dir: t.TempDir()})
-	if rep != nil {
-		t.Logf("%v", rep)
-		for _, v := range rep.Violations {
-			t.Errorf("violation: %s", v)
-		}
-	}
-	if err != nil {
-		t.Fatalf("reshard soak: %v", err)
-	}
-
-	if rep.AckedWrites == 0 {
-		t.Fatal("no write was ever acknowledged; the reshard soak served nothing")
-	}
-	if rep.Crashes == 0 {
-		t.Error("no incarnation ever crashed; the fault injector never fired")
-	}
-	if rep.Applies == 0 {
-		t.Error("the apply tracker saw no identified writes; correlation is broken")
-	}
+	rep := soakTest(t, SoakOptions{Seed: 4, Reshard: true}, 2*time.Second, time.Second)
 	if rep.ReshardsStarted < 2 {
 		t.Errorf("the plan began only %d migration(s); both 2→3 and 3→2 must run", rep.ReshardsStarted)
 	}
@@ -202,43 +162,21 @@ func TestChaosSoakReshard(t *testing.T) {
 // and the reverse) on top of the usual kills, bursts, and the blackout.
 // After the budget the standby drains against a clean fleet, its
 // directories are promoted, and every owned block is re-verified
-// through the promoted replica — acked-write loss on the standby fails
-// the soak exactly like loss on the primary.
+// through the promoted replica under the pins the primary's final sweep
+// set — acked-write loss or divergence on the standby fails the soak
+// exactly like loss on the primary.
 func TestChaosSoakReplicate(t *testing.T) {
-	dur := 1500 * time.Millisecond
-	if testing.Short() {
-		dur = 800 * time.Millisecond
-	}
-	if env := os.Getenv("SOAKTIME"); env != "" {
-		d, err := time.ParseDuration(env)
-		if err != nil {
-			t.Fatalf("SOAKTIME=%q: %v", env, err)
-		}
-		dur = d
-	}
-
-	rep, err := RunSoak(SoakOptions{Seed: 5, Duration: dur, Shards: 2, Replicate: true, Dir: t.TempDir()})
-	if rep != nil {
-		t.Logf("%v", rep)
-		for _, v := range rep.Violations {
-			t.Errorf("violation: %s", v)
-		}
-	}
-	if err != nil {
-		t.Fatalf("replicate soak: %v", err)
-	}
-
-	if rep.AckedWrites == 0 {
-		t.Fatal("no write was ever acknowledged; the replicate soak served nothing")
-	}
-	if rep.Crashes == 0 {
-		t.Error("no incarnation ever crashed; the fault injector never fired")
-	}
+	rep := soakTest(t, SoakOptions{Seed: 5, Shards: 2, Replicate: true}, 1500*time.Millisecond, 800*time.Millisecond)
 	if rep.ReplBoots == 0 {
 		t.Error("the standby never completed a bootstrap; replication never attached")
 	}
 	if rep.ReplicaReads == 0 {
 		t.Fatal("no block was ever verified through the promoted replica")
+	}
+	// The primary's sweep spent every doubt, so the replica's reads each
+	// owned block exactly once, against the pinned value.
+	if want := uint64(soakWorkers * soakWorkerBlocks); rep.ReplicaReads != want {
+		t.Errorf("the promoted replica sweep took %d reads, want one per owned block (%d) under inherited pins", rep.ReplicaReads, want)
 	}
 	if rep.ReplPromoteTerm == 0 {
 		t.Error("the promoted replica took no fencing term")

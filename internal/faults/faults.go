@@ -111,16 +111,21 @@ type Injector struct {
 	cfg         Config
 	crashed     bool
 	crashSite   string
-	full        bool // DiskBudget exhausted
-	spent       int  // payload bytes accepted against DiskBudget
+	dead        chan struct{} // closed when crashed is set
+	full        bool          // DiskBudget exhausted
+	spent       int           // payload bytes accepted against DiskBudget
 	noSpaceSite string
 	stats       Stats
 }
 
 // New builds an Injector for the given schedule config.
 func New(cfg Config) *Injector {
-	return &Injector{rng: rng.New(cfg.Seed ^ 0xfa017a11), cfg: cfg}
+	return &Injector{rng: rng.New(cfg.Seed ^ 0xfa017a11), cfg: cfg, dead: make(chan struct{})}
 }
+
+// Dead is closed the moment the crash point fires, so a harness can wait
+// on the kill instead of polling Crashed.
+func (in *Injector) Dead() <-chan struct{} { return in.dead }
 
 // Crashed reports whether the crash point has fired.
 func (in *Injector) Crashed() bool {
@@ -168,6 +173,7 @@ func (in *Injector) mutation(site string, n int) (tear int, err error) {
 	if in.cfg.CrashAfter > 0 && in.stats.Mutations >= in.cfg.CrashAfter {
 		in.crashed = true
 		in.crashSite = site
+		close(in.dead)
 		return in.tearLocked(n), ErrCrash
 	}
 	if in.cfg.DiskBudget > 0 {

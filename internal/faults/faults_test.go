@@ -43,7 +43,8 @@ func TestScheduleDeterminism(t *testing.T) {
 }
 
 // TestCrashPoint verifies the crash fires exactly at the configured
-// mutation, records its site, and pins every later operation dead.
+// mutation, records its site, closes Dead then and not before, and pins
+// every later operation dead.
 func TestCrashPoint(t *testing.T) {
 	in := New(Config{Seed: 1, CrashAfter: 3})
 	for i := 1; i <= 2; i++ {
@@ -51,15 +52,29 @@ func TestCrashPoint(t *testing.T) {
 			t.Fatalf("mutation %d failed early: %v", i, err)
 		}
 	}
+	select {
+	case <-in.Dead():
+		t.Fatal("Dead closed before the fatal mutation")
+	default:
+	}
 	if _, err := in.mutation("write wal-1.log", 0); !errors.Is(err, ErrCrash) {
 		t.Fatalf("mutation 3: err = %v, want ErrCrash", err)
+	}
+	select {
+	case <-in.Dead():
+	default:
+		t.Fatal("Dead still open after the fatal mutation")
 	}
 	if !in.Crashed() || in.CrashSite() != "write wal-1.log" {
 		t.Fatalf("crashed=%v site=%q", in.Crashed(), in.CrashSite())
 	}
-	// Dead means dead: later ops fail without advancing the count.
-	if _, err := in.mutation("after", 0); !errors.Is(err, ErrCrash) {
-		t.Fatalf("post-crash mutation: err = %v, want ErrCrash", err)
+	// Dead means dead: later ops — each one a further attempt to reach
+	// the crash point, which must not close Dead again — fail without
+	// advancing the count.
+	for i := 0; i < 2; i++ {
+		if _, err := in.mutation("after", 0); !errors.Is(err, ErrCrash) {
+			t.Fatalf("post-crash mutation: err = %v, want ErrCrash", err)
+		}
 	}
 	if got := in.Stats().Mutations; got != 3 {
 		t.Fatalf("mutations counted after death: %d, want 3", got)

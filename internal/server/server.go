@@ -25,8 +25,8 @@
 // same block in one batch) quantifies the coalescing opportunity a
 // position-map lookaside or result cache would exploit.
 //
-// The TCP front end (tcp.go, cmd/aboramd) and the in-process bench
-// (internal/sim.RunServe) both sit on top of this type.
+// The TCP front end (tcp.go, cmd/aboramd) sits on top of this type; the
+// bench/ module measures the stack end to end.
 package server
 
 import (

@@ -41,8 +41,6 @@ func Registry() map[string]Runner {
 		"stash":    RunStashStudy,
 		"sweep":    RunSweep,
 		"verify":   RunVerify,
-		"serve":    RunServe,
-		"shards":   RunShardScale,
 		"snapshot": RunSnapshot,
 		"xor":      RunXOR,
 	}
@@ -52,7 +50,7 @@ func Registry() map[string]Runner {
 // rather than simulated cycles. Wall-clock experiments are machine-
 // dependent, so cmd/abench excludes them from `-exp all` (which promises
 // byte-identical output at any parallelism) and runs them only by name.
-func WallClock(id string) bool { return id == "serve" || id == "shards" || id == "snapshot" }
+func WallClock(id string) bool { return id == "snapshot" }
 
 // ExperimentIDs returns the registry keys in stable order.
 func ExperimentIDs() []string {

@@ -107,7 +107,7 @@ func TestRegistryComplete(t *testing.T) {
 	wanted := []string{
 		"table1", "table2", "table3", "table4",
 		"fig2", "fig3", "fig4", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "storage", "intro", "stash", "sweep", "verify", "serve", "shards", "snapshot", "xor",
+		"fig11", "fig12", "fig13", "fig14", "fig15", "storage", "intro", "stash", "sweep", "verify", "snapshot", "xor",
 	}
 	reg := Registry()
 	if len(reg) != len(wanted) {

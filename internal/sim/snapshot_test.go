@@ -34,3 +34,22 @@ func TestRunSnapshot(t *testing.T) {
 		t.Fatalf("1%%-touched epoch: delta checkpoint %d B not smaller than full %d B", delta.bytes, full.bytes)
 	}
 }
+
+// TestWallClockFilter pins down which experiments are excluded from
+// `-exp all`: exactly the wall-clock ones — snapshot alone — and it must
+// still exist in the registry for by-name runs.
+func TestWallClockFilter(t *testing.T) {
+	reg := Registry()
+	var found []string
+	for _, id := range ExperimentIDs() {
+		if WallClock(id) {
+			found = append(found, id)
+			if reg[id] == nil {
+				t.Errorf("wall-clock experiment %q missing from registry", id)
+			}
+		}
+	}
+	if len(found) != 1 || found[0] != "snapshot" {
+		t.Fatalf("wall-clock experiments %v, want exactly [snapshot]", found)
+	}
+}

@@ -2,20 +2,21 @@
 # The full verification gate (also reachable as `make check`):
 # gofmt over every tracked .go file (bench/ included) +
 # vet + build + tests + the race-detector pass over the concurrent
-# packages (the sim orchestrator's worker pool, the ringoram engine, the
-# serving layer's scheduler/TCP front end and fleet lifecycle, the
-# durability stack with its fault injector, and the daemon's own
-# reshard/promotion/shutdown paths), race-mode crash-recovery and
-# exactly-once smokes, all against the engine's one write protocol
-# (group commit, the delta chain, batch-boundary checkpoints)
-# (the kill-recover oracle,
-# the seed-purity tests that compare two runs of one seed down to the
-# recovered engine's fingerprint,
-# the live-reshard kill-recover oracle in forward and rollback
-# directions, the replication failover oracle with its mid-frame kill
-# sites and fencing check, retry/group-commit schedules, single- and
-# multi-shard chaos soak plus its reshard- and
-# replication-failover-mode variants; internal/check),
+# packages (the sim orchestrator's worker pool — simulated cycles only,
+# the in-process TCP benches are gone — the ringoram engine, the serving
+# layer's scheduler/TCP
+# front end and fleet lifecycle, the durability stack with its fault
+# injector, and the daemon's own reshard/promotion/shutdown paths),
+# race-mode crash-recovery and exactly-once smokes, all against the
+# engine's one write protocol (group commit, the delta chain,
+# batch-boundary checkpoints) and all six kill-recover oracles on the
+# one harness core in internal/check/harness.go (the kill-recover
+# oracle, the seed-purity tests that compare two runs of one seed down
+# to the recovered engine's fingerprint, the live-reshard kill-recover
+# oracle in forward and rollback directions, the replication failover
+# oracle with its mid-frame kill sites and fencing check,
+# retry/group-commit schedules, single- and multi-shard chaos soak plus
+# its reshard- and replication-failover-mode variants),
 # a race-mode pass of the XOR fast-path oracle (the sweep-shaped
 # differential oracle with Config.XORRead on) and of the shard
 # oracle/isolation/leakage audits (including the mid-migration audit),
