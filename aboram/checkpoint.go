@@ -1,145 +1,64 @@
 package aboram
 
 import (
+	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
-
-	"repro/internal/core"
-	"repro/internal/ringoram"
-	"repro/internal/secmem"
 )
 
-// image is the on-disk form of a full instance checkpoint: protocol state,
-// the DeadQ contents (DR/AB schemes), and the encrypted store (when the
-// data plane is active). The AES key is never serialized; Load re-derives
-// the cipher from the Options the caller supplies.
-type image struct {
-	Scheme Scheme
-	Levels int
-	Seed   uint64
+// Save writes a complete checkpoint of the instance: the checkpoint
+// stream (delta.go) of a full image, whose window covers every bucket,
+// position-map entry, store slot, the stash, and the DeadQ. Every record
+// is CRC-framed, and the bytes are a function of the state alone.
+//
+// The image is not safe to store where the ORAM's adversary can read
+// it. The store's ciphertext is encrypted and no key material is written
+// (only a key-check value), but the image also carries the position
+// map, which block sits in which slot, the plaintext payloads of stashed
+// blocks, and the random-generator states that draw every future remap.
+func (o *ORAM) Save(w io.Writer) error { return o.captureFull().Encode(w) }
 
-	Protocol *ringoram.Checkpoint
-	DeadQ    map[int][]ringoram.SlotRef
-	Memory   *secmem.State
-}
-
-// Save writes a complete checkpoint of the instance. The stream contains
-// ciphertext, versions, and protocol metadata but no key material: it is
-// safe to store on the same untrusted medium the ORAM itself protects
-// against, with the same caveats as any at-rest image (it reveals the
-// instant's physical occupancy pattern, which the threat model already
-// grants the attacker).
-func (o *ORAM) Save(w io.Writer) error {
-	img := image{
-		Protocol: o.inner.Checkpoint(),
-	}
-	if o.mem != nil {
-		img.Memory = o.mem.State()
-	}
-	if o.dq != nil {
-		img.DeadQ = o.dq.Snapshot()
-	}
-	return gob.NewEncoder(w).Encode(&img)
-}
-
-// Fingerprint returns a deterministic digest of the complete instance
-// state — everything Save captures. Save's byte stream is NOT canonical
-// (gob writes the stash and DeadQ maps in Go's randomized iteration
-// order), so state equality must be judged on fingerprints, not image
-// bytes: the maps are folded in here in sorted key order. Two instances
-// with equal fingerprints are byte-for-byte restorable to the same
+// Fingerprint returns SHA-256 over Save's bytes. Save is canonical, so
+// two instances with equal fingerprints hold — and restore to — the same
 // state; the isolation checks in internal/check are built on this.
 func (o *ORAM) Fingerprint() ([sha256.Size]byte, error) {
 	var out [sha256.Size]byte
 	h := sha256.New()
-	enc := gob.NewEncoder(h)
-
-	cp := o.inner.Checkpoint()
-	stash := cp.StashData
-	cp.StashData = nil // folded canonically below
-	if err := enc.Encode(cp); err != nil {
-		return out, fmt.Errorf("aboram: fingerprinting protocol state: %w", err)
-	}
-	stashBlocks := make([]int64, 0, len(stash))
-	for blk := range stash {
-		stashBlocks = append(stashBlocks, blk)
-	}
-	sort.Slice(stashBlocks, func(i, j int) bool { return stashBlocks[i] < stashBlocks[j] })
-	for _, blk := range stashBlocks {
-		binary.Write(h, binary.BigEndian, blk)
-		binary.Write(h, binary.BigEndian, uint64(len(stash[blk])))
-		h.Write(stash[blk])
-	}
-
-	if o.mem != nil {
-		if err := enc.Encode(o.mem.State()); err != nil {
-			return out, fmt.Errorf("aboram: fingerprinting data plane: %w", err)
-		}
-	}
-	if o.dq != nil {
-		dq := o.dq.Snapshot()
-		levels := make([]int, 0, len(dq))
-		for lvl := range dq {
-			levels = append(levels, lvl)
-		}
-		sort.Ints(levels)
-		for _, lvl := range levels {
-			binary.Write(h, binary.BigEndian, int64(lvl))
-			if err := enc.Encode(dq[lvl]); err != nil {
-				return out, fmt.Errorf("aboram: fingerprinting DeadQ level %d: %w", lvl, err)
-			}
-		}
+	if err := o.Save(h); err != nil {
+		return out, fmt.Errorf("aboram: fingerprinting: %w", err)
 	}
 	copy(out[:], h.Sum(nil))
 	return out, nil
 }
 
-// Load restores an instance saved with Save. opt must describe the same
-// configuration the instance was created with (scheme, levels, seed), and
-// must carry the same EncryptionKey if the saved instance was encrypted.
+// Load restores an instance saved with Save: a fresh New(opt) with the
+// image applied over it. opt must describe the same configuration the
+// instance was created with (scheme, levels, seed), and must carry the
+// same EncryptionKey if the saved instance was encrypted; a delta stream
+// or an image saved under another key is rejected. Images written by the
+// gob image writer that predates the checkpoint stream still load
+// (gob.go).
 func Load(opt Options, r io.Reader) (*ORAM, error) {
-	var img image
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return nil, fmt.Errorf("aboram: decoding checkpoint: %w", err)
-	}
-	if opt.Scheme == "" {
-		opt.Scheme = SchemeAB
-	}
-	if opt.Levels == 0 {
-		opt.Levels = 16
-	}
-	cfg, dq, err := core.Build(opt.Scheme, core.DefaultOptions(opt.Levels, opt.Seed))
+	o, err := New(opt)
 	if err != nil {
 		return nil, err
 	}
-	cfg.XORRead = opt.XORRead
-	o := &ORAM{dq: dq, xor: opt.XORRead}
-	if img.Memory != nil {
-		if opt.EncryptionKey == nil {
-			return nil, fmt.Errorf("aboram: checkpoint is encrypted; Options.EncryptionKey required")
-		}
-		mem, err := secmem.Restore(opt.EncryptionKey, img.Memory)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Data = mem
-		o.mem = mem
-	} else if opt.EncryptionKey != nil {
-		return nil, fmt.Errorf("aboram: checkpoint has no data plane but a key was supplied")
+	br := bufio.NewReader(r)
+	var s *DeltaSnapshot
+	if isLegacyImage(br) {
+		s, err = decodeLegacyImage(o, br)
+	} else {
+		s, err = decodeDelta(br)
 	}
-	inner, err := ringoram.Restore(cfg, img.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	o.inner = inner
-	if dq != nil && img.DeadQ != nil {
-		if err := dq.Restore(img.DeadQ); err != nil {
-			return nil, err
-		}
+	if !s.hdr.Full {
+		return nil, fmt.Errorf("aboram: checkpoint is a delta, not a full image")
+	}
+	if err := o.apply(s); err != nil {
+		return nil, err
 	}
 	return o, nil
 }

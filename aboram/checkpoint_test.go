@@ -2,6 +2,9 @@ package aboram
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"strings"
 	"testing"
 )
 
@@ -141,10 +144,8 @@ func TestFacadeLoadWrongKeyDetected(t *testing.T) {
 }
 
 // TestFingerprintDeterministic pins the fingerprint contract: repeated
-// calls on an unchanged instance agree (Save's gob bytes do not — maps
-// serialize in randomized order — which is the reason Fingerprint
-// exists), a Save/Load round trip preserves the fingerprint, and any
-// state change moves it.
+// calls on an unchanged instance agree, a Save/Load round trip preserves
+// the fingerprint, and any state change moves it.
 func TestFingerprintDeterministic(t *testing.T) {
 	opt := Options{Scheme: SchemeAB, Levels: 10, Seed: 5, EncryptionKey: key}
 	o, err := New(opt)
@@ -193,5 +194,122 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 	if fp4 == fp1 {
 		t.Fatal("a write left the fingerprint unchanged")
+	}
+}
+
+// TestCheckpointStreamsDeterministic: two instances built from one seed
+// and driven through one op sequence write byte-identical Save images
+// and SaveDelta streams in every scheme — no map iteration order reaches
+// the bytes — and Fingerprint is SHA-256 of the Save image.
+func TestCheckpointStreamsDeterministic(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeBaseline, SchemeIR, SchemeDR, SchemeNS, SchemeAB} {
+		t.Run(string(scheme), func(t *testing.T) {
+			opt := Options{Scheme: scheme, Levels: 9, Seed: 17, EncryptionKey: key}
+			var saves, deltas [2][]byte
+			for i := range saves {
+				o, err := New(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deltaOps(t, o, nil, 5, 300)
+				cut := o.CutEpoch()
+				deltaOps(t, o, nil, 77, 120)
+				var d bytes.Buffer
+				if _, err := o.SaveDelta(&d, cut); err != nil {
+					t.Fatal(err)
+				}
+				var img bytes.Buffer
+				if err := o.Save(&img); err != nil {
+					t.Fatal(err)
+				}
+				fp, err := o.Fingerprint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fp != sha256.Sum256(img.Bytes()) {
+					t.Fatal("Fingerprint is not SHA-256 of the Save image")
+				}
+				saves[i], deltas[i] = img.Bytes(), d.Bytes()
+			}
+			if !bytes.Equal(saves[0], saves[1]) {
+				t.Fatalf("same-seed instances wrote different Save images (%d and %d bytes)", len(saves[0]), len(saves[1]))
+			}
+			if !bytes.Equal(deltas[0], deltas[1]) {
+				t.Fatalf("same-seed instances wrote different SaveDelta streams (%d and %d bytes)", len(deltas[0]), len(deltas[1]))
+			}
+		})
+	}
+}
+
+// TestSaveImageBitFlipsRejected flips one bit in a sample of bytes of a
+// genuine image (every bit of the first frame header, then one bit in
+// every 251st byte): Load must reject every one, never return a
+// different state.
+func TestSaveImageBitFlipsRejected(t *testing.T) {
+	opt := Options{Scheme: SchemeAB, Levels: 8, Seed: 3, EncryptionKey: key}
+	o, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaOps(t, o, nil, 1, 300)
+	var img bytes.Buffer
+	if err := o.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	image := img.Bytes()
+	flip := func(at int, bit byte) {
+		mut := append([]byte(nil), image...)
+		mut[at] ^= bit
+		if _, err := Load(opt, bytes.NewReader(mut)); err == nil {
+			t.Fatalf("image with bit %#x of byte %d flipped loaded", bit, at)
+		}
+	}
+	for at := 0; at < 9; at++ {
+		for bit := 0; bit < 8; bit++ {
+			flip(at, 1<<bit)
+		}
+	}
+	for at := 9; at < len(image); at += 251 {
+		flip(at, 1<<(at%8))
+	}
+}
+
+// TestLoadLegacyImageWithoutProtocol is the regression for a gob image
+// that lacks its protocol section (what a one-bit flip in a genuine image
+// can produce): Load must return an error, not dereference nil.
+func TestLoadLegacyImageWithoutProtocol(t *testing.T) {
+	opt := Options{Scheme: SchemeAB, Levels: 8, Seed: 3, EncryptionKey: key}
+	o, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A genuine store section (right shape, right key check), so only the
+	// missing protocol section is wrong.
+	all := o.mem.CaptureAll()
+	img := legacyImage{Memory: &legacyMemory{
+		BlockB: o.BlockSize(), Store: all.Data, Versions: all.Versions,
+		Written: all.Written, KeyCheck: o.mem.KeyCheck(),
+	}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(opt, &buf)
+	if err == nil || !strings.Contains(err.Error(), "no protocol state") {
+		t.Fatalf("Load of an image without protocol state: %v", err)
+	}
+}
+
+// TestLoadRejectsDelta: Load takes full images only — a delta stream is
+// a window over some base, not a state.
+func TestLoadRejectsDelta(t *testing.T) {
+	opt := Options{Scheme: SchemeAB, Levels: 8, Seed: 3, EncryptionKey: key}
+	o, _ := New(opt)
+	var d bytes.Buffer
+	if _, err := o.SaveDelta(&d, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(opt, &d); err == nil {
+		t.Fatal("delta stream loaded as a full image")
 	}
 }

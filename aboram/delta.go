@@ -3,48 +3,57 @@ package aboram
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/ringoram"
 	"repro/internal/rng"
 	"repro/internal/secmem"
 	"repro/internal/stash"
 )
 
-// Delta checkpoints: SaveDelta writes only the state mutated since an
+// Checkpoint streams: SaveDelta writes only the state mutated since an
 // epoch cut, so a durability layer can checkpoint at O(dirty set)
-// instead of O(tree). The stream is a sequence of CRC-framed records —
-// each frame is `u32 length | u32 CRC-32C | body`, body is one tag byte
-// plus a gob payload — terminated by an explicit end marker, so a torn
-// tail is detected instead of silently truncating state. ApplyDelta
-// decodes and CRC-verifies the whole stream before mutating anything;
-// semantic validation failures mid-apply leave the instance undefined
-// and callers must rebuild from the base image (the durable recovery
-// path does exactly that).
+// instead of O(tree), and Save writes the same stream with a window that
+// covers everything (a full image: every bucket, position, and slot).
+// The stream is a sequence of CRC-framed records — each frame is
+// `u32 length | u32 CRC-32C | body`, body is one tag byte plus a gob
+// payload (gob.go) — terminated by an explicit end marker, so a torn
+// tail or a flipped bit is detected instead of silently changing state. No Go map
+// reaches a payload, so the bytes are a function of the state alone.
+// ApplyDelta decodes and CRC-verifies the whole stream before mutating
+// anything; semantic validation failures mid-apply leave the instance
+// undefined and callers must rebuild from the base image (the durable
+// recovery path does exactly that).
 //
 // Record tags, in stream order:
 //
-//	'H'  header: geometry handshake + the epoch window [Since, Cut]
+//	'H'  header: geometry handshake, Full flag, key check, and the epoch
+//	     window [Since, Cut] (both 0 in a full image)
 //	'B'  bucket batch ([]ringoram.BucketDelta), repeated
 //	'P'  position-map batch (parallel block/path slices), repeated
 //	'M'  encrypted-store slot batch (*secmem.SlotDelta), repeated
-//	'S'  full stash + stash data plane (always present: small, and its
-//	     absence must mean "empty", never "unchanged")
+//	'S'  full stash + stash payloads in stash order (always present:
+//	     small, and its absence must mean "empty", never "unchanged")
 //	'X'  misc scalars: counters, tallies, both random streams
-//	'D'  full DeadQ snapshot (DR/AB schemes only)
+//	'Q'  full DeadQ, level-sorted (DR/AB schemes only)
 //	'E'  end marker — a stream without one is torn
+//
+// Streams written before images became full deltas carry the stash
+// payloads as a map and the DeadQ as a map under tag 'D'; both still
+// decode.
 const (
-	deltaTagHeader = 'H'
-	deltaTagBucket = 'B'
-	deltaTagPos    = 'P'
-	deltaTagMem    = 'M'
-	deltaTagStash  = 'S'
-	deltaTagMisc   = 'X'
-	deltaTagDeadQ  = 'D'
-	deltaTagEnd    = 'E'
+	deltaTagHeader   = 'H'
+	deltaTagBucket   = 'B'
+	deltaTagPos      = 'P'
+	deltaTagMem      = 'M'
+	deltaTagStash    = 'S'
+	deltaTagMisc     = 'X'
+	deltaTagDeadQ    = 'Q'
+	deltaTagDeadQMap = 'D'
+	deltaTagEnd      = 'E'
 )
 
 // maxDeltaBody caps a single record body so a hostile length prefix
@@ -67,6 +76,12 @@ type deltaHeader struct {
 	Cut       uint64
 	Encrypted bool
 	HasDeadQ  bool
+	// Full marks a base image: every bucket, position, and slot, so the
+	// stream reproduces the state over any instance of the configuration.
+	Full bool
+	// KeyCheck is the data plane's key-check value (secmem.KeyCheck);
+	// zero in unencrypted streams and in streams that predate it.
+	KeyCheck [32]byte
 }
 
 type deltaPos struct {
@@ -75,7 +90,9 @@ type deltaPos struct {
 }
 
 type deltaStash struct {
-	Stash     []stash.Entry
+	Stash    []stash.Entry
+	Payloads [][]byte // parallel to Stash
+	// StashData is the pre-canonical payload form, decoded only.
 	StashData map[int64][]byte
 }
 
@@ -100,18 +117,17 @@ func (o *ORAM) CutEpoch() uint64 {
 	return o.inner.Cut()
 }
 
-// DeltaSnapshot is a captured-but-not-yet-encoded delta checkpoint:
-// self-owned copies of everything mutated in one epoch window, safe to
+// DeltaSnapshot is a captured-but-not-yet-encoded checkpoint (a delta
+// or a full image): self-owned copies of everything it covers, safe to
 // Encode from another goroutine while the instance keeps serving. The
 // split is what makes checkpoints non-blocking — the serving pause
-// holds only the O(dirty set) memory capture; the gob encode (the
-// expensive half) runs at publish time.
+// holds only the memory capture; the encode (the expensive half) runs
+// at publish time.
 type DeltaSnapshot struct {
-	hdr    deltaHeader
-	d      *ringoram.Delta
-	mem    *secmem.SlotDelta
-	blockB int
-	deadq  map[int][]ringoram.SlotRef
+	hdr   deltaHeader
+	d     *ringoram.Delta
+	mem   *secmem.SlotDelta // nil: no slot records
+	deadq []core.QueuedLevel
 }
 
 // CaptureDelta closes the current epoch and captures everything mutated
@@ -119,14 +135,42 @@ type DeltaSnapshot struct {
 // it with the cut: pass the cut as `since` to the next capture to chain
 // deltas gap-free. since=0 captures all mutations since construction or
 // the last Load/ApplyDelta rebuild — which is why a durability layer
-// re-bases with a full Save after recovery instead of persisting epoch
+// re-bases with CaptureBase after recovery instead of persisting epoch
 // clocks.
 func (o *ORAM) CaptureDelta(since uint64) (*DeltaSnapshot, uint64, error) {
 	cut := o.CutEpoch()
 	if since > cut {
 		return nil, 0, fmt.Errorf("aboram: delta since epoch %d is in the future (cut %d)", since, cut)
 	}
-	d := o.inner.CaptureDelta(since)
+	s := o.capture(o.inner.CaptureDelta(since))
+	s.hdr.Since, s.hdr.Cut = since, cut
+	if o.mem != nil {
+		s.mem = o.mem.CaptureDirty(since)
+	}
+	return s, cut, nil
+}
+
+// CaptureBase closes the current epoch like CaptureDelta and captures a
+// full image: every bucket, position-map entry, and store slot,
+// independent of the mutation stamps, so a missed stamp can damage
+// deltas only up to the next base. Encoded, it is exactly Save's bytes.
+func (o *ORAM) CaptureBase() (*DeltaSnapshot, uint64, error) {
+	cut := o.CutEpoch()
+	return o.captureFull(), cut, nil
+}
+
+func (o *ORAM) captureFull() *DeltaSnapshot {
+	s := o.capture(o.inner.CaptureFull())
+	s.hdr.Full = true
+	if o.mem != nil {
+		s.mem = o.mem.CaptureAll()
+	}
+	return s
+}
+
+// capture wraps a protocol capture with the sections every snapshot
+// carries in full.
+func (o *ORAM) capture(d *ringoram.Delta) *DeltaSnapshot {
 	// The protocol capture aliases the live random streams (they are the
 	// only part it does not copy); the snapshot must own them so a
 	// background Encode cannot race the next access.
@@ -135,21 +179,18 @@ func (o *ORAM) CaptureDelta(since uint64) (*DeltaSnapshot, uint64, error) {
 	s := &DeltaSnapshot{
 		hdr: deltaHeader{
 			Levels:    d.Levels,
-			Since:     since,
-			Cut:       cut,
 			Encrypted: o.mem != nil,
 			HasDeadQ:  o.dq != nil,
 		},
 		d: d,
 	}
 	if o.mem != nil {
-		s.mem = o.mem.CaptureDirty(since)
-		s.blockB = o.mem.BlockBytes()
+		s.hdr.KeyCheck = o.mem.KeyCheck()
 	}
 	if o.dq != nil {
 		s.deadq = o.dq.Snapshot()
 	}
-	return s, cut, nil
+	return s
 }
 
 // Encode writes the snapshot as a SaveDelta stream.
@@ -171,21 +212,22 @@ func (s *DeltaSnapshot) Encode(w io.Writer) error {
 			return err
 		}
 	}
-	if s.mem != nil {
-		for i := 0; i < len(s.mem.Idx); i += deltaSlotBatch {
-			end := min(i+deltaSlotBatch, len(s.mem.Idx))
+	if m := s.mem; m != nil && len(m.Idx) > 0 {
+		blockB := len(m.Data) / len(m.Idx)
+		for i := 0; i < len(m.Idx); i += deltaSlotBatch {
+			end := min(i+deltaSlotBatch, len(m.Idx))
 			chunk := secmem.SlotDelta{
-				Idx:      s.mem.Idx[i:end],
-				Versions: s.mem.Versions[i:end],
-				Written:  s.mem.Written[i:end],
-				Data:     s.mem.Data[i*s.blockB : end*s.blockB],
+				Idx:      m.Idx[i:end],
+				Versions: m.Versions[i:end],
+				Written:  m.Written[i:end],
+				Data:     m.Data[i*blockB : end*blockB],
 			}
 			if err := writeDeltaFrame(w, deltaTagMem, &chunk); err != nil {
 				return err
 			}
 		}
 	}
-	st := deltaStash{Stash: d.Stash, StashData: d.StashData}
+	st := deltaStash{Stash: d.Stash, Payloads: d.StashData}
 	if err := writeDeltaFrame(w, deltaTagStash, &st); err != nil {
 		return err
 	}
@@ -220,129 +262,146 @@ func (o *ORAM) SaveDelta(w io.Writer, since uint64) (uint64, error) {
 	return cut, s.Encode(w)
 }
 
-// ApplyDelta replays a SaveDelta stream over the current state. The
-// whole stream is decoded and CRC-verified first — a torn or corrupt
-// stream is rejected with no state change. Semantic validation during
-// the apply stage (out-of-range indices and the like) can still fail
-// after partial mutation; on any error the caller must discard the
-// instance and rebuild from its base image.
+// ApplyDelta replays a SaveDelta stream (or a Save image) over the
+// current state. The whole stream is decoded and CRC-verified first — a
+// torn or corrupt stream is rejected with no state change. Semantic
+// validation during the apply stage (out-of-range indices and the like)
+// can still fail after partial mutation; on any error the caller must
+// discard the instance and rebuild from its base image.
 func (o *ORAM) ApplyDelta(r io.Reader) error {
+	s, err := decodeDelta(r)
+	if err != nil {
+		return err
+	}
+	return o.apply(s)
+}
+
+// decodeDelta reads and CRC-verifies a whole stream into a snapshot.
+func decodeDelta(r io.Reader) (*DeltaSnapshot, error) {
+	s := &DeltaSnapshot{d: &ringoram.Delta{}}
 	var (
-		hdr     *deltaHeader
-		buckets []ringoram.BucketDelta
-		posB    []int64
-		posP    []int64
-		mem     []*secmem.SlotDelta
-		st      *deltaStash
-		misc    *deltaMisc
-		deadq   map[int][]ringoram.SlotRef
-		haveDQ  bool
-		done    bool
+		st              *deltaStash
+		misc            *deltaMisc
+		haveHdr, haveDQ bool
 	)
-	for !done {
+	for done := false; !done; {
 		tag, body, err := readDeltaFrame(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dec := gob.NewDecoder(bytes.NewReader(body))
-		if hdr == nil && tag != deltaTagHeader {
-			return fmt.Errorf("aboram: delta stream starts with record %q, want header", tag)
+		if !haveHdr && tag != deltaTagHeader {
+			return nil, fmt.Errorf("aboram: delta stream starts with record %q, want header", tag)
 		}
 		switch tag {
 		case deltaTagHeader:
-			if hdr != nil {
-				return fmt.Errorf("aboram: duplicate delta header")
+			if haveHdr {
+				return nil, fmt.Errorf("aboram: duplicate delta header")
 			}
-			var h deltaHeader
-			if err := dec.Decode(&h); err != nil {
-				return fmt.Errorf("aboram: decoding delta header: %w", err)
+			if err := decodePayload(body, &s.hdr); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta header: %w", err)
 			}
-			if h.Levels != o.inner.Config().Levels {
-				return fmt.Errorf("aboram: delta for a %d-level tree, instance has %d", h.Levels, o.inner.Config().Levels)
-			}
-			if h.Encrypted != (o.mem != nil) {
-				return fmt.Errorf("aboram: delta data-plane mismatch (delta encrypted=%v)", h.Encrypted)
-			}
-			if h.HasDeadQ != (o.dq != nil) {
-				return fmt.Errorf("aboram: delta DeadQ mismatch (delta hasDeadQ=%v)", h.HasDeadQ)
-			}
-			hdr = &h
+			haveHdr = true
 		case deltaTagBucket:
 			var chunk []ringoram.BucketDelta
-			if err := dec.Decode(&chunk); err != nil {
-				return fmt.Errorf("aboram: decoding delta buckets: %w", err)
+			if err := decodePayload(body, &chunk); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta buckets: %w", err)
 			}
-			buckets = append(buckets, chunk...)
+			s.d.Buckets = append(s.d.Buckets, chunk...)
 		case deltaTagPos:
 			var p deltaPos
-			if err := dec.Decode(&p); err != nil {
-				return fmt.Errorf("aboram: decoding delta positions: %w", err)
+			if err := decodePayload(body, &p); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta positions: %w", err)
 			}
-			posB = append(posB, p.Blocks...)
-			posP = append(posP, p.Paths...)
+			s.d.PosBlocks = append(s.d.PosBlocks, p.Blocks...)
+			s.d.PosPaths = append(s.d.PosPaths, p.Paths...)
 		case deltaTagMem:
 			var chunk secmem.SlotDelta
-			if err := dec.Decode(&chunk); err != nil {
-				return fmt.Errorf("aboram: decoding delta store slots: %w", err)
+			if err := decodePayload(body, &chunk); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta store slots: %w", err)
 			}
-			mem = append(mem, &chunk)
+			if s.mem == nil {
+				s.mem = &secmem.SlotDelta{}
+			}
+			s.mem.Idx = append(s.mem.Idx, chunk.Idx...)
+			s.mem.Versions = append(s.mem.Versions, chunk.Versions...)
+			s.mem.Written = append(s.mem.Written, chunk.Written...)
+			s.mem.Data = append(s.mem.Data, chunk.Data...)
 		case deltaTagStash:
-			var s deltaStash
-			if err := dec.Decode(&s); err != nil {
-				return fmt.Errorf("aboram: decoding delta stash: %w", err)
+			st = &deltaStash{}
+			if err := decodePayload(body, st); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta stash: %w", err)
 			}
-			st = &s
 		case deltaTagMisc:
-			var m deltaMisc
-			if err := dec.Decode(&m); err != nil {
-				return fmt.Errorf("aboram: decoding delta counters: %w", err)
+			misc = &deltaMisc{}
+			if err := decodePayload(body, misc); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta counters: %w", err)
 			}
-			misc = &m
 		case deltaTagDeadQ:
-			var dq map[int][]ringoram.SlotRef
-			if err := dec.Decode(&dq); err != nil {
-				return fmt.Errorf("aboram: decoding delta DeadQ: %w", err)
+			if err := decodePayload(body, &s.deadq); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta DeadQ: %w", err)
 			}
-			deadq, haveDQ = dq, true
+			haveDQ = true
+		case deltaTagDeadQMap:
+			var dq map[int][]ringoram.SlotRef
+			if err := decodePayload(body, &dq); err != nil {
+				return nil, fmt.Errorf("aboram: decoding delta DeadQ: %w", err)
+			}
+			s.deadq, haveDQ = legacyDeadQ(dq), true
 		case deltaTagEnd:
 			done = true
 		default:
-			return fmt.Errorf("aboram: unknown delta record %q", tag)
+			return nil, fmt.Errorf("aboram: unknown delta record %q", tag)
 		}
 	}
 	if st == nil || misc == nil {
-		return fmt.Errorf("aboram: delta stream missing required sections")
+		return nil, fmt.Errorf("aboram: delta stream missing required sections")
 	}
-	if o.dq != nil && !haveDQ {
-		return fmt.Errorf("aboram: delta stream missing DeadQ section")
+	if s.hdr.HasDeadQ && !haveDQ {
+		return nil, fmt.Errorf("aboram: delta stream missing DeadQ section")
 	}
+	d := s.d
+	d.Levels = s.hdr.Levels
+	d.EvictGen, d.Stats = misc.EvictGen, misc.Stats
+	d.ReshufPerLevel, d.DeadPerLevel = misc.ReshufPerLevel, misc.DeadPerLevel
+	d.Rng, d.PosRng = misc.Rng, misc.PosRng
+	d.Stash, d.StashData = st.Stash, st.Payloads
+	if st.StashData != nil {
+		d.StashData = legacyStashPayloads(st.Stash, st.StashData)
+	}
+	return s, nil
+}
 
-	d := &ringoram.Delta{
-		Levels:         hdr.Levels,
-		Buckets:        buckets,
-		PosBlocks:      posB,
-		PosPaths:       posP,
-		EvictGen:       misc.EvictGen,
-		Stats:          misc.Stats,
-		ReshufPerLevel: misc.ReshufPerLevel,
-		DeadPerLevel:   misc.DeadPerLevel,
-		Rng:            misc.Rng,
-		PosRng:         misc.PosRng,
-		Stash:          st.Stash,
-		StashData:      st.StashData,
+// apply installs a decoded snapshot: the one path by which checkpoint
+// state — base, delta, or legacy image — enters an instance.
+func (o *ORAM) apply(s *DeltaSnapshot) error {
+	h := &s.hdr
+	if h.Levels != o.inner.Config().Levels {
+		return fmt.Errorf("aboram: delta for a %d-level tree, instance has %d", h.Levels, o.inner.Config().Levels)
 	}
-	if err := o.inner.ApplyDelta(d); err != nil {
+	if h.Encrypted != (o.mem != nil) || (s.mem != nil && o.mem == nil) {
+		return fmt.Errorf("aboram: delta data-plane mismatch (delta encrypted=%v)", h.Encrypted)
+	}
+	if h.HasDeadQ != (o.dq != nil) {
+		return fmt.Errorf("aboram: delta DeadQ mismatch (delta hasDeadQ=%v)", h.HasDeadQ)
+	}
+	if o.mem != nil && h.KeyCheck != ([32]byte{}) && h.KeyCheck != o.mem.KeyCheck() {
+		return fmt.Errorf("aboram: checkpoint was written under a different encryption key")
+	}
+	if h.Full && (int64(len(s.d.Buckets)) != o.inner.Geometry().NumBuckets() ||
+		int64(len(s.d.PosBlocks)) != o.NumBlocks() ||
+		(o.mem != nil && (s.mem == nil || int64(len(s.mem.Idx)) != o.mem.NumBlocks()))) {
+		return fmt.Errorf("aboram: full image does not cover the whole state")
+	}
+	if err := o.inner.ApplyDelta(s.d); err != nil {
 		return err
 	}
-	for _, chunk := range mem {
-		if err := o.mem.ApplySlots(chunk); err != nil {
+	if s.mem != nil {
+		if err := o.mem.ApplySlots(s.mem); err != nil {
 			return err
 		}
 	}
 	if o.dq != nil {
-		if err := o.dq.Restore(deadq); err != nil {
-			return err
-		}
+		return o.dq.Restore(s.deadq)
 	}
 	return nil
 }
@@ -351,7 +410,7 @@ func writeDeltaFrame(w io.Writer, tag byte, payload any) error {
 	var body bytes.Buffer
 	body.WriteByte(tag)
 	if payload != nil {
-		if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+		if err := encodePayload(&body, payload); err != nil {
 			return fmt.Errorf("aboram: encoding delta record %q: %w", tag, err)
 		}
 	}

@@ -16,12 +16,16 @@ func fuzzPayload(blockB int, blk int64, fill byte) []byte {
 	return d
 }
 
-// FuzzCheckpointRoundTrip interprets the input as an op program (3 bytes
-// per op: kind, block-high, block-low) over an encrypted instance of a
-// fuzz-selected scheme, interleaving Save/Load round trips with reads,
-// writes, and accesses. Every read — before and after restores — must
-// return exactly what a plain map remembers, and the final restored
-// instance must pass a full integrity check.
+// FuzzCheckpointRoundTrip exercises Save/Load three ways. First, the raw
+// input bytes are fed straight to Load — hostile frames, truncations, and
+// gob garbage must surface as errors, never panics. Second, the input is
+// an op program (3 bytes per op: kind, block-high, block-low) over an
+// encrypted instance of a fuzz-selected scheme, interleaving Save/Load
+// round trips with reads, writes, and accesses. Every read — before and
+// after restores — must return exactly what a plain map remembers, and
+// the final restored instance must pass a full integrity check. Third,
+// the input picks one bit of the final instance's Save image to flip,
+// which Load must reject.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{2, 0, 0, 5, 3, 0, 0, 1, 0, 5})
@@ -30,15 +34,16 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		if len(data) > 192 {
-			data = data[:192]
-		}
 		schemes := []Scheme{SchemeBaseline, SchemeIR, SchemeDR, SchemeNS, SchemeAB}
 		opt := Options{
 			Scheme:        schemes[int(data[0])%len(schemes)],
 			Levels:        8,
 			Seed:          9,
 			EncryptionKey: key,
+		}
+		_, _ = Load(opt, bytes.NewReader(data)) // must not panic
+		if len(data) > 192 {
+			data = data[:192]
 		}
 		o, err := New(opt)
 		if err != nil {
@@ -108,6 +113,20 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		}
 		if err := o.CheckIntegrity(); err != nil {
 			t.Fatal(err)
+		}
+
+		var img bytes.Buffer
+		if err := o.Save(&img); err != nil {
+			t.Fatal(err)
+		}
+		image := img.Bytes()
+		at := 0
+		for _, b := range data {
+			at = (at*257 + int(b)) % len(image)
+		}
+		image[at] ^= 1 << (data[len(data)-1] % 8)
+		if _, err := Load(opt, bytes.NewReader(image)); err == nil {
+			t.Fatalf("single-bit corruption at byte %d of the image went undetected", at)
 		}
 	})
 }

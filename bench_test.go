@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/recpos"
 	"repro/internal/ringoram"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -232,49 +231,6 @@ func BenchmarkAblationExtensionStrategy(b *testing.B) {
 				space = float64(o.SpaceBytes())
 			}
 			b.ReportMetric(space, "space-bytes")
-		})
-	}
-}
-
-// BenchmarkAblationRecursivePosMap quantifies the traffic hidden by the
-// paper's on-chip position-map assumption (Table III): the extra memory
-// operations a Freecursive-style recursion would add per online access, at
-// several PLB sizes.
-func BenchmarkAblationRecursivePosMap(b *testing.B) {
-	mkLevel := func(level int, blocks int64) (*ringoram.ORAM, error) {
-		for levels := 4; levels < 20; levels++ {
-			cfg := ringoram.TypicalRing(levels, 0, uint64(level)*31+5)
-			if cfg.NumBlocks >= blocks {
-				cfg.NumBlocks = blocks
-				return ringoram.New(cfg)
-			}
-		}
-		return nil, nil
-	}
-	for _, plb := range []int{0, 256, 4096} {
-		b.Run("plb-"+sizeName(plb), func(b *testing.B) {
-			var extraOps float64
-			for i := 0; i < b.N; i++ {
-				m, err := recpos.New(recpos.Config{OnChipEntries: 256, MaxDepth: 8, PLBEntries: plb}, 1<<16, mkLevel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bench, _ := trace.Find("x264")
-				gen, _ := trace.NewGenerator(bench, 5)
-				total := 0
-				const lookups = 4000
-				for j := 0; j < lookups; j++ {
-					ops, err := m.Lookup(int64(gen.Next().Block() % (1 << 16)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, op := range ops {
-						total += op.Blocks()
-					}
-				}
-				extraOps = float64(total) / lookups
-			}
-			b.ReportMetric(extraOps, "extra-blocks/lookup")
 		})
 	}
 }

@@ -1,8 +1,9 @@
 // Checkpoint: suspend an encrypted oblivious store to a file and resume
 // it — e.g. across process restarts of a secure service. The saved image
-// holds ciphertext and protocol metadata only (never the key), a wrong
-// key is rejected at load, and the resumed instance continues with
-// bit-identical protocol behaviour.
+// never holds the key (only a key-check value, so a wrong key is
+// rejected at load), but it does hold the protocol state and the stash's
+// plaintext, so it needs the protection the running process has. The
+// resumed instance continues with bit-identical protocol behaviour.
 //
 //	go run ./examples/checkpoint
 package main

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/core"
@@ -69,18 +68,18 @@ func (t *ringTarget) Write(block int64, data []byte) error {
 
 func (t *ringTarget) CheckIntegrity() error { return t.o.CheckInvariants() }
 
-// Checkpoint round-trips the engine through Save/Load and continues on the
-// restored copy. The same cfg — and therefore the same live secmem data
-// plane and allocator instances — backs the restored engine: their state
-// at the save point is exactly what the checkpoint references, since no
-// operations run between Save and Load.
+// Checkpoint round-trips the engine through a full capture applied to a
+// fresh instance (the one restore path) and continues on the restored
+// copy. The same cfg — and therefore the same live secmem data plane and
+// allocator instances — backs the restored engine: their state at the
+// capture is exactly what the checkpoint references, since no
+// operations run between capture and apply.
 func (t *ringTarget) Checkpoint() error {
-	var buf bytes.Buffer
-	if err := t.o.Save(&buf); err != nil {
+	o, err := ringoram.New(t.cfg)
+	if err != nil {
 		return err
 	}
-	o, err := ringoram.Load(t.cfg, &buf)
-	if err != nil {
+	if err := o.ApplyDelta(t.o.CaptureFull()); err != nil {
 		return err
 	}
 	t.o = o

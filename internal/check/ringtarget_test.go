@@ -29,7 +29,7 @@ func TestRingOracleSweepConfigs(t *testing.T) {
 	}
 }
 
-// TestRingTargetCheckpointRoundTrip pins the Save/Load path: content
+// TestRingTargetCheckpointRoundTrip pins the capture-and-apply path: content
 // written before a checkpoint must read back identically on the restored
 // engine, including on the allocator-backed shape whose checkpoint carries
 // live remote-slot references.

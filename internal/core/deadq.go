@@ -190,10 +190,16 @@ func (q *DeadQ) CacheKey() string {
 // TrackedLevels returns the number of levels with a queue.
 func (q *DeadQ) TrackedLevels() int { return q.maxLevel - q.minLevel + 1 }
 
-// Snapshot returns the queued references per level, oldest first, for
-// checkpointing alongside a ringoram.Checkpoint.
-func (q *DeadQ) Snapshot() map[int][]ringoram.SlotRef {
-	out := make(map[int][]ringoram.SlotRef, len(q.queues))
+// QueuedLevel is one level's queued references, oldest first.
+type QueuedLevel struct {
+	Level int
+	Refs  []ringoram.SlotRef
+}
+
+// Snapshot returns the non-empty queues in ascending level order, for
+// checkpointing alongside a ringoram.Delta.
+func (q *DeadQ) Snapshot() []QueuedLevel {
+	var out []QueuedLevel
 	for i := range q.queues {
 		f := &q.queues[i]
 		if f.size == 0 {
@@ -203,7 +209,7 @@ func (q *DeadQ) Snapshot() map[int][]ringoram.SlotRef {
 		for j := 0; j < f.size; j++ {
 			refs = append(refs, f.buf[(f.head+j)%len(f.buf)])
 		}
-		out[q.minLevel+i] = refs
+		out = append(out, QueuedLevel{Level: q.minLevel + i, Refs: refs})
 	}
 	return out
 }
@@ -211,16 +217,19 @@ func (q *DeadQ) Snapshot() map[int][]ringoram.SlotRef {
 // Restore refills the queues from a Snapshot. Existing contents are
 // discarded; entries beyond a level's capacity are dropped (they would
 // have been rejected at Offer time too).
-func (q *DeadQ) Restore(snap map[int][]ringoram.SlotRef) error {
-	for level := range snap {
-		if level < q.minLevel || level > q.maxLevel {
-			return fmt.Errorf("core: snapshot level %d outside [%d, %d]", level, q.minLevel, q.maxLevel)
+func (q *DeadQ) Restore(snap []QueuedLevel) error {
+	for _, ql := range snap {
+		if ql.Level < q.minLevel || ql.Level > q.maxLevel {
+			return fmt.Errorf("core: snapshot level %d outside [%d, %d]", ql.Level, q.minLevel, q.maxLevel)
 		}
 	}
 	for i := range q.queues {
 		q.queues[i].head, q.queues[i].size = 0, 0
-		for _, ref := range snap[q.minLevel+i] {
-			if !q.queues[i].push(ref) {
+	}
+	for _, ql := range snap {
+		f := &q.queues[ql.Level-q.minLevel]
+		for _, ref := range ql.Refs {
+			if !f.push(ref) {
 				break
 			}
 		}

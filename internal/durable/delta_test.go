@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -190,60 +193,17 @@ func TestCrossModeDirectories(t *testing.T) {
 	}
 }
 
-// TestLegacyHeaderlessSnapshotLoads pins backward compatibility with the
-// oldest checkpoint format: a raw aboram.Save image with neither the
-// ABSNAP01 id header nor delta framing, dropped into the directory under
-// a snapshot name, must recover.
-func TestLegacyHeaderlessSnapshotLoads(t *testing.T) {
+// copyFixture copies a committed testdata directory into a fresh temp
+// directory (Open publishes a fresh base, so it must work on a copy).
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	opt := deltaOptions(dir)
-	o, err := aboram.New(opt.ORAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := payload(o.BlockSize(), 0x5a)
-	if err := o.Write(3, want); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := o.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(1)), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e, err := Open(opt)
-	if err != nil {
-		t.Fatalf("Open over legacy snapshot: %v", err)
-	}
-	defer e.Close()
-	if e.Recovery().BaseEpoch != 1 {
-		t.Fatalf("recovery = %+v, want the legacy snapshot as base", e.Recovery())
-	}
-	got, err := e.Read(3)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("legacy content lost (err %v)", err)
-	}
-}
-
-// legacyFullFingerprint is the Fingerprint() of the engine the
-// testdata/legacy-full directory recovers to, recorded by the writer
-// that produced it (the removed full-image rotation path).
-const legacyFullFingerprint = "e7b128cc61b1dd202336c5200547dd1f10a779db6e4a14837fea80ffea54f732"
-
-// TestLegacyFullDirectoryRecovers opens a directory written by the
-// removed full-image writer (testOptions, SnapshotEvery 4, ten writes to
-// blocks 0..9, Close): one snapshot at epoch 3 plus a two-record WAL.
-// It must recover to the very state that writer's own recovery reached.
-func TestLegacyFullDirectoryRecovers(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join("testdata", "legacy-full")
+	src := filepath.Join("testdata", name)
 	names, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range names { // Open publishes a fresh base: work on a copy
+	for _, n := range names {
 		data, err := os.ReadFile(filepath.Join(src, n.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -252,8 +212,116 @@ func TestLegacyFullDirectoryRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
 
+// TestLegacyHeaderlessSnapshotLoads pins backward compatibility with the
+// oldest checkpoint format: a raw gob image from the removed image
+// writer, with neither the id header nor delta framing, dropped into the
+// directory under a snapshot name, must recover. The image is the
+// legacy-full fixture's snapshot with its ABSNAP02 header stripped: it
+// holds the fixture writer's first eight writes (blocks 0..7).
+func TestLegacyHeaderlessSnapshotLoads(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-full", snapName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(bytes.NewReader(raw))
+	if _, _, err := readSnapMeta(br); err != nil {
+		t.Fatal(err)
+	}
+	image, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := Open(deltaOptions(dir))
+	if err != nil {
+		t.Fatalf("Open over legacy snapshot: %v", err)
+	}
+	defer e.Close()
+	if e.Recovery().BaseEpoch != 1 {
+		t.Fatalf("recovery = %+v, want the legacy snapshot as base", e.Recovery())
+	}
+	for i := 0; i < 8; i++ {
+		got, err := e.Read(int64(i))
+		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
+			t.Fatalf("legacy content of block %d lost (err %v)", i, err)
+		}
+	}
+}
+
+// TestLegacyImageWithoutProtocolFallsBack: a gob snapshot that decodes
+// but lacks its protocol section (one flipped bit in a genuine image can
+// do it) is an unreadable snapshot like any other — Open falls back an
+// epoch instead of dereferencing nil.
+func TestLegacyImageWithoutProtocolFallsBack(t *testing.T) {
+	dir := copyFixture(t, "legacy-full")
+	// The fixture's own image minus its protocol section: the store (and
+	// its key check) stays genuine, so only the missing section is wrong.
+	f, err := os.Open(filepath.Join(dir, snapName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if _, _, err := readSnapMeta(br); err != nil {
+		t.Fatal(err)
+	}
+	var hollow struct {
+		Memory *struct {
+			BlockB   int
+			Store    []byte
+			Versions []uint64
+			Written  []bool
+			KeyCheck [32]byte
+		}
+	}
+	if err := gob.NewDecoder(br).Decode(&hollow); err != nil || hollow.Memory == nil {
+		t.Fatalf("decoding the fixture image: %v", err)
+	}
+	var image bytes.Buffer
+	if err := gob.NewEncoder(&image).Encode(&hollow); err != nil {
+		t.Fatal(err)
+	}
+	blob := append(appendMeta(nil, snapMagic, 0, nil), image.Bytes()...)
+	if err := os.WriteFile(filepath.Join(dir, snapName(4)), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	e, err := Open(testOptions(dir))
+	if err != nil {
+		t.Fatalf("Open with a hollow newest snapshot: %v", err)
+	}
+	defer e.Close()
+	if rec := e.Recovery(); rec.SnapshotsSkipped != 1 || rec.BaseEpoch != 3 {
+		t.Fatalf("recovery = %+v, want the hollow snapshot skipped and base epoch 3", rec)
+	}
+	for i := 0; i < 10; i++ {
+		got, err := e.Read(int64(i))
+		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
+			t.Fatalf("block %d wrong after falling back (err %v)", i, err)
+		}
+	}
+}
+
+// legacyFullFingerprint is the Fingerprint() (SHA-256 of aboram.Save)
+// of the engine the testdata/legacy-full directory recovers to.
+// TestLegacyFullDirectoryRecovers also derives it from scratch by
+// replaying the fixture writer's ops on a fresh engine.
+const legacyFullFingerprint = "5f2505361e8b6d9a90586131cab9376d85aa84632dc434612c73aea714f1ee55"
+
+// TestLegacyFullDirectoryRecovers opens a directory written by the
+// removed full-image writer (testOptions, SnapshotEvery 4, ten writes to
+// blocks 0..9, Close): one gob snapshot at epoch 3 plus a two-record
+// WAL. It must recover to the very state that writer's ops reach: the
+// state a fresh engine reaches replaying the same ops and reopening.
+func TestLegacyFullDirectoryRecovers(t *testing.T) {
+	opt := testOptions(copyFixture(t, "legacy-full"))
+	e, err := Open(opt)
 	if err != nil {
 		t.Fatalf("Open over the legacy full-image directory: %v", err)
 	}
@@ -268,10 +336,79 @@ func TestLegacyFullDirectoryRecovers(t *testing.T) {
 	if got := fmt.Sprintf("%x", fp); got != legacyFullFingerprint {
 		t.Fatalf("recovered fingerprint %s, want %s", got, legacyFullFingerprint)
 	}
+
+	replay := testOptions(t.TempDir())
+	replay.SnapshotEvery = 4
+	w, err := Open(replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := commit(w, 0, int64(i), payload(w.BlockSize(), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	r, err := Open(replay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if rfp, err := r.Fingerprint(); err != nil || rfp != fp {
+		t.Fatalf("fresh replay of the writer's ops fingerprints %x (err %v), legacy recovery %x", rfp, err, fp)
+	}
+
 	for i := 0; i < 10; i++ {
 		got, err := e.Read(int64(i))
 		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
 			t.Fatalf("block %d wrong after legacy recovery (err %v)", i, err)
+		}
+	}
+}
+
+// TestLegacyChainDirectoryRecovers opens a chain directory written before
+// bases became full checkpoint streams (testOptions, SnapshotEvery 4,
+// BaseEvery 4; writes of payload 0x40+i to blocks 0..13, each followed
+// by three accesses among those blocks; Close): a gob base at epoch 1,
+// deltas 2..4 in the pre-canonical form (the stash payloads and the
+// DeadQ as maps; deltas 2 and 3 hold written blocks in the stash, all
+// three a non-empty DeadQ), and a two-record WAL. It must recover to the
+// state the writer's own recovery reached, which that recovery saved as
+// testdata/legacy-chain-recovered.gob.
+func TestLegacyChainDirectoryRecovers(t *testing.T) {
+	opt := testOptions(copyFixture(t, "legacy-chain"))
+	e, err := Open(opt)
+	if err != nil {
+		t.Fatalf("Open over the legacy chain directory: %v", err)
+	}
+	defer e.Close()
+	if rec := e.Recovery(); rec.BaseEpoch != 1 || rec.DeltasApplied != 3 || rec.RecordsReplayed != 2 || rec.IDsRecovered != 14 {
+		t.Fatalf("recovery = %+v, want base epoch 1, 3 deltas, 2 replayed records, 14 ids", rec)
+	}
+	fp, err := e.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join("testdata", "legacy-chain-recovered.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := aboram.Load(opt.ORAM, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wfp, err := want.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != wfp {
+		t.Fatalf("recovered fingerprint %x, the writer's recovery %x", fp, wfp)
+	}
+	for i := 0; i < 14; i++ {
+		got, err := e.Read(int64(i))
+		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(0x40+i))) {
+			t.Fatalf("block %d wrong after legacy chain recovery (err %v)", i, err)
 		}
 	}
 }

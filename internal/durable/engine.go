@@ -1,6 +1,6 @@
 // Package durable is the persistence engine behind the serving layer: it
 // makes an aboram.ORAM crash-safe by combining periodic atomic snapshots
-// (the aboram.Save/Load checkpoint API behind temp file + fsync + rename)
+// (aboram's checkpoint stream behind temp file + fsync + rename)
 // with a write-ahead log of acknowledged mutating operations, framed as
 // CRC-checked wire-protocol records (see wal.go).
 //
@@ -229,7 +229,7 @@ type Stats struct {
 	// SyncPublish is set, and is never counted.
 	SnapshotPauseNanos uint64
 	// LastSnapshotBytes is the encoded size of the newest checkpoint
-	// (full or delta) captured so far.
+	// (full or delta) encoded so far, metadata header included.
 	LastSnapshotBytes uint64
 	CompactionRuns    uint64 // live WAL segments rewritten by compaction
 	PruneFailures     uint64 // stale files that could not be removed
@@ -747,11 +747,12 @@ func (e *Engine) Snapshot() error {
 }
 
 // rotate publishes epoch+1 and opens its fresh WAL segment, in two
-// halves: a serving pause (in-memory capture — the whole image for a
-// base, the dirty set for a delta — any final fsync of the old segment,
-// fresh segment creation) and a publish — encoding the captured
+// halves: a serving pause (the in-memory capture — the whole state for
+// a base, the dirty set for a delta — any final fsync of the old
+// segment, fresh segment creation) and a publish — encoding the captured
 // checkpoint and writing it out — that runs in the background unless
-// syncPublish is set.
+// syncPublish is set. Bases and deltas differ only in what is captured
+// and in the file it lands in.
 func (e *Engine) rotate(syncPublish bool) error {
 	// Publishes are serialized: the previous chain element must be
 	// durable before its successor captures (and before the WAL segments
@@ -764,30 +765,18 @@ func (e *Engine) rotate(syncPublish bool) error {
 	next := e.epoch + 1
 	term := e.Term()
 	isBase := e.sinceBase+1 >= e.opt.BaseEvery
-	// Bases are encoded here (recovery depends on them being the simple
-	// path); deltas are only *captured* here — the gob
-	// encode, the expensive half of a delta cut, runs at publish time so
-	// the serving pause is proportional to the dirty set alone.
-	var buf bytes.Buffer
-	var snap *aboram.DeltaSnapshot
-	var meta []byte
-	var tmp, final string
+	capture := func() (*aboram.DeltaSnapshot, uint64, error) { return e.oram.CaptureDelta(e.lastCut) }
+	tmp, final, magic, kind := deltaTmpName(next), deltaName(next), deltaMagic, wire.ReplFileDelta
 	if isBase {
-		tmp, final = snapTmpName(next), snapName(next)
-		buf.Write(appendSnapMeta(nil, term, e.ids.list()))
-		if err := e.oram.Save(&buf); err != nil {
-			return fmt.Errorf("durable: capturing snapshot: %w", err)
-		}
-		e.lastCut = e.oram.CutEpoch()
-	} else {
-		tmp, final = deltaTmpName(next), deltaName(next)
-		meta = appendDeltaMeta(nil, term, e.ids.list())
-		s, cut, err := e.oram.CaptureDelta(e.lastCut)
-		if err != nil {
-			return fmt.Errorf("durable: capturing delta: %w", err)
-		}
-		snap, e.lastCut = s, cut
+		capture = e.oram.CaptureBase
+		tmp, final, magic, kind = snapTmpName(next), snapName(next), snapMagic, wire.ReplFileBase
 	}
+	meta := appendMeta(nil, magic, term, e.ids.list())
+	snap, cut, err := capture()
+	if err != nil {
+		return fmt.Errorf("durable: capturing checkpoint: %w", err)
+	}
+	e.lastCut = cut
 	// The in-memory capture is not durable until the publish lands, so
 	// the old segment — which covers everything the capture holds — must
 	// be fully on stable storage before it stops being the newest. When
@@ -827,35 +816,25 @@ func (e *Engine) rotate(syncPublish bool) error {
 	e.bump(func(s *Stats) {
 		if isBase {
 			s.Snapshots++
-			s.LastSnapshotBytes = uint64(buf.Len())
 		} else {
 			s.DeltasWritten++
 		}
 		s.SnapshotPauseNanos += uint64(time.Since(start))
 	})
 	publish := func() error {
-		blob := buf.Bytes()
-		if snap != nil {
-			var db bytes.Buffer
-			db.Write(meta)
-			if err := snap.Encode(&db); err != nil {
-				return fmt.Errorf("durable: encoding delta: %w", err)
-			}
-			blob = db.Bytes()
-			// A delta's encoded size is known only now; bump is
-			// lock-protected, so the async path updates it safely when
-			// the publish lands.
-			e.bump(func(s *Stats) { s.LastSnapshotBytes = uint64(len(blob)) })
+		buf := bytes.NewBuffer(meta)
+		if err := snap.Encode(buf); err != nil {
+			return fmt.Errorf("durable: encoding checkpoint: %w", err)
 		}
+		blob := buf.Bytes()
+		// The encoded size is known only now; bump is lock-protected, so
+		// the async path updates it safely when the publish lands.
+		e.bump(func(s *Stats) { s.LastSnapshotBytes = uint64(len(blob)) })
 		if err := writeBlob(e.fs, e.opt.Dir, tmp, final, blob); err != nil {
 			return err
 		}
 		e.prune(next, isBase)
 		if s := e.opt.Ship; s != nil {
-			kind := wire.ReplFileDelta
-			if isBase {
-				kind = wire.ReplFileBase
-			}
 			s.shipFile(term, kind, next, blob)
 		}
 		return nil

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -15,10 +16,20 @@ import (
 // operation fail-stops with the same cause, and a reopen on a healthy
 // disk recovers exactly the writes that WERE acknowledged. The sweep is
 // wide enough that the disk fills at every stage of the pipeline —
-// WAL appends, base publishes, and delta publishes.
+// WAL appends, base publishes, and delta publishes: a coarse pass over
+// the whole range, plus a fine pass just past the bytes Open's first
+// base spends, where the first segment's appends are the next writes.
 func TestNoSpaceFailStop(t *testing.T) {
-	sites := map[string]bool{}
+	var budgets []int
 	for budget := 2_000; budget <= 200_000; budget += 6_000 {
+		budgets = append(budgets, budget)
+	}
+	first := openBytes(t)
+	for budget := first; budget < first+8_000; budget += 250 {
+		budgets = append(budgets, budget)
+	}
+	sites := map[string]bool{}
+	for _, budget := range budgets {
 		for _, mode := range []struct {
 			name      string
 			baseEvery int
@@ -104,6 +115,30 @@ func TestNoSpaceFailStop(t *testing.T) {
 			t.Errorf("no budget in the sweep filled the disk during a %q write (saw %v)", want, sites)
 		}
 	}
+}
+
+// openBytes is what a healthy Open of a fresh directory writes: the
+// first base image plus the empty segment beside it.
+func openBytes(t *testing.T) int {
+	dir := t.TempDir()
+	e, err := Open(testOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, de := range names {
+		fi, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int(fi.Size())
+	}
+	return n
 }
 
 // siteKind buckets an injector site ("write snap-000...01") by the file

@@ -108,7 +108,7 @@ func TestIDRingCapacity(t *testing.T) {
 // legacy (headerless) fallback and corruption detection.
 func TestSnapMetaRoundTrip(t *testing.T) {
 	ids := []uint64{1, 2, 1 << 60}
-	buf := appendSnapMeta(nil, 42, ids)
+	buf := appendMeta(nil, snapMagic, 42, ids)
 	rest := []byte("snapshot image bytes")
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), buf...), rest...)))
 	got, term, err := readSnapMeta(br)
@@ -172,7 +172,7 @@ func TestLegacySnapshotLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Strip the metadata header, leaving the bare image — the old format.
-	hdr := len(appendSnapMeta(nil, 0, []uint64{20, 21, 22}))
+	hdr := len(appendMeta(nil, snapMagic, 0, []uint64{20, 21, 22}))
 	if err := os.WriteFile(snaps[0], raw[hdr:], 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,17 @@ import (
 
 // On-disk layout: one directory, epoch-numbered files.
 //
-//	snap-<epoch>.ab    full instance checkpoint (metadata header + aboram.Save image)
+//	snap-<epoch>.ab    full checkpoint (metadata header + aboram.Save image)
 //	delta-<epoch>.abd  incremental checkpoint (metadata header + aboram.SaveDelta stream)
 //	*.tmp              checkpoint in flight; never read, deleted on recovery
 //	wal-<epoch>.log    acknowledged writes since epoch <epoch> was captured
+//
+// Both bodies are one format, aboram's CRC-framed checkpoint stream: a
+// base is the stream of a full image (every bucket, position, and store
+// slot; header flag Full), a delta the stream of the state dirtied since
+// the previous cut. Both are captured in the rotation's serving pause
+// and encoded at publish. A snap file written before bases became full
+// streams holds a gob image instead; aboram.Load still reads it.
 //
 // Most epochs are delta files over the previous chain element, with a
 // full snap every BaseEvery rotations (BaseEvery 1: every epoch is a
@@ -45,7 +52,7 @@ import (
 //	count x uint64 request ids |
 //	uint32 CRC-32C over (term + count + ids)
 //
-// followed by the aboram.Save image. The ids are the engine's recent
+// followed by the checkpoint stream. The ids are the engine's recent
 // acknowledged write ids at snapshot time, oldest first; recovery seeds
 // the retry-dedup window from them so a retried write that straddles a
 // crash is recognized instead of applied twice. The term is the
@@ -115,16 +122,6 @@ func appendMeta(dst []byte, magic []byte, term uint64, ids []uint64) []byte {
 	}
 	dst = append(dst, body...)
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
-}
-
-// appendSnapMeta appends the full-snapshot metadata header.
-func appendSnapMeta(dst []byte, term uint64, ids []uint64) []byte {
-	return appendMeta(dst, snapMagic, term, ids)
-}
-
-// appendDeltaMeta appends the delta-checkpoint metadata header.
-func appendDeltaMeta(dst []byte, term uint64, ids []uint64) []byte {
-	return appendMeta(dst, deltaMagic, term, ids)
 }
 
 // readSnapMeta consumes the metadata header, if present. A stream that

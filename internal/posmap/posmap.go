@@ -31,7 +31,7 @@ type Map struct {
 	// Dirty tracking for incremental checkpoints: Remap stamps the entry
 	// with the current epoch clock, Cut closes the epoch, CaptureDirty
 	// collects the entries remapped since a cut. Volatile — full
-	// checkpoints (Positions/SetPositions) carry no stamps.
+	// checkpoints (Positions) carry no stamps.
 	clock      uint64
 	entryEpoch []uint64
 }
@@ -141,22 +141,6 @@ func (m *Map) Positions() []int64 {
 	return out
 }
 
-// SetPositions restores a mapping captured by Positions. The PLB and the
-// lookup/remap counters reset: they are measurement state, not protocol
-// state.
-func (m *Map) SetPositions(pos []int64) error {
-	if len(pos) != len(m.pos) {
-		return fmt.Errorf("posmap: restoring %d positions into a map of %d", len(pos), len(m.pos))
-	}
-	for _, p := range pos {
-		if p < 0 || p >= m.geom.NumPaths() {
-			return fmt.Errorf("posmap: restored path %d out of range", p)
-		}
-	}
-	copy(m.pos, pos)
-	return nil
-}
-
 // Rand exposes the remap random stream so checkpointing can preserve the
 // exact sequence of future path assignments.
 func (m *Map) Rand() *rng.Source { return m.r }
@@ -172,7 +156,7 @@ func (m *Map) Cut() uint64 {
 // CaptureDirty returns the (block, path) pairs remapped after `since`
 // (exclusive), in ascending block order. since=0 captures only entries
 // remapped at least once — initial random assignments are never
-// stamped, so full captures still go through Positions.
+// stamped, so full captures go through Positions.
 func (m *Map) CaptureDirty(since uint64) (blocks, paths []int64) {
 	for b := range m.entryEpoch {
 		if m.entryEpoch[b] <= since {
@@ -184,8 +168,8 @@ func (m *Map) CaptureDirty(since uint64) (blocks, paths []int64) {
 	return blocks, paths
 }
 
-// SetPosition installs one entry of a captured delta, with the same
-// range validation as SetPositions.
+// SetPosition installs one entry of a captured checkpoint, validating
+// both the block and the path range.
 func (m *Map) SetPosition(block, path int64) error {
 	if block < 0 || block >= m.NumBlocks() {
 		return fmt.Errorf("posmap: restored block %d out of range", block)

@@ -3,7 +3,23 @@ package ringoram
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/stash"
 )
+
+// restoreFull rebuilds an instance under cfg from a full capture of orig:
+// the one restore path (a fresh New plus ApplyDelta).
+func restoreFull(t *testing.T, cfg Config, orig *ORAM) *ORAM {
+	t.Helper()
+	clone, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clone.ApplyDelta(orig.CaptureFull()); err != nil {
+		t.Fatal(err)
+	}
+	return clone
+}
 
 func TestCheckpointRoundTripIdentity(t *testing.T) {
 	// After restore, the clone must behave bit-identically to the original
@@ -21,14 +37,7 @@ func TestCheckpointRoundTripIdentity(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	clone, err := Load(cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := restoreFull(t, cfg, orig)
 	if err := clone.CheckInvariants(); err != nil {
 		t.Fatalf("restored instance inconsistent: %v", err)
 	}
@@ -84,16 +93,9 @@ func TestCheckpointWithRemoteAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	cfg2 := cfg
 	cfg2.Allocator = newTestDeadQ(testLevels-6, 500) // fresh, empty queue
-	clone, err := Load(cfg2, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := restoreFull(t, cfg2, orig)
 	if err := clone.CheckInvariants(); err != nil {
 		t.Fatalf("restored DR instance inconsistent: %v", err)
 	}
@@ -122,18 +124,11 @@ func TestCheckpointPreservesPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	// The data plane is shared (caller-owned), so restore against the same
 	// secmem instance.
 	cfg2 := cfg
 	cfg2.Data = mem
-	clone, err := Load(cfg2, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clone := restoreFull(t, cfg2, orig)
 	got, _, err := clone.ReadBlock(9)
 	if err != nil {
 		t.Fatal(err)
@@ -145,27 +140,54 @@ func TestCheckpointPreservesPayloads(t *testing.T) {
 
 func TestRestoreRejectsMismatch(t *testing.T) {
 	orig, _ := New(cbCfg())
-	cp := orig.Checkpoint()
 	bad := cbCfg()
 	bad.Levels = 12
 	bad.NumBlocks = 1000
-	if _, err := Restore(bad, cp); err == nil {
+	other, err := New(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.ApplyDelta(orig.CaptureFull()); err == nil {
 		t.Fatal("level mismatch accepted")
 	}
-	cp2 := orig.Checkpoint()
+	fresh := func() *ORAM {
+		o, _ := New(cbCfg())
+		return o
+	}
+	cp2 := orig.CaptureFull()
 	cp2.Rng = nil
-	if _, err := Restore(cbCfg(), cp2); err == nil {
+	if err := fresh().ApplyDelta(cp2); err == nil {
 		t.Fatal("missing rng accepted")
 	}
-	cp3 := orig.Checkpoint()
-	cp3.SlotBlock = cp3.SlotBlock[:10]
-	if _, err := Restore(cbCfg(), cp3); err == nil {
+	cp3 := orig.CaptureFull()
+	cp3.Buckets[5].Block = cp3.Buckets[5].Block[:1]
+	if err := fresh().ApplyDelta(cp3); err == nil {
 		t.Fatal("truncated slots accepted")
 	}
 }
 
+// TestLoadRejectsGarbage: out-of-range indices and malformed stash
+// payloads in a capture are errors, never panics or silent installs.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(cbCfg(), bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("garbage accepted")
+	cfg := CompactedBaseline(8, 0, 5)
+	orig, _ := newDataORAM(t, cfg)
+	for name, mutate := range map[string]func(d *Delta){
+		"bucket":      func(d *Delta) { d.Buckets[0].Bucket = -1 },
+		"slot block":  func(d *Delta) { d.Buckets[0].Block[0] = cfg.NumBlocks },
+		"position":    func(d *Delta) { d.PosPaths[0] = 1 << 40 },
+		"stash entry": func(d *Delta) { d.Stash, d.StashData = []stash.Entry{{Block: -3}}, nil },
+		"payload count": func(d *Delta) {
+			d.Stash, d.StashData = []stash.Entry{{Block: 1}}, make([][]byte, 2)
+		},
+		"payload size": func(d *Delta) {
+			d.Stash, d.StashData = []stash.Entry{{Block: 1}}, [][]byte{{1}}
+		},
+	} {
+		d := orig.CaptureFull()
+		mutate(d)
+		clone, _ := newDataORAM(t, cfg)
+		if err := clone.ApplyDelta(d); err == nil {
+			t.Fatalf("%s garbage accepted", name)
+		}
 	}
 }

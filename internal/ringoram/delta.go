@@ -7,14 +7,24 @@ import (
 	"repro/internal/stash"
 )
 
-// Incremental checkpoints: every mutation path stamps the buckets it
-// rewrites (markBucket) and the position map stamps remapped entries,
-// so a delta checkpoint carries only the buckets and positions touched
-// since the last cut — plus the small unconditionally-carried sections
-// (stash, counters, random streams) whose size is bounded regardless of
-// tree height. Applied over the checkpoint it was captured against, a
-// Delta reproduces the exact state a full Checkpoint would have, which
+// Checkpoints: every mutation path stamps the buckets it rewrites
+// (markBucket) and the position map stamps remapped entries, so a delta
+// checkpoint carries only the buckets and positions touched since the
+// last cut — plus the small unconditionally-carried sections (stash,
+// counters, random streams) whose size is bounded regardless of tree
+// height. A full checkpoint is the same Delta with every bucket and
+// every position in it (CaptureFull); applied over a fresh instance of
+// the same configuration it reproduces the captured state, and a delta
+// applied over the state it was captured against does the same, which
 // is what the durable engine's fingerprint-identity tests pin.
+// Measurement-only state (PLB contents, dead-block lifetime statistics)
+// is not captured and restarts on restore.
+
+// RemoteRef is the exported form of a guest bucket's remote-slot record.
+type RemoteRef struct {
+	Ref      SlotRef
+	Consumed bool
+}
 
 // BucketDelta is one mutated bucket's complete refresh: its owned
 // physical slots and per-bucket metadata. Slices are indexed by the
@@ -30,8 +40,8 @@ type BucketDelta struct {
 	Remote []RemoteRef
 }
 
-// Delta is the protocol-side incremental checkpoint: the buckets and
-// position-map entries mutated since a cut, plus the full stash and
+// Delta is the protocol-side checkpoint: the buckets and position-map
+// entries mutated since a cut (or all of them), plus the full stash and
 // scalar/RNG state (small and cheap to carry every time).
 type Delta struct {
 	Levels  int
@@ -48,8 +58,11 @@ type Delta struct {
 	Rng    *rng.Source
 	PosRng *rng.Source
 
+	// Stash is in ascending block order; StashData is parallel to it
+	// (the entry's payload, nil if it has none) and nil without a data
+	// plane.
 	Stash     []stash.Entry
-	StashData map[int64][]byte
+	StashData [][]byte
 }
 
 // Cut closes the current mutation epoch (engine and position map in
@@ -62,9 +75,38 @@ func (o *ORAM) Cut() uint64 {
 }
 
 // CaptureDelta collects everything mutated after `since` (exclusive).
-// Rng and PosRng alias the live streams — encode the delta before the
-// next access, exactly as with Checkpoint.
+// Rng and PosRng alias the live streams — copy or encode the delta
+// before the next access.
 func (o *ORAM) CaptureDelta(since uint64) *Delta {
+	d := o.captureState()
+	for b := int64(0); b < o.geom.NumBuckets(); b++ {
+		if o.bucketEpoch[b] > since {
+			d.Buckets = append(d.Buckets, o.captureBucket(b))
+		}
+	}
+	d.PosBlocks, d.PosPaths = o.pos.CaptureDirty(since)
+	return d
+}
+
+// CaptureFull is CaptureDelta over the whole state: every bucket and
+// every position-map entry, independent of the dirty stamps. Rng and
+// PosRng alias the live streams, as with CaptureDelta.
+func (o *ORAM) CaptureFull() *Delta {
+	d := o.captureState()
+	d.Buckets = make([]BucketDelta, o.geom.NumBuckets())
+	for b := range d.Buckets {
+		d.Buckets[b] = o.captureBucket(int64(b))
+	}
+	d.PosPaths = o.pos.Positions()
+	d.PosBlocks = make([]int64, len(d.PosPaths))
+	for blk := range d.PosBlocks {
+		d.PosBlocks[blk] = int64(blk)
+	}
+	return d
+}
+
+// captureState fills the sections every capture carries in full.
+func (o *ORAM) captureState() *Delta {
 	d := &Delta{
 		Levels:         o.cfg.Levels,
 		EvictGen:       o.evictGen,
@@ -75,17 +117,12 @@ func (o *ORAM) CaptureDelta(since uint64) *Delta {
 		PosRng:         o.pos.Rand(),
 		Stash:          o.st.All(),
 	}
-	for b := int64(0); b < o.geom.NumBuckets(); b++ {
-		if o.bucketEpoch[b] <= since {
-			continue
-		}
-		d.Buckets = append(d.Buckets, o.captureBucket(b))
-	}
-	d.PosBlocks, d.PosPaths = o.pos.CaptureDirty(since)
 	if o.stashData != nil {
-		d.StashData = make(map[int64][]byte, len(o.stashData))
-		for k, v := range o.stashData {
-			d.StashData[k] = append([]byte(nil), v...)
+		d.StashData = make([][]byte, len(d.Stash))
+		for i, e := range d.Stash {
+			if p, ok := o.stashData[e.Block]; ok {
+				d.StashData[i] = append([]byte(nil), p...)
+			}
 		}
 	}
 	return d
@@ -148,6 +185,14 @@ func (o *ORAM) ApplyDelta(d *Delta) error {
 			return fmt.Errorf("ringoram: delta stash entry {%d %d} out of range", e.Block, e.Path)
 		}
 	}
+	if len(d.StashData) != 0 && len(d.StashData) != len(d.Stash) {
+		return fmt.Errorf("ringoram: delta carries %d stash payloads for %d entries", len(d.StashData), len(d.Stash))
+	}
+	for _, p := range d.StashData {
+		if len(p) != 0 && len(p) != o.cfg.BlockB {
+			return fmt.Errorf("ringoram: delta stash payload of %d bytes, want %d", len(p), o.cfg.BlockB)
+		}
+	}
 
 	for i := range d.Buckets {
 		o.applyBucketDelta(&d.Buckets[i])
@@ -177,8 +222,10 @@ func (o *ORAM) ApplyDelta(d *Delta) error {
 	}
 	if o.stashData != nil {
 		clear(o.stashData)
-		for k, v := range d.StashData {
-			o.stashData[k] = append([]byte(nil), v...)
+		for i, p := range d.StashData {
+			if len(p) != 0 {
+				o.stashData[d.Stash[i].Block] = append([]byte(nil), p...)
+			}
 		}
 	}
 	return nil

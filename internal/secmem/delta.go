@@ -2,15 +2,15 @@ package secmem
 
 import "fmt"
 
-// Incremental checkpoint support: the store keeps a per-block mutation
-// epoch (stamped in Write), so a delta checkpoint can carry only the
-// blocks touched since the last cut instead of the whole ciphertext
-// image. The epoch clock is advanced by Cut and lives entirely in
-// memory: State/Restore never see it, so full snapshots are unchanged
-// on disk and a freshly restored Memory simply starts a new history.
+// Checkpoint support: the store keeps a per-block mutation epoch
+// (stamped in Write), so a delta checkpoint can carry only the blocks
+// touched since the last cut instead of the whole ciphertext image; a
+// full checkpoint carries every block (CaptureAll). The epoch clock is
+// advanced by Cut and lives entirely in memory, so a freshly restored
+// Memory simply starts a new history.
 
-// SlotDelta carries the changed blocks of one epoch window: parallel
-// slices indexed together, with the ciphertext of block Idx[i] at
+// SlotDelta carries the blocks of one checkpoint: parallel slices
+// indexed together, with the ciphertext of block Idx[i] at
 // Data[i*BlockB : (i+1)*BlockB].
 type SlotDelta struct {
 	Idx      []int64
@@ -33,12 +33,31 @@ func (m *Memory) Cut() uint64 {
 func (m *Memory) CaptureDirty(since uint64) *SlotDelta {
 	d := &SlotDelta{}
 	for idx := int64(0); idx < m.NumBlocks(); idx++ {
-		if m.slotEpoch[idx] <= since {
-			continue
+		if m.slotEpoch[idx] > since {
+			d.Idx = append(d.Idx, idx)
 		}
-		d.Idx = append(d.Idx, idx)
-		d.Versions = append(d.Versions, m.versions[idx])
-		d.Written = append(d.Written, m.written[idx])
+	}
+	return m.capture(d)
+}
+
+// CaptureAll collects every block, written or not, independent of the
+// mutation stamps.
+func (m *Memory) CaptureAll() *SlotDelta {
+	d := &SlotDelta{Idx: make([]int64, m.NumBlocks())}
+	for idx := range d.Idx {
+		d.Idx[idx] = int64(idx)
+	}
+	return m.capture(d)
+}
+
+// capture fills the version, written, and ciphertext columns for d.Idx.
+func (m *Memory) capture(d *SlotDelta) *SlotDelta {
+	d.Versions = make([]uint64, len(d.Idx))
+	d.Written = make([]bool, len(d.Idx))
+	d.Data = make([]byte, 0, len(d.Idx)*m.blockB)
+	for i, idx := range d.Idx {
+		d.Versions[i] = m.versions[idx]
+		d.Written[i] = m.written[idx]
 		d.Data = append(d.Data, m.ciphertext(idx)...)
 	}
 	return d

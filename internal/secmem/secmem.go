@@ -35,8 +35,7 @@ type Memory struct {
 	// Dirty tracking for incremental checkpoints (delta.go): every Write
 	// stamps its block with the current epoch clock; CaptureDirty collects
 	// the blocks stamped after a cut. The clock is volatile — it never
-	// serializes (State carries no stamps), so a restored Memory starts a
-	// fresh epoch history.
+	// serializes, so a restored Memory starts a fresh epoch history.
 	clock     uint64
 	slotEpoch []uint64
 
@@ -216,20 +215,12 @@ func (m *Memory) ReplayFault(idx int64, oldCiphertext []byte) error {
 	return nil
 }
 
-// State is a serializable snapshot of the encrypted store: ciphertext,
-// versions, and the written map. The Merkle tree is recomputed on restore
-// and the AES key is re-supplied by the caller (keys never serialize).
-// KeyCheck is a standard key-check value — SHA-256 of the key under a
-// fixed domain tag — so restoring under the wrong key fails loudly instead
-// of silently decrypting garbage; it reveals nothing an attacker could not
-// already test by guessing keys against the ciphertext.
-type State struct {
-	BlockB   int
-	Store    []byte
-	Versions []uint64
-	Written  []bool
-	KeyCheck [32]byte
-}
+// KeyCheck returns the store's key-check value: SHA-256 of the key
+// under a fixed domain tag. Checkpoints carry it so restoring under the
+// wrong key fails loudly instead of silently decrypting garbage; it
+// reveals nothing an attacker could not already test by guessing keys
+// against the ciphertext. The key itself never serializes.
+func (m *Memory) KeyCheck() [32]byte { return m.kcv }
 
 func keyCheck(key []byte) [32]byte {
 	h := sha256.New()
@@ -238,45 +229,4 @@ func keyCheck(key []byte) [32]byte {
 	var out [32]byte
 	copy(out[:], h.Sum(nil))
 	return out
-}
-
-// State captures the current contents.
-func (m *Memory) State() *State {
-	return &State{
-		BlockB:   m.blockB,
-		Store:    append([]byte(nil), m.store...),
-		Versions: append([]uint64(nil), m.versions...),
-		Written:  append([]bool(nil), m.written...),
-		KeyCheck: m.kcv,
-	}
-}
-
-// Restore rebuilds a Memory from a State under the given key, recomputing
-// the integrity tree over the written blocks.
-func Restore(key []byte, st *State) (*Memory, error) {
-	if st == nil || st.BlockB <= 0 || len(st.Versions) == 0 {
-		return nil, fmt.Errorf("secmem: empty state")
-	}
-	n := int64(len(st.Versions))
-	if int64(len(st.Store)) != n*int64(st.BlockB) || len(st.Written) != int(n) {
-		return nil, fmt.Errorf("secmem: inconsistent state geometry")
-	}
-	if keyCheck(key) != st.KeyCheck {
-		return nil, fmt.Errorf("secmem: key does not match the saved state")
-	}
-	m, err := New(n, st.BlockB, key)
-	if err != nil {
-		return nil, err
-	}
-	copy(m.store, st.Store)
-	copy(m.versions, st.Versions)
-	copy(m.written, st.Written)
-	for i := int64(0); i < n; i++ {
-		if m.written[i] {
-			if err := m.reauth(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return m, nil
 }

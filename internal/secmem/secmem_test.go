@@ -232,13 +232,14 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
+// TestStateRoundTrip: a full capture applied over a fresh store under
+// the same key reproduces the contents and the integrity root.
 func TestStateRoundTrip(t *testing.T) {
 	m := newMem(t, 8)
 	pt := bytes.Repeat([]byte{0x3c}, 64)
 	_ = m.Write(2, pt)
-	st := m.State()
-	clone, err := Restore(testKey, st)
-	if err != nil {
+	clone := newMem(t, 8)
+	if err := clone.ApplySlots(m.CaptureAll()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := clone.Read(2)
@@ -253,23 +254,36 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreWrongKeyRejected: the key-check value a checkpoint carries
+// tells a store under the wrong key apart from one under the right key.
 func TestRestoreWrongKeyRejected(t *testing.T) {
 	m := newMem(t, 8)
-	_ = m.Write(0, make([]byte, 64))
-	st := m.State()
-	if _, err := Restore([]byte("fedcba9876543210"), st); err == nil {
-		t.Fatal("wrong key accepted at restore")
+	same := newMem(t, 8)
+	other, err := New(8, 64, []byte("fedcba9876543210"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.KeyCheck() != same.KeyCheck() {
+		t.Fatal("one key, two key-check values")
+	}
+	if m.KeyCheck() == other.KeyCheck() {
+		t.Fatal("wrong key passes the key check")
 	}
 }
 
 func TestRestoreValidation(t *testing.T) {
-	if _, err := Restore(testKey, nil); err == nil {
-		t.Fatal("nil state accepted")
-	}
 	m := newMem(t, 4)
-	st := m.State()
-	st.Store = st.Store[:8]
-	if _, err := Restore(testKey, st); err == nil {
+	if err := m.ApplySlots(nil); err == nil {
+		t.Fatal("nil slot delta accepted")
+	}
+	st := m.CaptureAll()
+	st.Data = st.Data[:8]
+	if err := m.ApplySlots(st); err == nil {
 		t.Fatal("truncated store accepted")
+	}
+	st = m.CaptureAll()
+	st.Idx[1] = 4
+	if err := m.ApplySlots(st); err == nil {
+		t.Fatal("out-of-range block accepted")
 	}
 }

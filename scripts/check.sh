@@ -17,6 +17,8 @@
 # oracle with its mid-frame kill sites and fencing check,
 # retry/group-commit schedules, single- and multi-shard chaos soak plus
 # its reshard- and replication-failover-mode variants),
+# a race-mode pass of the checkpoint-stream determinism test (two
+# same-seed instances write byte-identical Save and SaveDelta bytes),
 # a race-mode pass of the XOR fast-path oracle (the sweep-shaped
 # differential oracle with Config.XORRead on) and of the shard
 # oracle/isolation/leakage audits (including the mid-migration audit),
@@ -37,6 +39,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
+go test -race -run '^TestCheckpointStreamsDeterministic$' ./aboram
 go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashScheduleDeterminism$|^TestRetryScheduleDeterminism$|^TestGroupCommitScheduleDeterminism$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
 (cd bench && go vet ./... && go build -o /dev/null ./... && go test ./...)
 
