@@ -36,6 +36,7 @@ fuzz:
 	go test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/durable
 	go test -run='^$$' -fuzz='^FuzzReshardJournal$$' -fuzztime=$(FUZZTIME) ./internal/durable
 	go test -run='^$$' -fuzz='^FuzzXORPeel$$' -fuzztime=$(FUZZTIME) ./internal/secmem
+	go test -run='^$$' -fuzz='^FuzzScopedVerify$$' -fuzztime=$(FUZZTIME) ./internal/merkle
 
 # Long kill-recover campaign: the full (non-short) crash-recovery,
 # live-reshard, and replication-failover oracles under the race

@@ -76,6 +76,11 @@ type Stats struct {
 // ORAM is an oblivious block store. Not safe for concurrent use; wrap
 // with a mutex for shared access (the underlying protocol is inherently
 // serial — that is what makes it oblivious).
+//
+// With the data plane on, Access, Read, ReadXOR and Write each run inside
+// one access scope of the integrity tree (secmem.Memory.Begin), so an
+// access hashes each tree node it touches once. The deferred End closes
+// the scope on every return path, integrity errors included.
 type ORAM struct {
 	inner *ringoram.ORAM
 	mem   *secmem.Memory
@@ -128,6 +133,10 @@ func (o *ORAM) Encrypted() bool { return o.mem != nil }
 // Access touches a block obliviously without transferring content; use it
 // for pattern-only simulation or to prefetch obliviously.
 func (o *ORAM) Access(block int64) error {
+	if o.mem != nil {
+		o.mem.Begin()
+		defer o.mem.End()
+	}
 	_, err := o.inner.Access(block)
 	return err
 }
@@ -138,6 +147,8 @@ func (o *ORAM) Read(block int64) ([]byte, error) {
 	if o.mem == nil {
 		return nil, fmt.Errorf("aboram: Read requires Options.EncryptionKey")
 	}
+	o.mem.Begin()
+	defer o.mem.End()
 	data, _, err := o.inner.ReadBlock(block)
 	return data, err
 }
@@ -170,6 +181,8 @@ func (o *ORAM) ReadXOR(block int64) (*XORResult, error) {
 	if o.mem == nil {
 		return nil, fmt.Errorf("aboram: ReadXOR requires Options.EncryptionKey")
 	}
+	o.mem.Begin()
+	defer o.mem.End()
 	data, _, err := o.inner.ReadBlock(block)
 	if err != nil {
 		return nil, err
@@ -208,6 +221,8 @@ func (o *ORAM) Write(block int64, data []byte) error {
 	if o.mem == nil {
 		return fmt.Errorf("aboram: Write requires Options.EncryptionKey")
 	}
+	o.mem.Begin()
+	defer o.mem.End()
 	_, err := o.inner.WriteBlock(block, data)
 	return err
 }

@@ -396,7 +396,12 @@ func (o *ORAM) apply(s *DeltaSnapshot) error {
 		return err
 	}
 	if s.mem != nil {
-		if err := o.mem.ApplySlots(s.mem); err != nil {
+		// One scope for the whole install: each internal node is hashed
+		// once, not once per slot below it.
+		o.mem.Begin()
+		err := o.mem.ApplySlots(s.mem)
+		o.mem.End()
+		if err != nil {
 			return err
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -31,6 +32,7 @@ type Memory struct {
 	written  []bool   // blocks that have been written at least once
 	tree     *merkle.Tree
 	scratch  []byte // authInput assembly buffer (hashed immediately, never retained)
+	ctr      ctrScratch
 
 	// Dirty tracking for incremental checkpoints (delta.go): every Write
 	// stamps its block with the current epoch clock; CaptureDirty collects
@@ -86,19 +88,55 @@ func (m *Memory) BlockBytes() int { return m.blockB }
 // Root returns the on-chip integrity root.
 func (m *Memory) Root() merkle.Digest { return m.tree.Root() }
 
+// Begin opens an access scope on the integrity tree (merkle.Tree.Begin):
+// until the matching End, Writes defer their ancestor hashes and Reads
+// stop at tree nodes already checked in the scope. Every Read still
+// re-hashes the fetched block, so tampered or replayed ciphertext fails
+// inside a scope as it does outside one.
+func (m *Memory) Begin() { m.tree.Begin() }
+
+// End closes the scope Begin opened and settles the tree.
+func (m *Memory) End() { m.tree.End() }
+
+// Scoped reports whether an access scope is open.
+func (m *Memory) Scoped() bool { return m.tree.Scoped() }
+
+// Hashes returns the integrity tree's digest count (merkle.Tree.Hashes).
+func (m *Memory) Hashes() uint64 { return m.tree.Hashes }
+
 // keystream XORs data in place with the CTR keystream for (block, version).
 func (m *Memory) keystream(idx int64, version uint64, data []byte) {
-	xorKeystream(m.block, idx, version, data)
+	xorKeystream(m.block, &m.ctr, idx, version, data)
 }
 
+// ctrScratch holds one counter block and its keystream block. Encrypt is
+// an interface call, so arrays on the caller's stack would escape to the
+// heap; a Memory keeps one pair for its hot path.
+type ctrScratch struct{ ctr, ks [aes.BlockSize]byte }
+
 // xorKeystream XORs data in place with the CTR keystream for (block,
-// version) under an arbitrary AES instance. The client side of the XOR
+// version) under an arbitrary AES instance: the IV is idx and version as
+// little-endian words, counted up as one 128-bit big-endian integer per
+// block, byte-identical to cipher.NewCTR. The client side of the XOR
 // online fast path uses it to regenerate dummy pads without a Memory.
-func xorKeystream(b cipher.Block, idx int64, version uint64, data []byte) {
-	var iv [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(iv[0:8], uint64(idx))
-	binary.LittleEndian.PutUint64(iv[8:16], version)
-	cipher.NewCTR(b, iv[:]).XORKeyStream(data, data)
+func xorKeystream(b cipher.Block, s *ctrScratch, idx int64, version uint64, data []byte) {
+	binary.LittleEndian.PutUint64(s.ctr[0:8], uint64(idx))
+	binary.LittleEndian.PutUint64(s.ctr[8:16], version)
+	for len(data) > 0 {
+		b.Encrypt(s.ks[:], s.ctr[:])
+		data = data[subtle.XORBytes(data, data, s.ks[:]):]
+		incrementCTR(&s.ctr)
+	}
+}
+
+// incrementCTR adds one to a 128-bit big-endian counter.
+func incrementCTR(c *[aes.BlockSize]byte) {
+	for i := len(c) - 1; i >= 0; i-- {
+		c[i]++
+		if c[i] != 0 {
+			return
+		}
+	}
 }
 
 // authInput binds ciphertext to its position and version, so relocating or

@@ -150,9 +150,10 @@ func PeelPayload(key []byte, x *XORRead) ([]byte, error) {
 		return nil, err
 	}
 	out := append([]byte(nil), x.Payload...)
+	var s ctrScratch
 	for _, p := range x.Pads {
-		xorKeystream(blk, p.Idx, p.Version, out)
+		xorKeystream(blk, &s, p.Idx, p.Version, out)
 	}
-	xorKeystream(blk, x.Real.Idx, x.Real.Version, out)
+	xorKeystream(blk, &s, x.Real.Idx, x.Real.Version, out)
 	return out, nil
 }

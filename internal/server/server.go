@@ -42,19 +42,20 @@ import (
 // Engine is the block store the scheduler serializes onto: the protocol
 // surface of aboram.ORAM. Two implementations exist: a bare
 // *aboram.ORAM (in-memory, state dies with the process) and
-// internal/durable's Engine (snapshot + write-ahead log, so an op
-// acknowledged by Write has been made durable before the scheduler
-// answers the client). The scheduler guarantees single-goroutine use,
-// which is the concurrency contract both implementations require.
+// internal/durable's Engine (checkpoints + write-ahead log). The
+// scheduler guarantees single-goroutine use, which is the concurrency
+// contract both implementations require.
 type Engine interface {
 	NumBlocks() int64
 	BlockSize() int
 	Encrypted() bool
 	Access(block int64) error
 	Read(block int64) ([]byte, error)
-	// Write must return only once the op is applied — and, for durable
-	// engines, persisted: the scheduler acknowledges the client
-	// immediately after.
+	// Write must return only once the op is applied. It need not be
+	// persisted: a BatchSyncer whose GroupCommit reports true (the
+	// durable engine) appends the op to its log and makes it durable in
+	// BatchSync, and the scheduler acknowledges the write only after that
+	// call. Any other engine is acknowledged as soon as Write returns.
 	Write(block int64, data []byte) error
 }
 

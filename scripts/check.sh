@@ -25,7 +25,7 @@
 # the benchmark module's own vet + build + self-tests (bench/ is a
 # separate module, so `go build ./...` here cannot see a refactor
 # breaking the surface it compiles against),
-# then a short-budget fuzz smoke over the ten native fuzz targets.
+# then a short-budget fuzz smoke over the eleven native fuzz targets.
 # Longer campaigns: `make fuzz FUZZTIME=10m`, `make crash`,
 # `make soak SOAKTIME=60s`, or see EXPERIMENTS.md.
 set -eux
@@ -54,3 +54,4 @@ go test -run='^$' -fuzz='^FuzzReplStream$' -fuzztime="$FUZZTIME" ./internal/serv
 go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime="$FUZZTIME" ./internal/durable
 go test -run='^$' -fuzz='^FuzzReshardJournal$' -fuzztime="$FUZZTIME" ./internal/durable
 go test -run='^$' -fuzz='^FuzzXORPeel$' -fuzztime="$FUZZTIME" ./internal/secmem
+go test -run='^$' -fuzz='^FuzzScopedVerify$' -fuzztime="$FUZZTIME" ./internal/merkle
