@@ -23,7 +23,8 @@ race:
 bench:
 	bash bench/run.sh -seed 7
 
-# Run each native fuzz target for FUZZTIME (default 30s per target).
+# Run each of the twelve native fuzz targets for FUZZTIME (default 30s
+# per target).
 FUZZTIME ?= 30s
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzAccess$$' -fuzztime=$(FUZZTIME) ./internal/ringoram
@@ -37,6 +38,7 @@ fuzz:
 	go test -run='^$$' -fuzz='^FuzzReshardJournal$$' -fuzztime=$(FUZZTIME) ./internal/durable
 	go test -run='^$$' -fuzz='^FuzzXORPeel$$' -fuzztime=$(FUZZTIME) ./internal/secmem
 	go test -run='^$$' -fuzz='^FuzzScopedVerify$$' -fuzztime=$(FUZZTIME) ./internal/merkle
+	go test -run='^$$' -fuzz='^FuzzControllerMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/dram
 
 # Long kill-recover campaign: the full (non-short) crash-recovery,
 # live-reshard, and replication-failover oracles under the race

@@ -13,11 +13,20 @@
 //	data, err = o.Read(42)      // oblivious load
 //
 // Every Read and Write produces an identical-shape memory access pattern
-// (one Ring ORAM ReadPath plus background maintenance), so an observer of
-// the memory bus learns nothing about which block was touched, whether it
-// was a load or a store, or whether it hit. With an encryption key set,
-// contents are AES-CTR encrypted and Merkle-authenticated at rest, and
-// tampering with the backing store surfaces as an error.
+// (one Ring ORAM ReadPath plus background maintenance). That holds for the
+// protocol's address trace — the memop stream the DRAM model prices and
+// check.CheckOblivious audits — which does not reveal which block was
+// touched, whether it was a load or a store, or whether it hit. It does
+// not yet hold for the functional data plane: the encrypted backend is
+// asked to load only slots that hold a real block (dummy and metadata
+// reads never reach it), so anyone who can watch the backend's own calls
+// sees which slot of each path was real.
+//
+// With an encryption key set, the backing store's contents are AES-CTR
+// encrypted and Merkle-authenticated, and tampering with it surfaces as an
+// error. Checkpoint images (Save, SaveDelta) and a daemon's write-ahead
+// log are not sealed: they carry the position map, the stash payloads and
+// the logged write payloads in plaintext.
 package aboram
 
 import (

@@ -8,6 +8,7 @@
 //	abench -exp fig8 -csv out/       # also write CSV series
 //	abench -exp all -json run.json   # tables + run metadata as JSON
 //	abench -exp all -parallel 1      # sequential (output is byte-identical)
+//	abench -exp fig8 -cpuprofile cpu.prof  # host CPU profile (go tool pprof)
 //
 // Each experiment prints one or more aligned text tables annotated with
 // the paper's reported values for comparison. All experiments share one
@@ -24,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -73,6 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	parallel := fs.Int("parallel", 0, "max concurrent simulation jobs (0 = GOMAXPROCS)")
 	csvDir := fs.String("csv", "", "directory to write CSV copies of every table")
 	jsonPath := fs.String("json", "", `write tables + run metadata as JSON to this file ("-" = stdout, suppressing text output)`)
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -134,6 +137,17 @@ func run(args []string, stdout io.Writer) error {
 		}
 		defer f.Close()
 		jsonOut = f
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	ids := []string{*exp}

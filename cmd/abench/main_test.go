@@ -51,6 +51,22 @@ func TestListAndStaticExperiment(t *testing.T) {
 	}
 }
 
+// TestCPUProfile runs a tiny simulation under -cpuprofile and checks that
+// a gzip-compressed profile (pprof's on-disk format) was written.
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	if err := run([]string{"-exp", "fig8", "-levels", "8", "-warmup", "50", "-measure", "100", "-cpuprofile", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile does not start with the gzip magic: % x", data[:min(len(data), 4)])
+	}
+}
+
 func TestOverrides(t *testing.T) {
 	if err := run([]string{"-exp", "storage", "-levels", "20", "-seed", "9", "-warmup", "10", "-measure", "10"}, io.Discard); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,11 @@
 // Securekv: an oblivious, encrypted key-value store on the public AB-ORAM
 // API. Records live *inside* ORAM blocks: every probe is an oblivious
-// Read/Write, contents are AES-encrypted and Merkle-authenticated at rest,
-// and the memory access pattern is identical for gets, puts, hits, and
-// misses — an observer of the bus learns nothing.
+// Read/Write, the ORAM's backing store is AES-encrypted and
+// Merkle-authenticated, and the protocol's memory access trace has the
+// same shape for gets, puts, hits, and misses. Two limits (see the aboram
+// package doc): the encrypted backend itself is called only for slots
+// holding real blocks, so its call stream is not oblivious, and a Save
+// image holds the position map and stash contents in plaintext.
 //
 //	go run ./examples/securekv
 package main

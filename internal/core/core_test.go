@@ -284,6 +284,35 @@ func mustBase(t *testing.T, opt Options) ringoram.Config {
 	return cfg
 }
 
+// TestPatternAccessAllocs pins pattern-mode Access (no data plane) at zero
+// allocations per access at steady state for every scheme: the op lists,
+// the eviction plan, the claimed-slot lists and the DeadQ's claim results
+// all reuse storage the instance owns. A remote-slot list that grows past
+// its previous high-water mark still allocates, so the bound is on the
+// (truncated) mean over a window, after a warm-up that lets the lists grow.
+func TestPatternAccessAllocs(t *testing.T) {
+	for _, s := range Schemes() {
+		o, _, err := New(s, DefaultOptions(12, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := uint64(o.Config().NumBlocks)
+		i := uint64(0)
+		access := func() {
+			i++
+			if _, err := o.Access(int64(i * 2654435761 % n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 20000 {
+			access()
+		}
+		if got := testing.AllocsPerRun(2000, access); got != 0 {
+			t.Errorf("%s: %.0f allocations per pattern-mode access, want 0", s, got)
+		}
+	}
+}
+
 func BenchmarkABAccess(b *testing.B) {
 	o, _, err := New(SchemeAB, DefaultOptions(16, 1))
 	if err != nil {

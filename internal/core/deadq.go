@@ -45,6 +45,7 @@ type DeadQ struct {
 	capacity int
 	queues   []fifo // index: level - minLevel
 	stats    DeadQStats
+	claimed  []ringoram.SlotRef // Claim's result storage, reused
 }
 
 // fifo is a fixed-capacity ring buffer of SlotRefs.
@@ -135,7 +136,7 @@ func (q *DeadQ) Claim(level, want int) []ringoram.SlotRef {
 		return nil
 	}
 	f := &q.queues[level-q.minLevel]
-	out := make([]ringoram.SlotRef, 0, want)
+	out := q.claimed[:0]
 	for len(out) < want {
 		r, ok := f.pop()
 		if !ok {
@@ -143,6 +144,7 @@ func (q *DeadQ) Claim(level, want int) []ringoram.SlotRef {
 		}
 		out = append(out, r)
 	}
+	q.claimed = out
 	q.stats.Claims += uint64(len(out))
 	q.stats.ClaimShortfall += uint64(want - len(out))
 	return out

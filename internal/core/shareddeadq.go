@@ -23,6 +23,7 @@ type SharedDeadQ struct {
 	q        fifo
 	levels   fifo // level of each queued entry, kept in lockstep
 	stats    DeadQStats
+	claimed  []ringoram.SlotRef // Claim's result storage, reused
 }
 
 // NewSharedDeadQ builds a single queue covering [minLevel, maxLevel] with
@@ -64,7 +65,7 @@ func (s *SharedDeadQ) Claim(level, want int) []ringoram.SlotRef {
 	if level < s.minLevel || level > s.maxLevel || want <= 0 {
 		return nil
 	}
-	var out []ringoram.SlotRef
+	out := s.claimed[:0]
 	for scanned, n := 0, s.q.size; scanned < n && len(out) < want; scanned++ {
 		ref, _ := s.q.pop()
 		lv, _ := s.levels.pop()
@@ -75,6 +76,7 @@ func (s *SharedDeadQ) Claim(level, want int) []ringoram.SlotRef {
 		s.q.push(ref)
 		s.levels.push(lv)
 	}
+	s.claimed = out
 	s.stats.Claims += uint64(len(out))
 	s.stats.ClaimShortfall += uint64(want - len(out))
 	return out

@@ -122,20 +122,39 @@ type Location struct {
 // then walk the columns of one row in one bank, so a run of contiguous
 // blocks enjoys both channel parallelism and row-buffer hits — the layout
 // property AB-ORAM's remote allocation perturbs.
-func (c Config) Decode(addr uint64) Location {
-	blk := addr / uint64(c.BlockB)
+func (c *Config) Decode(addr uint64) Location {
+	m := c.addrMap()
+	return m.decode(addr)
+}
+
+// addrMap holds Decode's derived constants. A Controller computes it once
+// at construction instead of re-deriving it for every address.
+type addrMap struct {
+	blockB, gran, channels, rowBlocks, nBanks uint64
+}
+
+func (c *Config) addrMap() addrMap {
 	gran := uint64(c.InterleaveBlocks)
 	if gran == 0 {
 		gran = 1
 	}
-	group := blk / gran
-	ch := group % uint64(c.Channels)
-	rest := group/uint64(c.Channels)*gran + blk%gran
-	rowBlocks := c.RowBytes / uint64(c.BlockB)
-	col := rest % rowBlocks
-	rest /= rowBlocks
-	nBanks := uint64(c.Ranks * c.Banks)
-	bank := rest % nBanks
-	row := rest / nBanks
+	return addrMap{
+		blockB:    uint64(c.BlockB),
+		gran:      gran,
+		channels:  uint64(c.Channels),
+		rowBlocks: c.RowBytes / uint64(c.BlockB),
+		nBanks:    uint64(c.Ranks * c.Banks),
+	}
+}
+
+func (m *addrMap) decode(addr uint64) Location {
+	blk := addr / m.blockB
+	group := blk / m.gran
+	ch := group % m.channels
+	rest := group/m.channels*m.gran + blk%m.gran
+	col := rest % m.rowBlocks
+	rest /= m.rowBlocks
+	bank := rest % m.nBanks
+	row := rest / m.nBanks
 	return Location{Channel: int(ch), Bank: int(bank), Row: row, Col: col}
 }

@@ -22,6 +22,9 @@ const (
 	KindBackground
 	// KindPathAccess is a full Path ORAM read+write path access.
 	KindPathAccess
+
+	// NumKinds is the number of kinds, for arrays indexed by Kind.
+	NumKinds int = iota
 )
 
 // String returns the kind's display name.

@@ -71,7 +71,9 @@ type RemoteAllocator interface {
 	// it DEAD for its home bucket to reclaim at its next reshuffle.
 	Offer(level int, ref SlotRef) bool
 	// Claim requests up to want dead slots for remote allocation by a
-	// bucket at the given level. Fewer (or none) may be returned.
+	// bucket at the given level. Fewer (or none) may be returned. The
+	// result may alias the allocator's own storage: it is valid until the
+	// next Claim.
 	Claim(level int, want int) []SlotRef
 	// Release hands back a slot claimed earlier, when the guest bucket is
 	// reshuffled. Returning true re-pools the slot (it stays ALLOCATED);

@@ -131,7 +131,7 @@ func (o *ORAM) captureState() *Delta {
 func (o *ORAM) captureBucket(b int64) BucketDelta {
 	lvl := o.geom.LevelOf(b)
 	physZ := o.physZ[lvl]
-	base := o.slotIndex(b, 0)
+	base := o.slotIndex(b, lvl, 0)
 	bd := BucketDelta{
 		Bucket: b,
 		Block:  append([]int64(nil), o.slotBlock[base:base+int64(physZ)]...),
@@ -264,7 +264,7 @@ func (o *ORAM) validateBucketDelta(bd *BucketDelta) error {
 func (o *ORAM) applyBucketDelta(bd *BucketDelta) {
 	b := bd.Bucket
 	lvl := o.geom.LevelOf(b)
-	base := o.slotIndex(b, 0)
+	base := o.slotIndex(b, lvl, 0)
 	physZ := int64(o.physZ[lvl])
 	copy(o.slotBlock[base:base+physZ], bd.Block)
 	copy(o.slotFlags[base:base+physZ], bd.Flags)

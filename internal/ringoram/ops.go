@@ -33,8 +33,9 @@ const (
 )
 
 // Access services one user request (load and store are identical — the
-// indistinguishability is the point). The returned ops are valid until the
-// next Access call.
+// indistinguishability is the point). The returned ops, and the address
+// slices inside them, are valid until the next access: the ORAM reuses
+// their storage.
 func (o *ORAM) Access(block int64) ([]memop.Op, error) {
 	_, ops, err := o.access(block, nil)
 	return ops, err
@@ -171,8 +172,8 @@ func (o *ORAM) now() uint64 { return o.stats.OnlineAccesses }
 // plus all dummy slots (green blocks keep individual reads). target < 0
 // performs a dummy access.
 func (o *ORAM) readPath(p int64, target int64, kind memop.Kind) {
-	metaOp := memop.Op{Kind: kind}
-	blockOp := memop.Op{Kind: kind}
+	mi, bi := o.newOp(kind), o.newOp(kind)
+	metaOp, blockOp := &o.ops[mi], &o.ops[bi]
 	o.servedLevel = -1
 	xor := o.cfg.XORRead
 	if xor {
@@ -253,7 +254,23 @@ func (o *ORAM) readPath(p int64, target int64, kind memop.Kind) {
 			}
 		}
 	}
-	o.ops = append(o.ops, metaOp, blockOp)
+}
+
+// newOp appends an empty op of the given kind to this access's op list and
+// returns its index. The op reuses the address storage that the op at the
+// same position had on an earlier access, so a steady-state access does
+// not allocate its op lists. A pointer into o.ops stays valid only until
+// the next newOp call.
+func (o *ORAM) newOp(kind memop.Kind) int {
+	n := len(o.ops)
+	if n < cap(o.ops) {
+		o.ops = o.ops[:n+1]
+		op := &o.ops[n]
+		op.Kind, op.Reads, op.Writes = kind, op.Reads[:0], op.Writes[:0]
+	} else {
+		o.ops = append(o.ops, memop.Op{Kind: kind})
+	}
+	return n
 }
 
 // touchBucket consumes one slot of bucket b for a ReadPath: the target's
@@ -271,8 +288,9 @@ func (o *ORAM) touchBucket(b int64, lvl int, target int64) (addr uint64, ok bool
 	var valids [32]int  // logical indices of all valid slots
 	nd, nv := 0, 0
 	targetAt := -1
+	base := o.slotIndex(b, lvl, 0)
 	for j := 0; j < physZ; j++ {
-		idx := o.slotIndex(b, j)
+		idx := base + int64(j)
 		valid, status := o.flags(idx)
 		// Only REFRESHED slots are this bucket's own content: an ALLOCATED
 		// slot is queue-owned or hosting another bucket's guest block.
@@ -296,7 +314,7 @@ func (o *ORAM) touchBucket(b int64, lvl int, target int64) (addr uint64, ok bool
 		if rs.consumed {
 			continue
 		}
-		idx := o.slotIndex(rs.ref.Bucket, rs.ref.Slot)
+		idx := o.slotIndex(rs.ref.Bucket, lvl, rs.ref.Slot)
 		valid, _ := o.flags(idx)
 		if !valid {
 			continue
@@ -382,12 +400,12 @@ func (o *ORAM) consumeSlot(b int64, lvl, pick int, target int64) uint64 {
 		rs := &o.remote[b][pick-physZ]
 		rs.consumed = true
 		host = rs.ref
-		idx = o.slotIndex(host.Bucket, host.Slot)
+		idx = o.slotIndex(host.Bucket, lvl, host.Slot)
 		o.markBucket(host.Bucket) // the (possibly off-path) host slot dies
 		o.stats.RemoteReads++
 	} else {
 		host = SlotRef{Bucket: b, Slot: pick}
-		idx = o.slotIndex(b, pick)
+		idx = o.slotIndex(b, lvl, pick)
 	}
 	if blk := o.slotBlock[idx]; blk >= 0 {
 		// Real content: the target joins the stash under its (already
@@ -398,7 +416,7 @@ func (o *ORAM) consumeSlot(b int64, lvl, pick int, target int64) uint64 {
 		// individual data-plane read.
 		deferred := o.cfg.XORRead && blk == target && lvl >= o.cfg.TreetopLevels
 		if o.cfg.Data != nil && !deferred {
-			o.loadPayload(blk, o.slotAddr(host.Bucket, host.Slot))
+			o.loadPayload(blk, o.slotAddr(host.Bucket, lvl, host.Slot))
 		}
 		if blk != target {
 			o.stats.GreenBlocks++
@@ -415,8 +433,8 @@ func (o *ORAM) consumeSlot(b int64, lvl, pick int, target int64) uint64 {
 	if o.slotDeadAt != nil {
 		o.slotDeadAt[idx] = o.now()
 	}
-	o.deadPerL.Inc(o.geom.LevelOf(host.Bucket))
-	return o.slotAddr(host.Bucket, host.Slot)
+	o.deadPerL.Inc(lvl)
+	return o.slotAddr(host.Bucket, lvl, host.Slot)
 }
 
 // gatherDeads offers every DEAD physical slot of bucket b to the
@@ -425,8 +443,9 @@ func (o *ORAM) consumeSlot(b int64, lvl, pick int, target int64) uint64 {
 // slot was since reclaimed by its home bucket — is detectable at claim
 // time.
 func (o *ORAM) gatherDeads(b int64, lvl int) {
+	base := o.slotIndex(b, lvl, 0)
 	for j := 0; j < o.physZ[lvl]; j++ {
-		idx := o.slotIndex(b, j)
+		idx := base + int64(j)
 		if _, status := o.flags(idx); status != statusDead {
 			continue
 		}
@@ -455,12 +474,12 @@ func (o *ORAM) evictPath() {
 	o.evictGen++
 	o.stats.EvictPaths++
 
-	readOp := memop.Op{Kind: memop.KindEvictPath}
-	writeOp := memop.Op{Kind: memop.KindEvictPath}
+	ri, wi := o.newOp(memop.KindEvictPath), o.newOp(memop.KindEvictPath)
+	readOp, writeOp := &o.ops[ri], &o.ops[wi]
 	o.bufC = o.geom.PathBuckets(p, o.bufC[:0])
 
 	for lvl, b := range o.bufC {
-		o.drainBucket(b, lvl, &readOp)
+		o.drainBucket(b, lvl, readOp)
 	}
 	// Refill leaf to root so blocks sink as deep as their paths allow. The
 	// plan classifies the whole stash in one pass instead of rescanning it
@@ -470,9 +489,8 @@ func (o *ORAM) evictPath() {
 		lvl := lvl
 		o.refillBucket(o.bufC[lvl], lvl, func(max int) []stash.Entry {
 			return plan.Take(lvl, max)
-		}, &writeOp)
+		}, writeOp)
 	}
-	o.ops = append(o.ops, readOp, writeOp)
 }
 
 // earlyReshuffle reshuffles one bucket after it exhausted its touch budget:
@@ -481,9 +499,9 @@ func (o *ORAM) earlyReshuffle(b int64, lvl int) {
 	o.stats.EarlyReshuffles++
 	o.reshufPerL.Inc(lvl)
 
-	readOp := memop.Op{Kind: memop.KindEarlyReshuffle}
-	writeOp := memop.Op{Kind: memop.KindEarlyReshuffle}
-	o.drainBucket(b, lvl, &readOp)
+	ri, wi := o.newOp(memop.KindEarlyReshuffle), o.newOp(memop.KindEarlyReshuffle)
+	readOp, writeOp := &o.ops[ri], &o.ops[wi]
+	o.drainBucket(b, lvl, readOp)
 	// A reshuffled bucket may piggy-back eligible stash residue; eligibility
 	// is "the block's path passes through b", expressed as the leftmost
 	// leaf path under b.
@@ -491,8 +509,7 @@ func (o *ORAM) earlyReshuffle(b int64, lvl int) {
 	anyPath := local << (o.cfg.Levels - 1 - lvl)
 	o.refillBucket(b, lvl, func(max int) []stash.Entry {
 		return o.st.TakeEligible(o.geom, anyPath, lvl, max)
-	}, &writeOp)
-	o.ops = append(o.ops, readOp, writeOp)
+	}, writeOp)
 }
 
 // drainBucket reads a bucket's surviving real blocks into the stash and
@@ -507,13 +524,14 @@ func (o *ORAM) drainBucket(b int64, lvl int, op *memop.Op) {
 		o.stats.MetaReads++
 	}
 	physZ := o.physZ[lvl]
+	base := o.slotIndex(b, lvl, 0)
 	reads := 0
 	var readSlot [32]bool // in-place slots already charged a read
 	addRead := func(host SlotRef, remote bool) {
 		if !offChip {
 			return
 		}
-		op.Reads = append(op.Reads, o.slotAddr(host.Bucket, host.Slot))
+		op.Reads = append(op.Reads, o.slotAddr(host.Bucket, lvl, host.Slot))
 		o.stats.BlocksRead++
 		if remote {
 			o.stats.RemoteReads++
@@ -521,7 +539,7 @@ func (o *ORAM) drainBucket(b int64, lvl int, op *memop.Op) {
 		reads++
 	}
 	for j := 0; j < physZ; j++ {
-		idx := o.slotIndex(b, j)
+		idx := base + int64(j)
 		valid, status := o.flags(idx)
 		if status == statusHosting {
 			continue // a guest's content, not this bucket's
@@ -530,7 +548,7 @@ func (o *ORAM) drainBucket(b int64, lvl int, op *memop.Op) {
 			blk := o.slotBlock[idx]
 			o.st.Put(blk, o.pos.Peek(blk))
 			if o.cfg.Data != nil {
-				o.loadPayload(blk, o.slotAddr(b, j))
+				o.loadPayload(blk, o.slotAddr(b, lvl, j))
 			}
 			o.slotBlock[idx] = dummyBlock
 			readSlot[j] = true
@@ -542,13 +560,13 @@ func (o *ORAM) drainBucket(b int64, lvl int, op *memop.Op) {
 		if rs.consumed {
 			continue // already dead and possibly re-pooled elsewhere
 		}
-		idx := o.slotIndex(rs.ref.Bucket, rs.ref.Slot)
+		idx := o.slotIndex(rs.ref.Bucket, lvl, rs.ref.Slot)
 		o.markBucket(rs.ref.Bucket) // host slot released or turned dead below
 		if valid, _ := o.flags(idx); valid && o.slotBlock[idx] >= 0 {
 			blk := o.slotBlock[idx]
 			o.st.Put(blk, o.pos.Peek(blk))
 			if o.cfg.Data != nil {
-				o.loadPayload(blk, o.slotAddr(rs.ref.Bucket, rs.ref.Slot))
+				o.loadPayload(blk, o.slotAddr(rs.ref.Bucket, lvl, rs.ref.Slot))
 			}
 			o.slotBlock[idx] = dummyBlock
 			addRead(rs.ref, true)
@@ -575,11 +593,11 @@ func (o *ORAM) drainBucket(b int64, lvl int, op *memop.Op) {
 		if readSlot[j] {
 			continue
 		}
-		idx := o.slotIndex(b, j)
+		idx := base + int64(j)
 		if _, status := o.flags(idx); status == statusHosting {
 			continue
 		}
-		op.Reads = append(op.Reads, o.slotAddr(b, j))
+		op.Reads = append(op.Reads, o.slotAddr(b, lvl, j))
 		o.stats.BlocksRead++
 		reads++
 	}
@@ -602,8 +620,9 @@ func (o *ORAM) refillBucket(b int64, lvl int, take func(max int) []stash.Entry, 
 	// generation.
 	var owned [32]int
 	nOwned := 0
+	base := o.slotIndex(b, lvl, 0)
 	for j := 0; j < physZ; j++ {
-		idx := o.slotIndex(b, j)
+		idx := base + int64(j)
 		_, status := o.flags(idx)
 		if status == statusHosting {
 			continue
@@ -623,7 +642,7 @@ func (o *ORAM) refillBucket(b int64, lvl int, take func(max int) []stash.Entry, 
 
 	// Claim remote extensions toward Z' + STarget logical slots, skipping
 	// stale queue entries (reclaimed by their home bucket since enqueue).
-	var claimed []SlotRef
+	claimed := o.bufClaim[:0]
 	want := o.zPrimeL[lvl] + o.sTargetL[lvl] - nOwned
 	if want > o.cfg.MaxRemote {
 		want = o.cfg.MaxRemote
@@ -650,7 +669,7 @@ func (o *ORAM) refillBucket(b int64, lvl int, take func(max int) []stash.Entry, 
 					o.stats.StaleClaims++
 					continue
 				}
-				idx := o.slotIndex(ref.Bucket, ref.Slot)
+				idx := o.slotIndex(ref.Bucket, lvl, ref.Slot)
 				_, status := o.flags(idx)
 				if status != statusQueued || o.slotGen[idx] != ref.Gen {
 					o.stats.StaleClaims++
@@ -665,6 +684,7 @@ func (o *ORAM) refillBucket(b int64, lvl int, take func(max int) []stash.Entry, 
 		if extensionLevel && nOwned+len(claimed) >= o.zPrimeL[lvl]+o.sTargetL[lvl] {
 			o.stats.ExtendGranted++
 		}
+		o.bufClaim = claimed // keep the grown scratch
 	}
 
 	logical := nOwned + len(claimed)
@@ -692,10 +712,10 @@ func (o *ORAM) refillBucket(b int64, lvl int, take func(max int) []stash.Entry, 
 	slotAt := func(li int) (SlotRef, int64) {
 		if li < nOwned {
 			ref := SlotRef{Bucket: b, Slot: owned[li]}
-			return ref, o.slotIndex(ref.Bucket, ref.Slot)
+			return ref, o.slotIndex(ref.Bucket, lvl, ref.Slot)
 		}
 		ref := claimed[li-nOwned]
-		return ref, o.slotIndex(ref.Bucket, ref.Slot)
+		return ref, o.slotIndex(ref.Bucket, lvl, ref.Slot)
 	}
 	for li := 0; li < logical; li++ {
 		ref, idx := slotAt(li)
@@ -707,10 +727,10 @@ func (o *ORAM) refillBucket(b int64, lvl int, take func(max int) []stash.Entry, 
 			o.setFlags(idx, true, statusHosting)
 		}
 		if o.cfg.Data != nil {
-			o.storePayload(blk, o.slotAddr(ref.Bucket, ref.Slot))
+			o.storePayload(blk, o.slotAddr(ref.Bucket, lvl, ref.Slot))
 		}
 		if offChip {
-			op.Writes = append(op.Writes, o.slotAddr(ref.Bucket, ref.Slot))
+			op.Writes = append(op.Writes, o.slotAddr(ref.Bucket, lvl, ref.Slot))
 			o.stats.BlocksWritten++
 			if li >= nOwned {
 				o.stats.RemoteWrites++

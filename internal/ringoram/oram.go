@@ -132,12 +132,16 @@ type ORAM struct {
 	clock       uint64
 	bucketEpoch []uint64
 
+	// ops is this access's op list. Each entry keeps its address storage
+	// across accesses (newOp).
 	ops  []memop.Op
 	bufA []int64 // path bucket scratch (readPath)
 	bufB []int64 // path bucket scratch (afterReadPath)
 	bufC []int64 // path bucket scratch (evictPath)
 	bufP []int   // permutation scratch (refillBucket)
 	bufQ []int64 // slot -> block assignment scratch (refillBucket)
+
+	bufClaim []SlotRef // claimed remote slots scratch (refillBucket)
 }
 
 // New constructs and warm-places a Ring ORAM.
@@ -213,16 +217,20 @@ func New(cfg Config) (*ORAM, error) {
 	return o, nil
 }
 
-// slotIndex returns the flat index of slot j in bucket b.
-func (o *ORAM) slotIndex(b int64, j int) int64 {
-	lvl := o.geom.LevelOf(b)
-	local := b - o.geom.LevelStart(lvl)
+// slotIndex returns the flat index of slot j in bucket b, which sits at
+// level lvl. Callers pass the level they already know (a remote slot
+// always lives on its guest's level) instead of recomputing it. The
+// level's first bucket is 2^lvl - 1 (tree.Geometry.LevelStart), inlined
+// here because this is the hottest function of the simulator.
+func (o *ORAM) slotIndex(b int64, lvl, j int) int64 {
+	local := b - (int64(1)<<lvl - 1)
 	return o.slotBase[lvl] + local*int64(o.physZ[lvl]) + int64(j)
 }
 
-// slotAddr returns the physical byte address of slot j in bucket b.
-func (o *ORAM) slotAddr(b int64, j int) uint64 {
-	return uint64(o.slotIndex(b, j)) * uint64(o.cfg.BlockB)
+// slotAddr returns the physical byte address of slot j in bucket b at
+// level lvl.
+func (o *ORAM) slotAddr(b int64, lvl, j int) uint64 {
+	return uint64(o.slotIndex(b, lvl, j)) * uint64(o.cfg.BlockB)
 }
 
 // metaAddr returns the physical byte address of bucket b's metadata block.
@@ -260,7 +268,7 @@ func (o *ORAM) initPlacement() {
 		for lvl := o.cfg.Levels - 1; lvl >= 0; lvl-- {
 			b := o.geom.Bucket(p, lvl)
 			if int(usedReal[b]) < o.zPrimeL[lvl] {
-				o.slotBlock[o.slotIndex(b, int(usedReal[b]))] = blk
+				o.slotBlock[o.slotIndex(b, lvl, int(usedReal[b]))] = blk
 				usedReal[b]++
 				placed = true
 				break
@@ -361,7 +369,7 @@ func (o *ORAM) CheckInvariants() error {
 				return fmt.Errorf("slot %v hosts both bucket %d and %d", rs.ref, prev, b)
 			}
 			hosted[key] = b
-			if _, status := o.flags(o.slotIndex(rs.ref.Bucket, rs.ref.Slot)); status != statusHosting {
+			if _, status := o.flags(o.slotIndex(rs.ref.Bucket, o.geom.LevelOf(rs.ref.Bucket), rs.ref.Slot)); status != statusHosting {
 				return fmt.Errorf("remote slot %v not in hosting state", rs.ref)
 			}
 			if o.geom.LevelOf(rs.ref.Bucket) != o.geom.LevelOf(b) {
@@ -386,7 +394,7 @@ func (o *ORAM) CheckInvariants() error {
 	for b := int64(0); b < o.geom.NumBuckets(); b++ {
 		lvl := o.geom.LevelOf(b)
 		for j := 0; j < o.physZ[lvl]; j++ {
-			idx := o.slotIndex(b, j)
+			idx := o.slotIndex(b, lvl, j)
 			valid, status := o.flags(idx)
 			guest, isHosted := hosted[slotKey{bucket: b, slot: j}]
 			logical := b

@@ -342,3 +342,32 @@ func TestIntroRingOnlineAdvantage(t *testing.T) {
 		t.Errorf("Ring online traffic (%v) not below Path (%v) — contradicts §I", blocks["Ring ORAM (Z=12)"], blocks["Path ORAM (Z=4)"])
 	}
 }
+
+// BenchmarkSimulatorStep is the simulator's per-access host cost: one
+// trace request through the AB protocol engine and the DRAM model, at the
+// quick preset's geometry after a warm-up.
+func BenchmarkSimulatorStep(b *testing.B) {
+	p := Quick()
+	o, _, err := core.New(core.SchemeAB, p.options(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(o, p.DRAM, p.CPU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := trace.NewGenerator(p.Benchmarks[0], p.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Run(gen, p.Warmup); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Step(gen.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

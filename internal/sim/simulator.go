@@ -38,9 +38,9 @@ type Simulator struct {
 	mem  *dram.Controller
 	cpu  CPU
 
-	now       uint64 // DRAM cycles
-	startNow  uint64 // measurement-window start
-	breakdown map[memop.Kind]uint64
+	now       uint64                 // DRAM cycles
+	startNow  uint64                 // measurement-window start
+	breakdown [memop.NumKinds]uint64 // cycles per operation kind
 
 	accesses  uint64 // requests serviced in the measurement window
 	oramStat0 ringoram.Stats
@@ -55,12 +55,7 @@ func New(o *ringoram.ORAM, memCfg dram.Config, cpu CPU) (*Simulator, error) {
 	if cpu.FetchWidth <= 0 || cpu.CPUPerDRAM == 0 {
 		return nil, fmt.Errorf("sim: invalid CPU model %+v", cpu)
 	}
-	return &Simulator{
-		oram:      o,
-		mem:       mem,
-		cpu:       cpu,
-		breakdown: map[memop.Kind]uint64{},
-	}, nil
+	return &Simulator{oram: o, mem: mem, cpu: cpu}, nil
 }
 
 // ORAM returns the wrapped protocol instance.
@@ -104,7 +99,7 @@ func (s *Simulator) Run(gen *trace.Generator, n int) error {
 // mirroring the paper's 38 M-access warm-up before the measured window.
 func (s *Simulator) StartMeasurement() {
 	s.mem.ResetStats()
-	s.breakdown = map[memop.Kind]uint64{}
+	s.breakdown = [memop.NumKinds]uint64{}
 	s.startNow = s.now
 	s.accesses = 0
 	s.oramStat0 = s.oram.Stats()
@@ -144,9 +139,11 @@ func (s *Simulator) Finish() Result {
 	delta.XORReads -= d0.XORReads
 	delta.BGEvictSaturated -= d0.BGEvictSaturated
 
-	bd := make(map[memop.Kind]uint64, len(s.breakdown))
+	bd := make(map[memop.Kind]uint64)
 	for k, v := range s.breakdown {
-		bd[k] = v
+		if v != 0 {
+			bd[memop.Kind(k)] = v
+		}
 	}
 	return Result{
 		Cycles:    s.now - s.startNow,

@@ -17,8 +17,9 @@
 package stash
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -38,6 +39,9 @@ type Stash struct {
 
 	peak      int
 	overflows uint64
+
+	plan  EvictionPlan // PlanEviction's plan, reused across evictions
+	taken []Entry      // Take/TakeEligible result storage, reused
 }
 
 // New returns a stash with the given hardware capacity (maximum entries).
@@ -129,18 +133,20 @@ func (s *Stash) removeAt(i int) {
 // own path shares the eviction path down to at least that level.
 //
 // Among equally eligible blocks the lowest block IDs win, keeping every
-// experiment bit-reproducible regardless of insertion order.
+// experiment bit-reproducible regardless of insertion order. The returned
+// slice is valid until the next Take or TakeEligible on this stash.
 func (s *Stash) TakeEligible(g tree.Geometry, evictPath int64, level, max int) []Entry {
 	if max <= 0 {
 		return nil
 	}
-	var eligible []Entry
+	eligible := s.taken[:0]
 	for _, e := range s.entries {
 		if g.CommonLevel(e.Path, evictPath) >= level {
 			eligible = append(eligible, e)
 		}
 	}
-	sort.Slice(eligible, func(i, j int) bool { return eligible[i].Block < eligible[j].Block })
+	s.taken = eligible
+	slices.SortFunc(eligible, byBlock)
 	if len(eligible) > max {
 		eligible = eligible[:max]
 	}
@@ -151,8 +157,13 @@ func (s *Stash) TakeEligible(g tree.Geometry, evictPath int64, level, max int) [
 	return eligible
 }
 
+// byBlock orders entries by block ID. IDs are unique within a stash, so
+// the order is total and every sort of one set yields the same sequence.
+func byBlock(a, b Entry) int { return cmp.Compare(a.Block, b.Block) }
+
 // EvictionPlan assigns stash blocks to the buckets of one eviction path.
 // Build it with PlanEviction, then consume per level from the leaf up.
+// A stash owns one plan, so a plan is valid until the next PlanEviction.
 type EvictionPlan struct {
 	s *Stash
 	// byDeepest[l] lists blocks whose deepest legal level on the path is l,
@@ -167,18 +178,22 @@ type EvictionPlan struct {
 // replacement for calling TakeEligible once per level (O(L x |stash|)),
 // which profiling shows dominates the simulator otherwise.
 func (s *Stash) PlanEviction(g tree.Geometry, evictPath int64) *EvictionPlan {
-	p := &EvictionPlan{
-		s:         s,
-		byDeepest: make([][]Entry, g.Levels()),
-		cursor:    make([]int, g.Levels()),
+	p := &s.plan
+	p.s = s
+	if n := g.Levels(); len(p.byDeepest) != n {
+		p.byDeepest = make([][]Entry, n)
+		p.cursor = make([]int, n)
+	}
+	for lvl := range p.byDeepest {
+		p.byDeepest[lvl] = p.byDeepest[lvl][:0]
+		p.cursor[lvl] = 0
 	}
 	for _, e := range s.entries {
 		lvl := g.CommonLevel(e.Path, evictPath)
 		p.byDeepest[lvl] = append(p.byDeepest[lvl], e)
 	}
-	for lvl := range p.byDeepest {
-		b := p.byDeepest[lvl]
-		sort.Slice(b, func(i, j int) bool { return b[i].Block < b[j].Block })
+	for _, bin := range p.byDeepest {
+		slices.SortFunc(bin, byBlock)
 	}
 	return p
 }
@@ -186,9 +201,10 @@ func (s *Stash) PlanEviction(g tree.Geometry, evictPath int64) *EvictionPlan {
 // Take removes and returns up to max blocks eligible for the bucket at
 // `level`, preferring blocks that cannot go deeper (their deepest level is
 // closest to `level`). Must be called leaf-to-root, each level at most
-// once.
+// once. The returned slice is valid until the next Take or TakeEligible
+// on the stash.
 func (p *EvictionPlan) Take(level, max int) []Entry {
-	var out []Entry
+	out := p.s.taken[:0]
 	for depth := level; depth < len(p.byDeepest) && len(out) < max; depth++ {
 		bin := p.byDeepest[depth]
 		for p.cursor[depth] < len(bin) && len(out) < max {
@@ -200,6 +216,7 @@ func (p *EvictionPlan) Take(level, max int) []Entry {
 			}
 		}
 	}
+	p.s.taken = out
 	return out
 }
 
@@ -208,6 +225,6 @@ func (p *EvictionPlan) Take(level, max int) []Entry {
 func (s *Stash) All() []Entry {
 	out := make([]Entry, len(s.entries))
 	copy(out, s.entries)
-	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
+	slices.SortFunc(out, byBlock)
 	return out
 }

@@ -25,7 +25,7 @@
 # the benchmark module's own vet + build + self-tests (bench/ is a
 # separate module, so `go build ./...` here cannot see a refactor
 # breaking the surface it compiles against),
-# then a short-budget fuzz smoke over the eleven native fuzz targets.
+# then a short-budget fuzz smoke over the twelve native fuzz targets.
 # Longer campaigns: `make fuzz FUZZTIME=10m`, `make crash`,
 # `make soak SOAKTIME=60s`, or see EXPERIMENTS.md.
 set -eux
@@ -55,3 +55,4 @@ go test -run='^$' -fuzz='^FuzzWALReplay$' -fuzztime="$FUZZTIME" ./internal/durab
 go test -run='^$' -fuzz='^FuzzReshardJournal$' -fuzztime="$FUZZTIME" ./internal/durable
 go test -run='^$' -fuzz='^FuzzXORPeel$' -fuzztime="$FUZZTIME" ./internal/secmem
 go test -run='^$' -fuzz='^FuzzScopedVerify$' -fuzztime="$FUZZTIME" ./internal/merkle
+go test -run='^$' -fuzz='^FuzzControllerMatchesReference$' -fuzztime="$FUZZTIME" ./internal/dram
