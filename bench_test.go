@@ -259,11 +259,11 @@ func BenchmarkAblationChannelInterleave(b *testing.B) {
 				}
 				bench, _ := trace.Find("x264")
 				gen, _ := trace.NewGenerator(bench, 5)
-				if err := s.Run(gen, 1500); err != nil {
+				if err := s.Run(sim.FromGenerator(gen), 1500); err != nil {
 					b.Fatal(err)
 				}
 				s.StartMeasurement()
-				if err := s.Run(gen, 4000); err != nil {
+				if err := s.Run(sim.FromGenerator(gen), 4000); err != nil {
 					b.Fatal(err)
 				}
 				cpa = s.Finish().CyclesPerAccess()
@@ -294,11 +294,11 @@ func BenchmarkAblationEvictInterval(b *testing.B) {
 				}
 				bench, _ := trace.Find("x264")
 				gen, _ := trace.NewGenerator(bench, 5)
-				if err := s.Run(gen, 2000); err != nil {
+				if err := s.Run(sim.FromGenerator(gen), 2000); err != nil {
 					b.Fatal(err)
 				}
 				s.StartMeasurement()
-				if err := s.Run(gen, 6000); err != nil {
+				if err := s.Run(sim.FromGenerator(gen), 6000); err != nil {
 					b.Fatal(err)
 				}
 				cpa = s.Finish().CyclesPerAccess()

@@ -14,8 +14,9 @@
 // the paper's reported values for comparison. All experiments share one
 // orchestrator (internal/sim.Exec): a bounded worker pool with a keyed
 // run-cache, so `-exp all` computes each (config, benchmark, seed) job
-// once and reuses it across experiments. Tables are byte-identical at any
-// -parallel setting.
+// once and reuses it across experiments. Each job runs the ORAM protocol
+// and the DRAM model on two goroutines, so -parallel N may keep up to 2N
+// cores busy. Tables are byte-identical at any -parallel setting.
 package main
 
 import (
@@ -72,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 	warmup := fs.Int("warmup", 0, "override warm-up accesses")
 	measure := fs.Int("measure", 0, "override measured accesses")
 	seed := fs.Uint64("seed", 0, "override experiment seed")
-	parallel := fs.Int("parallel", 0, "max concurrent simulation jobs (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "max concurrent simulation jobs, each on up to two goroutines (0 = GOMAXPROCS)")
 	csvDir := fs.String("csv", "", "directory to write CSV copies of every table")
 	jsonPath := fs.String("json", "", `write tables + run metadata as JSON to this file ("-" = stdout, suppressing text output)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")

@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var step func() (trace.Request, error)
+	var next func() (trace.Request, error)
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
@@ -63,36 +63,28 @@ func run(args []string, out io.Writer) error {
 		}
 		defer f.Close()
 		r := trace.NewReader(f)
-		step = r.Read
+		read := 0
+		next = func() (trace.Request, error) {
+			req, err := r.Read()
+			if err == io.EOF {
+				return req, fmt.Errorf("trace exhausted after %d requests", read)
+			}
+			read++
+			return req, err
+		}
 	} else {
 		gen, err := trace.NewGenerator(b, *seed)
 		if err != nil {
 			return err
 		}
-		step = func() (trace.Request, error) { return gen.Next(), nil }
+		next = sim.FromGenerator(gen)
 	}
 
-	runN := func(n int) error {
-		for i := 0; i < n; i++ {
-			req, err := step()
-			if err == io.EOF {
-				return fmt.Errorf("trace exhausted after %d requests", i)
-			}
-			if err != nil {
-				return err
-			}
-			if err := s.Step(req); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := runN(*warmup); err != nil {
+	if err := s.Run(next, *warmup); err != nil {
 		return err
 	}
 	s.StartMeasurement()
-	if err := runN(*accesses); err != nil {
+	if err := s.Run(next, *accesses); err != nil {
 		return err
 	}
 	res := s.Finish()

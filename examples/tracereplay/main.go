@@ -71,13 +71,17 @@ func run(w io.Writer, levels, cpuAccesses int, benchName string) error {
 		if err != nil {
 			return err
 		}
-		for i, r := range missTrace {
-			if i == warm {
-				s.StartMeasurement()
-			}
-			if err := s.Step(r); err != nil {
-				return err
-			}
+		replayed := 0
+		next := func() (trace.Request, error) {
+			replayed++
+			return missTrace[replayed-1], nil
+		}
+		if err := s.Run(next, warm); err != nil {
+			return err
+		}
+		s.StartMeasurement()
+		if err := s.Run(next, len(missTrace)-warm); err != nil {
+			return err
 		}
 		res := s.Finish()
 		rows = append(rows, row{scheme, res.CyclesPerAccess(), res.SpaceB})

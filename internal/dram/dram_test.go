@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -371,5 +372,30 @@ func TestInterleaveGranularity(t *testing.T) {
 			t.Fatalf("blocks %d and %d collide at %+v", prev, i, loc)
 		}
 		seen[loc] = uint64(i)
+	}
+}
+
+// TestAddrSetMatchesMap drives the write-queue address set against a map
+// up to full load and back to empty, in a small table so probe runs wrap
+// around its end.
+func TestAddrSetMatchesMap(t *testing.T) {
+	const maxKeys = 6
+	r := rand.New(rand.NewPCG(3, 4))
+	set := newAddrSet(maxKeys)
+	want := map[uint64]bool{}
+	for step := 0; step < 20000; step++ {
+		if len(want) == maxKeys || r.IntN(8) == 0 {
+			set.clear()
+			clear(want)
+		} else {
+			a := r.Uint64N(24) * 64
+			set.add(a)
+			want[a] = true
+		}
+		for a := uint64(0); a < 24*64; a += 64 {
+			if got := set.has(a); got != want[a] {
+				t.Fatalf("step %d: has(%d) = %v, want %v", step, a, got, want[a])
+			}
+		}
 	}
 }

@@ -111,11 +111,12 @@ func RunIntro(p Params) ([]*report.Table, error) {
 		if err != nil {
 			return err
 		}
-		if err := s.Run(gen, p.Warmup); err != nil {
+		next := FromGenerator(gen)
+		if err := s.Run(next, p.Warmup); err != nil {
 			return err
 		}
 		s.StartMeasurement()
-		if err := s.Run(gen, p.Measure); err != nil {
+		if err := s.Run(next, p.Measure); err != nil {
 			return err
 		}
 		res := s.Finish()

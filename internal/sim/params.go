@@ -24,8 +24,11 @@ type Params struct {
 	DRAM       dram.Config
 	CPU        CPU
 
-	// Parallel bounds concurrent simulation jobs (0 = GOMAXPROCS). It only
-	// applies when Exec is nil; an explicit Exec carries its own bound.
+	// Parallel bounds concurrent simulation jobs (0 = GOMAXPROCS), and
+	// the verify audit's concurrent rows. Each job runs the ORAM protocol
+	// and the DRAM model on two goroutines, so it may keep up to two cores
+	// busy. It only applies when Exec is nil; an explicit Exec carries its
+	// own bound.
 	Parallel int
 
 	// Exec is the experiment orchestrator: a bounded worker pool with a
@@ -103,11 +106,12 @@ func runConfig(p Params, j Job) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := s.Run(gen, p.Warmup); err != nil {
+	next := FromGenerator(gen)
+	if err := s.Run(next, p.Warmup); err != nil {
 		return Result{}, fmt.Errorf("sim: %s warmup: %w", j.Bench.Name, err)
 	}
 	s.StartMeasurement()
-	if err := s.Run(gen, p.Measure); err != nil {
+	if err := s.Run(next, p.Measure); err != nil {
 		return Result{}, fmt.Errorf("sim: %s measure: %w", j.Bench.Name, err)
 	}
 	return s.Finish(), nil

@@ -23,7 +23,7 @@ func tinyParams() Params {
 	return p
 }
 
-func TestSimulatorStepAdvancesTime(t *testing.T) {
+func TestSimulatorRunAdvancesTime(t *testing.T) {
 	p := tinyParams()
 	o, _, err := core.New(core.SchemeBaseline, p.options(0))
 	if err != nil {
@@ -35,7 +35,7 @@ func TestSimulatorStepAdvancesTime(t *testing.T) {
 	}
 	gen, _ := trace.NewGenerator(p.Benchmarks[0], 1)
 	before := s.Now()
-	if err := s.Step(gen.Next()); err != nil {
+	if err := s.Run(FromGenerator(gen), 1); err != nil {
 		t.Fatal(err)
 	}
 	if s.Now() <= before {
@@ -62,11 +62,11 @@ func TestMeasurementWindowExcludesWarmup(t *testing.T) {
 	}
 	s, _ := New(o, p.DRAM, p.CPU)
 	gen, _ := trace.NewGenerator(p.Benchmarks[0], 1)
-	if err := s.Run(gen, 500); err != nil {
+	if err := s.Run(FromGenerator(gen), 500); err != nil {
 		t.Fatal(err)
 	}
 	s.StartMeasurement()
-	if err := s.Run(gen, 300); err != nil {
+	if err := s.Run(FromGenerator(gen), 300); err != nil {
 		t.Fatal(err)
 	}
 	res := s.Finish()
@@ -343,10 +343,11 @@ func TestIntroRingOnlineAdvantage(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulatorStep is the simulator's per-access host cost: one
-// trace request through the AB protocol engine and the DRAM model, at the
-// quick preset's geometry after a warm-up.
-func BenchmarkSimulatorStep(b *testing.B) {
+// BenchmarkSimulatorRun is the simulator's per-access host cost: b.N
+// trace requests through one Run of the AB protocol engine and the DRAM
+// model, at the quick preset's geometry after a warm-up. The pipeline
+// reuses its chunks, so steady state allocates nothing per access.
+func BenchmarkSimulatorRun(b *testing.B) {
 	p := Quick()
 	o, _, err := core.New(core.SchemeAB, p.options(0))
 	if err != nil {
@@ -360,14 +361,13 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Run(gen, p.Warmup); err != nil {
+	next := FromGenerator(gen)
+	if err := s.Run(next, p.Warmup); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(gen.Next()); err != nil {
-			b.Fatal(err)
-		}
+	if err := s.Run(next, b.N); err != nil {
+		b.Fatal(err)
 	}
 }

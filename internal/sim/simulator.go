@@ -8,6 +8,12 @@
 // through the ORAM controller, which is the dominant effect — every ORAM
 // online access occupies the memory system for hundreds of cycles, so the
 // ROB drains and the core stalls on each one.
+//
+// On the host, Simulator.Run is a two-stage pipeline: one goroutine runs
+// the ORAM protocol ahead, and the calling goroutine prices the recorded
+// accesses through the DRAM model in order. The protocol never reads
+// simulated time, so the overlap changes host time only, never a cycle.
+// A simulation job therefore uses up to two goroutines.
 package sim
 
 import (
@@ -44,6 +50,8 @@ type Simulator struct {
 
 	accesses  uint64 // requests serviced in the measurement window
 	oramStat0 ringoram.Stats
+
+	chunks []*chunk // Run's, reused across calls
 }
 
 // New builds a simulator around an existing ORAM instance.
@@ -67,32 +75,141 @@ func (s *Simulator) Mem() *dram.Controller { return s.mem }
 // Now returns the current simulated time in DRAM cycles.
 func (s *Simulator) Now() uint64 { return s.now }
 
-// Step services one trace request end to end.
-func (s *Simulator) Step(req trace.Request) error {
-	// Non-memory instructions retire at fetch width in CPU cycles.
-	s.now += req.Gap / (uint64(s.cpu.FetchWidth) * s.cpu.CPUPerDRAM)
-	blk := int64(req.Block() % uint64(s.oram.Config().NumBlocks))
-	ops, err := s.oram.Access(blk)
-	if err != nil {
-		return err
-	}
-	for _, op := range ops {
-		done := s.mem.Batch(s.now, op.Reads, op.Writes)
-		s.breakdown[op.Kind] += done - s.now
-		s.now = done
-	}
-	s.accesses++
-	return nil
+// chunkAccesses is how many accesses one chunk carries from the protocol
+// stage to the pricing stage, and pipelineChunks how many chunks circulate
+// between them: enough that neither stage waits on the other's hand-off.
+const (
+	chunkAccesses  = 64
+	pipelineChunks = 4
+)
+
+// chunk is the protocol stage's record of up to chunkAccesses consecutive
+// accesses, copied out of the ORAM's reused op storage: per access its
+// front-end gap and where its ops end, per op its kind and read/write
+// counts, and every op's reads then writes in one address array.
+type chunk struct {
+	n     int // accesses recorded
+	gaps  [chunkAccesses]uint64
+	opEnd [chunkAccesses]int32
+	ops   []chunkOp
+	addrs []uint64
+
+	// err stops the run after the n recorded accesses. failGap is the
+	// front-end gap of the request whose Access failed (0 when the
+	// request source failed): time advanced over it before the failure.
+	err     error
+	failGap uint64
 }
 
-// Run services n requests from the generator.
-func (s *Simulator) Run(gen *trace.Generator, n int) error {
-	for i := 0; i < n; i++ {
-		if err := s.Step(gen.Next()); err != nil {
-			return err
+type chunkOp struct {
+	kind          memop.Kind
+	reads, writes int32
+}
+
+// Run services n requests drawn from next. The ORAM protocol runs on a
+// goroutine of its own, ahead of the DRAM model, which prices the recorded
+// accesses on the calling goroutine in order. The protocol never reads
+// simulated time, so every cycle is what servicing the requests one by one
+// would give. Both stages start and join inside Run: between calls the
+// ORAM and the controller are quiescent, and next has been called once per
+// serviced request, plus once for the request that stopped the run, if one
+// did.
+//
+// An error from next or from the ORAM stops the run: the accesses before
+// it are priced and the error is returned.
+func (s *Simulator) Run(next func() (trace.Request, error), n int) error {
+	if n <= 0 {
+		return nil
+	}
+	if s.chunks == nil {
+		s.chunks = make([]*chunk, pipelineChunks)
+		for i := range s.chunks {
+			s.chunks[i] = new(chunk)
 		}
 	}
-	return nil
+	// Both channels hold every chunk, so neither side's send ever blocks.
+	free := make(chan *chunk, len(s.chunks))
+	full := make(chan *chunk, len(s.chunks))
+	for _, c := range s.chunks {
+		free <- c
+	}
+	go func() {
+		defer close(full)
+		for left := n; left > 0; {
+			c := <-free
+			s.record(c, next, min(left, chunkAccesses))
+			left -= c.n
+			full <- c
+			if c.err != nil {
+				return
+			}
+		}
+	}()
+	var err error
+	for c := range full {
+		s.price(c)
+		if c.err != nil {
+			err = c.err
+		}
+		free <- c
+	}
+	return err
+}
+
+// FromGenerator adapts a trace generator to Run's request source.
+func FromGenerator(gen *trace.Generator) func() (trace.Request, error) {
+	return func() (trace.Request, error) { return gen.Next(), nil }
+}
+
+// record is the protocol stage: it draws up to n requests, runs each
+// through the ORAM and copies the access's ops into c.
+func (s *Simulator) record(c *chunk, next func() (trace.Request, error), n int) {
+	c.n, c.err, c.failGap = 0, nil, 0
+	c.ops, c.addrs = c.ops[:0], c.addrs[:0]
+	numBlocks := uint64(s.oram.Config().NumBlocks)
+	cyclesPerGap := uint64(s.cpu.FetchWidth) * s.cpu.CPUPerDRAM
+	for c.n < n {
+		req, err := next()
+		if err != nil {
+			c.err = err
+			return
+		}
+		// Non-memory instructions retire at fetch width in CPU cycles.
+		gap := req.Gap / cyclesPerGap
+		ops, err := s.oram.Access(int64(req.Block() % numBlocks))
+		if err != nil {
+			c.err, c.failGap = err, gap
+			return
+		}
+		for _, op := range ops {
+			c.ops = append(c.ops, chunkOp{op.Kind, int32(len(op.Reads)), int32(len(op.Writes))})
+			c.addrs = append(c.addrs, op.Reads...)
+			c.addrs = append(c.addrs, op.Writes...)
+		}
+		c.gaps[c.n] = gap
+		c.opEnd[c.n] = int32(len(c.ops))
+		c.n++
+	}
+}
+
+// price is the DRAM stage: it advances simulated time over c's accesses.
+func (s *Simulator) price(c *chunk) {
+	op, a := int32(0), 0
+	for i := 0; i < c.n; i++ {
+		s.now += c.gaps[i]
+		for ; op < c.opEnd[i]; op++ {
+			o := c.ops[op]
+			reads := c.addrs[a : a+int(o.reads)]
+			a += len(reads)
+			writes := c.addrs[a : a+int(o.writes)]
+			a += len(writes)
+			done := s.mem.Batch(s.now, reads, writes)
+			s.breakdown[o.kind] += done - s.now
+			s.now = done
+		}
+		s.accesses++
+	}
+	s.now += c.failGap
 }
 
 // StartMeasurement excludes everything so far from the reported metrics,
