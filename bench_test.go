@@ -259,14 +259,11 @@ func BenchmarkAblationChannelInterleave(b *testing.B) {
 				}
 				bench, _ := trace.Find("x264")
 				gen, _ := trace.NewGenerator(bench, 5)
-				if err := s.Run(sim.FromGenerator(gen), 1500); err != nil {
+				res, err := s.Measure(sim.FromGenerator(gen), 1500, 4000)
+				if err != nil {
 					b.Fatal(err)
 				}
-				s.StartMeasurement()
-				if err := s.Run(sim.FromGenerator(gen), 4000); err != nil {
-					b.Fatal(err)
-				}
-				cpa = s.Finish().CyclesPerAccess()
+				cpa = res.CyclesPerAccess()
 			}
 			b.ReportMetric(cpa, "cycles/access")
 		})
@@ -294,14 +291,11 @@ func BenchmarkAblationEvictInterval(b *testing.B) {
 				}
 				bench, _ := trace.Find("x264")
 				gen, _ := trace.NewGenerator(bench, 5)
-				if err := s.Run(sim.FromGenerator(gen), 2000); err != nil {
+				res, err := s.Measure(sim.FromGenerator(gen), 2000, 6000)
+				if err != nil {
 					b.Fatal(err)
 				}
-				s.StartMeasurement()
-				if err := s.Run(sim.FromGenerator(gen), 6000); err != nil {
-					b.Fatal(err)
-				}
-				cpa = s.Finish().CyclesPerAccess()
+				cpa = res.CyclesPerAccess()
 			}
 			b.ReportMetric(cpa, "cycles/access")
 		})

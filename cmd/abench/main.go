@@ -14,9 +14,11 @@
 // the paper's reported values for comparison. All experiments share one
 // orchestrator (internal/sim.Exec): a bounded worker pool with a keyed
 // run-cache, so `-exp all` computes each (config, benchmark, seed) job
-// once and reuses it across experiments. Each job runs the ORAM protocol
-// and the DRAM model on two goroutines, so -parallel N may keep up to 2N
-// cores busy. Tables are byte-identical at any -parallel setting.
+// once and reuses it across experiments. The pattern-only probes of
+// fig2, fig10, stash and xor and the verify audit's rows run on the same
+// pool, uncached. Each simulation job runs the ORAM protocol and the DRAM
+// model on two goroutines, so -parallel N may keep up to 2N cores busy.
+// Tables are byte-identical at any -parallel setting.
 package main
 
 import (

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	aboram-sim -scheme AB -bench mcf -levels 14 -accesses 50000
-//	aboram-sim -scheme Baseline -bench lbm -trace /tmp/lbm.trace
+//	aboram-sim -scheme Baseline -trace lbm.trace
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -31,7 +32,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("aboram-sim", flag.ContinueOnError)
 	scheme := fs.String("scheme", "AB", "scheme: Baseline | IR | DR | NS | AB")
-	bench := fs.String("bench", "mcf", "benchmark name (see cmd/abench -exp table4)")
+	bench := fs.String("bench", "mcf", "benchmark name (see cmd/abench -exp table4); unused with -trace")
 	levels := fs.Int("levels", 14, "ORAM tree levels")
 	warmup := fs.Int("warmup", 5000, "warm-up accesses")
 	accesses := fs.Int("accesses", 20000, "measured accesses")
@@ -41,21 +42,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	b, err := trace.Find(*bench)
-	if err != nil {
-		return err
-	}
-	opt := core.DefaultOptions(*levels, *seed)
-	o, dq, err := core.New(core.Scheme(*scheme), opt)
-	if err != nil {
-		return err
-	}
-	s, err := sim.New(o, dram.DDR3_1600(), sim.DefaultCPU())
-	if err != nil {
-		return err
-	}
-
+	// The run is labelled with its request source: the benchmark, or the
+	// trace file, whatever workload recorded it.
 	var next func() (trace.Request, error)
+	label := filepath.Base(*tracePath)
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
@@ -73,23 +63,32 @@ func run(args []string, out io.Writer) error {
 			return req, err
 		}
 	} else {
+		b, err := trace.Find(*bench)
+		if err != nil {
+			return err
+		}
 		gen, err := trace.NewGenerator(b, *seed)
 		if err != nil {
 			return err
 		}
-		next = sim.FromGenerator(gen)
+		next, label = sim.FromGenerator(gen), b.Name
 	}
 
-	if err := s.Run(next, *warmup); err != nil {
+	opt := core.DefaultOptions(*levels, *seed)
+	o, dq, err := core.New(core.Scheme(*scheme), opt)
+	if err != nil {
 		return err
 	}
-	s.StartMeasurement()
-	if err := s.Run(next, *accesses); err != nil {
+	s, err := sim.New(o, dram.DDR3_1600(), sim.DefaultCPU())
+	if err != nil {
 		return err
 	}
-	res := s.Finish()
+	res, err := s.Measure(next, *warmup, *accesses)
+	if err != nil {
+		return err
+	}
 
-	fmt.Fprintf(out, "scheme            %s on %s (%d levels, seed %d)\n", *scheme, b.Name, *levels, *seed)
+	fmt.Fprintf(out, "scheme            %s on %s (%d levels, seed %d)\n", *scheme, label, *levels, *seed)
 	fmt.Fprintf(out, "tree space        %.1f MiB (utilization %.1f%%)\n",
 		float64(res.SpaceB)/(1<<20), o.Utilization()*100)
 	fmt.Fprintf(out, "accesses          %d measured (%d warm-up)\n", res.Accesses, *warmup)

@@ -53,6 +53,10 @@ func TestTraceReplayPath(t *testing.T) {
 	if !strings.Contains(buf.String(), "cycles/access") {
 		t.Fatal("summary missing")
 	}
+	// The run is labelled with the trace file, not -bench's default.
+	if first, _, _ := strings.Cut(buf.String(), "\n"); !strings.Contains(first, "Baseline on x.trace (") {
+		t.Fatalf("summary labels the run %q, want the trace file's name", first)
+	}
 	// A trace shorter than warmup+accesses must error cleanly.
 	if err := run([]string{"-scheme", "Baseline", "-levels", "10", "-trace", path, "-warmup", "1000", "-accesses", "5000"}, &strings.Builder{}); err == nil {
 		t.Fatal("exhausted trace accepted")

@@ -76,14 +76,10 @@ func run(w io.Writer, levels, cpuAccesses int, benchName string) error {
 			replayed++
 			return missTrace[replayed-1], nil
 		}
-		if err := s.Run(next, warm); err != nil {
+		res, err := s.Measure(next, warm, len(missTrace)-warm)
+		if err != nil {
 			return err
 		}
-		s.StartMeasurement()
-		if err := s.Run(next, len(missTrace)-warm); err != nil {
-			return err
-		}
-		res := s.Finish()
 		rows = append(rows, row{scheme, res.CyclesPerAccess(), res.SpaceB})
 		fmt.Fprintf(w, "%-9s %6.0f cycles/access, %5.1f MiB tree, row-buffer hit %.1f%%, stash peak %d\n",
 			scheme, res.CyclesPerAccess(), float64(res.SpaceB)/(1<<20), res.Mem.RowHitRate()*100, res.StashPeak)

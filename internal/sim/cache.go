@@ -10,9 +10,9 @@ import (
 )
 
 // cacheEntry is one run-cache slot. sync.Once gives single-flight
-// semantics: the first job with a key computes under a worker slot while
-// concurrent duplicates block on the Once (without holding a slot) and
-// then read the stored result.
+// semantics: the first job with a key computes while concurrent
+// duplicates block on the Once and then read the stored result. Each
+// holds a worker slot while it waits; the computing job needs no other.
 type cacheEntry struct {
 	once sync.Once
 	res  Result

@@ -175,33 +175,20 @@ func RunFig9(p Params) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	perAccess := func(r Result) float64 {
-		if r.Accesses == 0 {
-			return 0
-		}
-		return float64(r.Mem.BytesTransferred) / float64(r.Accesses)
-	}
-	mean := func(rs []Result) float64 {
-		var s float64
-		for _, r := range rs {
-			s += perAccess(r)
-		}
-		return s / float64(len(rs))
-	}
 	t := report.New("Fig 9: bandwidth demand, bytes/access (normalized to Baseline)",
 		append([]string{"benchmark"}, schemeNames(runs)...)...)
 	for i, b := range p.Benchmarks {
 		row := []string{b.Name}
-		base := perAccess(runs[0].Results[i])
+		base := bytesPerAccess(runs[0].Results[i])
 		for _, run := range runs {
-			row = append(row, report.Norm(perAccess(run.Results[i]), base))
+			row = append(row, report.Norm(bytesPerAccess(run.Results[i]), base))
 		}
 		t.AddRow(row...)
 	}
 	row := []string{"mean"}
-	base := mean(runs[0].Results)
+	base := mean(runs[0].Results, bytesPerAccess)
 	for _, run := range runs {
-		row = append(row, report.Norm(mean(run.Results), base))
+		row = append(row, report.Norm(mean(run.Results, bytesPerAccess), base))
 	}
 	t.AddRow(row...)
 	t.AddNote("paper: AB increases bandwidth by ~1%% on average")
@@ -220,26 +207,20 @@ func RunFig10(p Params) ([]*report.Table, error) {
 	// scheme with per-level capture. Use the first benchmark as the
 	// representative, as reshuffle distribution is application independent.
 	perScheme := make([][]uint64, len(runs))
-	for si, run := range runs {
-		cfg, _, err := core.Build(run.Scheme, p.options(0))
+	err = p.exec().each(len(runs), func(si int) error {
+		cfg, _, err := core.Build(runs[si].Scheme, p.options(0))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		o, err := ringoram.New(cfg)
+		o, err := probe(cfg, p.Benchmarks[0], p.Seed, p.Warmup+p.Measure, nil)
 		if err != nil {
-			return nil, err
-		}
-		gen, err := trace.NewGenerator(p.Benchmarks[0], p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		n := uint64(o.Config().NumBlocks)
-		for i := 0; i < p.Warmup+p.Measure; i++ {
-			if _, err := o.Access(int64(gen.Next().Block() % n)); err != nil {
-				return nil, err
-			}
+			return err
 		}
 		perScheme[si] = o.ReshufflesPerLevel()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for lvl := 0; lvl < p.Levels; lvl++ {
 		row := []string{report.Int(int64(lvl))}
@@ -258,26 +239,19 @@ func RunFig11(p Params) ([]*report.Table, error) {
 	depths := []int{6, 5, 4, 3, 2, 1}
 	suites := []suite{schemeSuite(p, core.SchemeBaseline)}
 	for _, depth := range depths {
-		depth := depth
 		suites = append(suites, suite{fmt.Sprintf("DR-L%d", p.Levels-depth),
 			func(i int, seed uint64) (ringoram.Config, error) {
 				c, _, err := core.DRVariant(p.optionsFor(seed), depth)
 				return c, err
 			}})
 	}
-	rs, jobs, err := runSuites(p, suites)
+	var rows []string
+	for _, depth := range depths {
+		rows = append(rows, fmt.Sprintf("DR-L%d (bottom %d)", p.Levels-depth, depth))
+	}
+	t, err := tradeoffTable(p, "Fig 11: DR sensitivity to the starting level", "time", suites, rows)
 	if err != nil {
 		return nil, err
-	}
-	baseSpace := float64(ringoram.SpaceBytesStatic(jobs[0][0].Config))
-	baseCPA := meanCPA(rs[0])
-
-	t := report.New("Fig 11: DR sensitivity to the starting level",
-		"variant", "space", "time")
-	for di, depth := range depths {
-		t.AddRow(fmt.Sprintf("DR-L%d (bottom %d)", p.Levels-depth, depth),
-			report.Norm(float64(ringoram.SpaceBytesStatic(jobs[di+1][0].Config)), baseSpace),
-			report.Norm(meanCPA(rs[di+1]), baseCPA))
 	}
 	t.AddNote("paper: space saving saturates with more levels; top levels contribute <1%% of space")
 	return []*report.Table{t}, nil
@@ -285,33 +259,20 @@ func RunFig11(p Params) ([]*report.Table, error) {
 
 // RunFig13 regenerates the NS design exploration (Ly-Sx sweep).
 func RunFig13(p Params) ([]*report.Table, error) {
-	type variant struct{ ly, sx int }
-	var variants []variant
+	suites := []suite{schemeSuite(p, core.SchemeBaseline)}
+	var rows []string
 	for _, ly := range []int{1, 2, 3} {
 		for _, sx := range []int{1, 2, 3} {
-			variants = append(variants, variant{ly, sx})
+			suites = append(suites, suite{fmt.Sprintf("NS L%d-S%d", ly, sx),
+				func(i int, seed uint64) (ringoram.Config, error) {
+					return core.NSVariant(p.optionsFor(seed), ly, sx)
+				}})
+			rows = append(rows, fmt.Sprintf("L%d-S%d", ly, sx))
 		}
 	}
-	suites := []suite{schemeSuite(p, core.SchemeBaseline)}
-	for _, v := range variants {
-		v := v
-		suites = append(suites, suite{fmt.Sprintf("NS L%d-S%d", v.ly, v.sx),
-			func(i int, seed uint64) (ringoram.Config, error) {
-				return core.NSVariant(p.optionsFor(seed), v.ly, v.sx)
-			}})
-	}
-	rs, jobs, err := runSuites(p, suites)
+	t, err := tradeoffTable(p, "Fig 13: NS design exploration", "time", suites, rows)
 	if err != nil {
 		return nil, err
-	}
-	baseSpace := float64(ringoram.SpaceBytesStatic(jobs[0][0].Config))
-	baseCPA := meanCPA(rs[0])
-
-	t := report.New("Fig 13: NS design exploration", "variant", "space", "time")
-	for vi, v := range variants {
-		t.AddRow(fmt.Sprintf("L%d-S%d", v.ly, v.sx),
-			report.Norm(float64(ringoram.SpaceBytesStatic(jobs[vi+1][0].Config)), baseSpace),
-			report.Norm(meanCPA(rs[vi+1]), baseCPA))
 	}
 	t.AddNote("paper: chose L2-S2 for NS and L3-S1 inside AB; aggressive L3-S3 degrades performance most")
 	return []*report.Table{t}, nil
@@ -378,27 +339,21 @@ func RunFig2(p Params) ([]*report.Table, error) {
 		sampleEvery = 1
 	}
 	series := make([]*stats.Series, len(benches))
-	for bi, bench := range benches {
-		cfg := ringoram.TypicalRing(p.Levels, p.Treetop, p.Seed+uint64(bi))
-		o, err := ringoram.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := trace.NewGenerator(bench, p.Seed)
-		if err != nil {
-			return nil, err
-		}
+	err := p.exec().each(len(benches), func(bi int) error {
 		s := &stats.Series{}
-		n := uint64(cfg.NumBlocks)
-		for i := 0; i < p.Warmup+p.Measure; i++ {
-			if _, err := o.Access(int64(gen.Next().Block() % n)); err != nil {
-				return nil, err
-			}
-			if (i+1)%sampleEvery == 0 {
-				s.Record(float64(i+1), float64(o.DeadBlocks()))
-			}
-		}
+		cfg := ringoram.TypicalRing(p.Levels, p.Treetop, p.Seed+uint64(bi))
+		_, err := probe(cfg, benches[bi], p.Seed, p.Warmup+p.Measure,
+			func(i int, o *ringoram.ORAM, _ []memop.Op) error {
+				if (i+1)%sampleEvery == 0 {
+					s.Record(float64(i+1), float64(o.DeadBlocks()))
+				}
+				return nil
+			})
 		series[bi] = s
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	cols := []string{"online accesses"}
 	for _, b := range benches {
@@ -423,19 +378,9 @@ func RunFig2(p Params) ([]*report.Table, error) {
 // RunFig3 regenerates the dead-blocks-per-level snapshot (§IV-A).
 func RunFig3(p Params) ([]*report.Table, error) {
 	cfg := ringoram.TypicalRing(p.Levels, p.Treetop, p.Seed)
-	o, err := ringoram.New(cfg)
+	o, err := probe(cfg, p.Benchmarks[0], p.Seed, p.Warmup+p.Measure, nil)
 	if err != nil {
 		return nil, err
-	}
-	gen, err := trace.NewGenerator(p.Benchmarks[0], p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(cfg.NumBlocks)
-	for i := 0; i < p.Warmup+p.Measure; i++ {
-		if _, err := o.Access(int64(gen.Next().Block() % n)); err != nil {
-			return nil, err
-		}
 	}
 	t := report.New("Fig 3: dead blocks across levels", "level", "dead blocks", "buckets", "dead/bucket")
 	perLevel := o.DeadBlocksPerLevel()
@@ -464,24 +409,18 @@ func RunFig4(p Params) ([]*report.Table, error) {
 		maxX = p.Levels - 2
 	}
 	var suites []suite
+	var rows []string
 	for x := 0; x <= maxX; x++ {
-		x := x
 		suites = append(suites, suite{fmt.Sprintf("Ring L-%d", x),
 			func(i int, seed uint64) (ringoram.Config, error) { return mk(x, seed), nil }})
+		if x > 0 {
+			rows = append(rows, fmt.Sprintf("L-%d", x))
+		}
 	}
-	rs, jobs, err := runSuites(p, suites)
+	t, err := tradeoffTable(p, "Fig 4: space demand and slowdown, reducing S by 3 for the last x levels",
+		"slowdown", suites, rows)
 	if err != nil {
 		return nil, err
-	}
-	baseSpace := float64(ringoram.SpaceBytesStatic(jobs[0][0].Config))
-	baseCPA := meanCPA(rs[0])
-
-	t := report.New("Fig 4: space demand and slowdown, reducing S by 3 for the last x levels",
-		"variant", "space", "slowdown")
-	for x := 1; x <= maxX; x++ {
-		t.AddRow(fmt.Sprintf("L-%d", x),
-			report.Norm(float64(ringoram.SpaceBytesStatic(jobs[x][0].Config)), baseSpace),
-			report.Norm(meanCPA(rs[x]), baseCPA))
 	}
 	t.AddNote("paper: space saving saturates after the last 3 levels; execution time grows roughly linearly")
 	return []*report.Table{t}, nil
@@ -491,19 +430,9 @@ func RunFig4(p Params) ([]*report.Table, error) {
 func RunFig12(p Params) ([]*report.Table, error) {
 	cfg := ringoram.TypicalRing(p.Levels, p.Treetop, p.Seed)
 	cfg.TrackLifetimes = true
-	o, err := ringoram.New(cfg)
+	o, err := probe(cfg, p.Benchmarks[0], p.Seed, p.Warmup+p.Measure, nil)
 	if err != nil {
 		return nil, err
-	}
-	gen, err := trace.NewGenerator(p.Benchmarks[0], p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(cfg.NumBlocks)
-	for i := 0; i < p.Warmup+p.Measure; i++ {
-		if _, err := o.Access(int64(gen.Next().Block() % n)); err != nil {
-			return nil, err
-		}
 	}
 	t := report.New("Fig 12: dead-block lifetime by level (in online accesses)",
 		"level", "min", "avg", "max", "samples")
@@ -522,4 +451,20 @@ func schemeNames(runs []schemeResults) []string {
 		out[i] = string(r.Scheme)
 	}
 	return out
+}
+
+// tradeoffTable runs suites as one job matrix and renders one row per
+// suite after the first, named by rows: its space and its mean cycles per
+// access (column timeCol), each normalised to the first suite's.
+func tradeoffTable(p Params, title, timeCol string, suites []suite, rows []string) (*report.Table, error) {
+	rs, jobs, err := runSuites(p, suites)
+	if err != nil {
+		return nil, err
+	}
+	space := func(i int) float64 { return float64(ringoram.SpaceBytesStatic(jobs[i][0].Config)) }
+	t := report.New(title, "variant", "space", timeCol)
+	for i, row := range rows {
+		t.AddRow(row, report.Norm(space(i+1), space(0)), report.Norm(meanCPA(rs[i+1]), meanCPA(rs[0])))
+	}
+	return t, nil
 }

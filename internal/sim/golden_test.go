@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+
+	"repro/internal/report"
 )
 
 // simTablesGolden pins the sha256 of each experiment's rendered tables at
@@ -33,6 +35,12 @@ var simTablesGolden = map[string]string{
 	"table2": "582dcaf6afb26e18df94734b082405e34a0c3459cd9e5408fd2bb1a03f24168c",
 	"table4": "0d5f9ba626922b65506842c1357be01ff467004c98f586e84cd31ce6147dacde",
 	"xor":    "013a2110b5365f3af79fe7292a54795bea2626540b86b3713e43c73a25c0c465",
+
+	// The static tables, pinned because they share the parameter and
+	// configuration helpers the simulated experiments use.
+	"table1":  "cc2317218a023277067ccc3fd99cfb3598308c4bb2dfcd89e18427af3323afa2",
+	"table3":  "d3188e0f6d34f9648f8fe4d955eada378c0dd31aea643275944dabd67e7e8d80",
+	"storage": "237f2f4c77612ec6ea52d94cf5fca91bb5e95db76a337ec6c99606fb5493b591",
 }
 
 func TestSimTablesGolden(t *testing.T) {
@@ -47,12 +55,17 @@ func TestSimTablesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		h := sha256.New()
-		for _, tab := range tables {
-			h.Write([]byte(tab.String()))
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		if got := tablesSHA256(tables); got != want {
 			t.Errorf("%s: rendered tables sha256 %s, want %s", id, got, want)
 		}
 	}
+}
+
+// tablesSHA256 hashes the rendered text of tables in order.
+func tablesSHA256(tables []*report.Table) string {
+	h := sha256.New()
+	for _, tab := range tables {
+		h.Write([]byte(tab.String()))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

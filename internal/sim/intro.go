@@ -99,34 +99,17 @@ func RunIntro(p Params) ([]*report.Table, error) {
 
 	runRing := func(name string, cfg ringoram.Config) error {
 		cfg.NumBlocks = numBlocks
-		o, err := ringoram.New(cfg)
+		res, err := runConfig(p, Job{Label: name, Bench: bench, Config: cfg, GenSeed: p.Seed})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		s, err := New(o, p.DRAM, p.CPU)
-		if err != nil {
-			return err
-		}
-		gen, err := trace.NewGenerator(bench, p.Seed)
-		if err != nil {
-			return err
-		}
-		next := FromGenerator(gen)
-		if err := s.Run(next, p.Warmup); err != nil {
-			return err
-		}
-		s.StartMeasurement()
-		if err := s.Run(next, p.Measure); err != nil {
-			return err
-		}
-		res := s.Finish()
 		// Online traffic is the ReadPath only: one metadata read, one block
 		// read, one metadata write per bucket. Maintenance (EvictPath,
 		// EarlyReshuffle, background) runs off the critical path.
 		onlineBlocks := 3.0 * float64(p.Levels-p.Treetop)
 		rows = append(rows, protoResult{
 			name:      name,
-			space:     o.SpaceBytes(),
+			space:     res.SpaceB,
 			blocks:    onlineBlocks,
 			onlineCPA: float64(res.Breakdown[memop.KindReadPath]) / float64(res.Accesses),
 			cpa:       res.CyclesPerAccess(),
@@ -152,10 +135,7 @@ func RunIntro(p Params) ([]*report.Table, error) {
 	if err := runRing("Ring ORAM (Z=12)", ringoram.TypicalRing(p.Levels, p.Treetop, p.Seed)); err != nil {
 		return nil, err
 	}
-	if err := runRing("Ring + CB (Baseline)", func() ringoram.Config {
-		c := ringoram.CompactedBaseline(p.Levels, p.Treetop, p.Seed)
-		return c
-	}()); err != nil {
+	if err := runRing("Ring + CB (Baseline)", ringoram.CompactedBaseline(p.Levels, p.Treetop, p.Seed)); err != nil {
 		return nil, err
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dram"
+	"repro/internal/memop"
 	"repro/internal/ringoram"
 	"repro/internal/trace"
 )
@@ -24,11 +25,11 @@ type Params struct {
 	DRAM       dram.Config
 	CPU        CPU
 
-	// Parallel bounds concurrent simulation jobs (0 = GOMAXPROCS), and
-	// the verify audit's concurrent rows. Each job runs the ORAM protocol
-	// and the DRAM model on two goroutines, so it may keep up to two cores
-	// busy. It only applies when Exec is nil; an explicit Exec carries its
-	// own bound.
+	// Parallel bounds the experiment's worker pool (0 = GOMAXPROCS): its
+	// concurrent simulation jobs, probes and audit rows. Each simulation
+	// job runs the ORAM protocol and the DRAM model on two goroutines, so
+	// it may keep up to two cores busy. It only applies when Exec is nil;
+	// an explicit Exec carries its own bound.
 	Parallel int
 
 	// Exec is the experiment orchestrator: a bounded worker pool with a
@@ -106,25 +107,67 @@ func runConfig(p Params, j Job) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	next := FromGenerator(gen)
-	if err := s.Run(next, p.Warmup); err != nil {
-		return Result{}, fmt.Errorf("sim: %s warmup: %w", j.Bench.Name, err)
+	res, err := s.Measure(FromGenerator(gen), p.Warmup, p.Measure)
+	if err != nil {
+		return Result{}, fmt.Errorf("sim: %s %w", j.Bench.Name, err)
 	}
-	s.StartMeasurement()
-	if err := s.Run(next, p.Measure); err != nil {
-		return Result{}, fmt.Errorf("sim: %s measure: %w", j.Bench.Name, err)
-	}
-	return s.Finish(), nil
+	return res, nil
 }
 
-// meanCPA returns the mean cycles-per-access across results.
-func meanCPA(rs []Result) float64 {
+// probe drives a fresh ORAM built from cfg with n requests of bench's
+// trace, generated from genSeed, with no memory model: the experiments
+// that read the protocol's own state (dead blocks, reshuffles, the stash,
+// the online op) rather than its timing. each, when set, runs after every
+// access with its index and ops; an error from it stops the probe.
+func probe(cfg ringoram.Config, bench trace.Benchmark, genSeed uint64, n int,
+	each func(i int, o *ringoram.ORAM, ops []memop.Op) error) (*ringoram.ORAM, error) {
+	o, err := ringoram.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	gen, err := trace.NewGenerator(bench, genSeed)
+	if err != nil {
+		return nil, err
+	}
+	numBlocks := uint64(o.Config().NumBlocks)
+	for i := 0; i < n; i++ {
+		ops, err := o.Access(int64(gen.Next().Block() % numBlocks))
+		if err != nil {
+			return nil, err
+		}
+		if each != nil {
+			if err := each(i, o, ops); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return o, nil
+}
+
+// mean averages f over rs, summing in order; 0 for no results.
+func mean(rs []Result, f func(Result) float64) float64 {
 	if len(rs) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, r := range rs {
-		sum += r.CyclesPerAccess()
+		sum += f(r)
 	}
 	return sum / float64(len(rs))
+}
+
+// meanCPA returns the mean cycles-per-access across results.
+func meanCPA(rs []Result) float64 { return mean(rs, Result.CyclesPerAccess) }
+
+// bytesPerAccess is the memory traffic of one serviced request.
+func bytesPerAccess(r Result) float64 {
+	if r.Accesses == 0 {
+		return 0
+	}
+	return float64(r.Mem.BytesTransferred) / float64(r.Accesses)
+}
+
+// reshufflesPerAccess is the EarlyReshuffle rate per online access.
+func reshufflesPerAccess(r Result) float64 {
+	return float64(r.ORAM.EarlyReshuffles) / float64(r.ORAM.OnlineAccesses+1)
 }

@@ -14,10 +14,10 @@ import (
 )
 
 // refStep and refRun are Simulator.Step and its request loop as they stood
-// before Run became a two-stage pipeline: each request runs through the
+// before run became a two-stage pipeline: each request runs through the
 // ORAM and then through the DRAM model, one after the other, on the
 // calling goroutine. They are the reference model TestRunMatchesReference
-// and TestRunError drive Run against. Do not optimise them; their only job
+// and TestRunError drive run against. Do not optimise them; their only job
 // is to stay obviously equal to the original.
 func refStep(s *Simulator, req trace.Request) error {
 	// Non-memory instructions retire at fetch width in CPU cycles.
@@ -92,7 +92,7 @@ func countingSource(t *testing.T, calls *int) func() (trace.Request, error) {
 	}
 }
 
-// TestRunMatchesReference pins the pipelined Run to the sequential loop:
+// TestRunMatchesReference pins the pipelined run to the sequential loop:
 // for every scheme and for warm-up and measured runs of each length, the
 // simulated time after each run and the window's Result (cycles,
 // breakdown, DRAM stats, ORAM stats, stash peak) are identical.
@@ -106,22 +106,22 @@ func TestRunMatchesReference(t *testing.T) {
 				got, want := sims[0], sims[1]
 				next, refNext := countingSource(t, &calls[0]), countingSource(t, &calls[1])
 				for _, n := range []int{warm, measure} {
-					if err := got.Run(next, n); err != nil {
+					if err := got.run(next, n); err != nil {
 						t.Fatal(err)
 					}
 					if err := refRun(want, refNext, n); err != nil {
 						t.Fatal(err)
 					}
-					if got.Now() != want.Now() || calls[0] != calls[1] {
+					if got.now != want.now || calls[0] != calls[1] {
 						t.Fatalf("after %d accesses: now %d, %d requests drawn; reference %d, %d",
-							n, got.Now(), calls[0], want.Now(), calls[1])
+							n, got.now, calls[0], want.now, calls[1])
 					}
 					if n == warm {
-						got.StartMeasurement()
-						want.StartMeasurement()
+						got.startMeasurement()
+						want.startMeasurement()
 					}
 				}
-				if g, w := got.Finish(), want.Finish(); !reflect.DeepEqual(g, w) {
+				if g, w := got.finish(), want.finish(); !reflect.DeepEqual(g, w) {
 					t.Fatalf("results differ\n got %+v\nwant %+v", g, w)
 				}
 			})
@@ -171,16 +171,16 @@ func waitGoroutines(t *testing.T, want int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), want)
+			t.Fatalf("%d goroutines after run, %d before", runtime.NumGoroutine(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestRunError stops a run with an ORAM error (a data plane failing on its
-// k-th call) and with a request-source error. Run must return the error,
-// price exactly the accesses the sequential loop priced, draw as many
-// requests, and leave no goroutine behind.
+// k-th call) and with a request-source error. Simulator.run must return
+// the error, price exactly the accesses the sequential loop priced, draw
+// as many requests, and leave no goroutine behind.
 func TestRunError(t *testing.T) {
 	const n = 1000
 	for _, failAt := range []int{1, 7, 400, 3000, 20000} {
@@ -190,11 +190,11 @@ func TestRunError(t *testing.T) {
 			})
 			var calls [2]int
 			before := runtime.NumGoroutine()
-			err := sims[0].Run(countingSource(t, &calls[0]), n)
+			err := sims[0].run(countingSource(t, &calls[0]), n)
 			waitGoroutines(t, before)
 			refErr := refRun(sims[1], countingSource(t, &calls[1]), n)
 			if !errors.Is(err, errInjected) || !errors.Is(refErr, errInjected) {
-				t.Fatalf("Run returned %v, reference %v; want %v", err, refErr, errInjected)
+				t.Fatalf("run returned %v, reference %v; want %v", err, refErr, errInjected)
 			}
 			checkStopped(t, sims, calls)
 		})
@@ -214,11 +214,11 @@ func TestRunError(t *testing.T) {
 				}
 			}
 			before := runtime.NumGoroutine()
-			err := sims[0].Run(source(&calls[0]), n)
+			err := sims[0].run(source(&calls[0]), n)
 			waitGoroutines(t, before)
 			refErr := refRun(sims[1], source(&calls[1]), n)
 			if !errors.Is(err, errInjected) || !errors.Is(refErr, errInjected) {
-				t.Fatalf("Run returned %v, reference %v; want %v", err, refErr, errInjected)
+				t.Fatalf("run returned %v, reference %v; want %v", err, refErr, errInjected)
 			}
 			checkStopped(t, sims, calls)
 		})
@@ -229,11 +229,11 @@ func TestRunError(t *testing.T) {
 func checkStopped(t *testing.T, sims [2]*Simulator, calls [2]int) {
 	t.Helper()
 	got, want := sims[0], sims[1]
-	if got.accesses != want.accesses || got.Now() != want.Now() || calls[0] != calls[1] {
+	if got.accesses != want.accesses || got.now != want.now || calls[0] != calls[1] {
 		t.Fatalf("priced %d accesses to cycle %d drawing %d requests; reference %d, %d, %d",
-			got.accesses, got.Now(), calls[0], want.accesses, want.Now(), calls[1])
+			got.accesses, got.now, calls[0], want.accesses, want.now, calls[1])
 	}
-	if got.Mem().Stats() != want.Mem().Stats() {
-		t.Fatalf("DRAM stats differ\n got %+v\nwant %+v", got.Mem().Stats(), want.Mem().Stats())
+	if got.mem.Stats() != want.mem.Stats() {
+		t.Fatalf("DRAM stats differ\n got %+v\nwant %+v", got.mem.Stats(), want.mem.Stats())
 	}
 }

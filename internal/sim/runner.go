@@ -94,7 +94,7 @@ type ExecStats struct {
 // shares one across `-exp all`); the zero value is not usable, construct
 // with NewExec.
 type Exec struct {
-	slots chan struct{} // worker-pool tokens; cap = max concurrent sims
+	slots chan struct{} // worker-pool tokens; cap = max concurrent calls
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -147,29 +147,48 @@ func (e *Exec) Stats() ExecStats {
 // RunJobs executes a job matrix and returns the results in job order.
 // Duplicate and previously executed jobs are served from the run-cache
 // (in-flight duplicates wait for the first execution instead of
-// recomputing). The first job error aborts the batch.
+// recomputing). The first job error, in job order, fails the batch.
 func (e *Exec) RunJobs(p Params, jobs []Job) ([]Result, error) {
 	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = e.runJob(p, jobs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("job %s/%s: %w", jobs[i].Label, jobs[i].Bench.Name, err)
+	err := e.each(len(jobs), func(i int) error {
+		var err error
+		if results[i], err = e.runJob(p, jobs[i]); err != nil {
+			return fmt.Errorf("job %s/%s: %w", jobs[i].Label, jobs[i].Bench.Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// runJob serves one job from the cache, computing it under a worker slot
-// on the first sighting of its key.
+// each calls f(0), ..., f(n-1) on the worker pool, at most Parallelism()
+// at once, and returns the first error in index order once all are done.
+// f must not use the pool itself: a call holds its slot until it returns.
+func (e *Exec) each(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		e.slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-e.slots; wg.Done() }()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runJob serves one job from the cache, computing it on the first
+// sighting of its key. It runs under a pool slot (RunJobs), so a duplicate
+// waiting for its in-flight twin holds one too; the twin needs no other.
 func (e *Exec) runJob(p Params, j Job) (Result, error) {
 	key := jobKey(p, j)
 	e.mu.Lock()
@@ -183,8 +202,6 @@ func (e *Exec) runJob(p Params, j Job) (Result, error) {
 	computed := false
 	ent.once.Do(func() {
 		computed = true
-		e.slots <- struct{}{}
-		defer func() { <-e.slots }()
 		start := time.Now()
 		ent.res, ent.err = runConfig(p, j)
 		e.observe(j, time.Since(start), false)

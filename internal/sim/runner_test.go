@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ringoram"
@@ -96,6 +99,68 @@ func TestExecCacheReuse(t *testing.T) {
 	}
 }
 
+// TestExecEach pins the worker pool every concurrent experiment runs on:
+// the first error in index order wins even when a later index fails
+// first, no more than Parallelism() calls run at once, and a batch that
+// holds one job twice computes it once and serves the twin from the
+// cache, on a one-slot pool too (the waiting twin holds the only slot
+// the computing one no longer needs).
+func TestExecEach(t *testing.T) {
+	early, late := errors.New("index 1"), errors.New("index 3")
+	failed := make(chan struct{})
+	err := NewExec(2).each(5, func(i int) error {
+		switch i {
+		case 1:
+			<-failed
+			return early
+		case 3:
+			close(failed)
+			return late
+		}
+		return nil
+	})
+	if err != early {
+		t.Fatalf("each returned %v, want the lowest index's error %v", err, early)
+	}
+
+	e := NewExec(3)
+	var running, peak atomic.Int32
+	if err := e.each(40, func(int) error {
+		n := running.Add(1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+		running.Add(-1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > int32(e.Parallelism()) {
+		t.Fatalf("%d calls ran at once on a pool of %d", got, e.Parallelism())
+	}
+
+	for _, parallel := range []int{1, 2} {
+		p := tinyParams()
+		p.Warmup, p.Measure = 100, 200
+		p.Exec = NewExec(parallel)
+		job := baselineJobs(t, p)[0]
+		rs, err := p.Exec.RunJobs(p, []Job{job, job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rs[0], rs[1]) {
+			t.Fatalf("parallel %d: the twin's result differs from the computed one", parallel)
+		}
+		if st := p.Exec.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 {
+			t.Fatalf("parallel %d: %d misses and %d hits, want 1 and 1", parallel, st.CacheMisses, st.CacheHits)
+		}
+	}
+}
+
 // TestCacheDiscriminates ensures the key covers the knobs that change a
 // result: a different measurement window or generator seed must miss.
 func TestCacheDiscriminates(t *testing.T) {
@@ -133,7 +198,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		p := tinyParams()
 		p.Exec = NewExec(parallel)
 		var out string
-		for _, id := range []string{"fig8", "fig11", "fig14"} {
+		for _, id := range []string{"fig8", "fig11", "fig14", "fig2", "fig10", "stash", "xor"} {
 			tables, err := Registry()[id](p)
 			if err != nil {
 				t.Fatalf("%s at parallel=%d: %v", id, parallel, err)

@@ -34,11 +34,11 @@ func TestSimulatorRunAdvancesTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen, _ := trace.NewGenerator(p.Benchmarks[0], 1)
-	before := s.Now()
-	if err := s.Run(FromGenerator(gen), 1); err != nil {
+	before := s.now
+	if err := s.run(FromGenerator(gen), 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Now() <= before {
+	if s.now <= before {
 		t.Fatal("time did not advance")
 	}
 }
@@ -62,14 +62,10 @@ func TestMeasurementWindowExcludesWarmup(t *testing.T) {
 	}
 	s, _ := New(o, p.DRAM, p.CPU)
 	gen, _ := trace.NewGenerator(p.Benchmarks[0], 1)
-	if err := s.Run(FromGenerator(gen), 500); err != nil {
+	res, err := s.Measure(FromGenerator(gen), 500, 300)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartMeasurement()
-	if err := s.Run(FromGenerator(gen), 300); err != nil {
-		t.Fatal(err)
-	}
-	res := s.Finish()
 	if res.Accesses != 300 {
 		t.Fatalf("measured %d accesses, want 300", res.Accesses)
 	}
@@ -306,6 +302,11 @@ func TestVerifyAuditPasses(t *testing.T) {
 	if len(tables[2].Rows) != 5 {
 		t.Errorf("engine sweep has %d rows, want one per sweep config", len(tables[2].Rows))
 	}
+	// The rendered audit is pinned like simTablesGolden, at this window.
+	const want = "2826312bbba86254d9324fe722f7eaed521cf6edf9594912047772ee94a1bce5"
+	if got := tablesSHA256(tables); got != want {
+		t.Errorf("verify tables sha256 %s, want %s", got, want)
+	}
 }
 
 func TestStashStudyNoOverflows(t *testing.T) {
@@ -344,7 +345,7 @@ func TestIntroRingOnlineAdvantage(t *testing.T) {
 }
 
 // BenchmarkSimulatorRun is the simulator's per-access host cost: b.N
-// trace requests through one Run of the AB protocol engine and the DRAM
+// trace requests through one run of the AB protocol engine and the DRAM
 // model, at the quick preset's geometry after a warm-up. The pipeline
 // reuses its chunks, so steady state allocates nothing per access.
 func BenchmarkSimulatorRun(b *testing.B) {
@@ -362,12 +363,12 @@ func BenchmarkSimulatorRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	next := FromGenerator(gen)
-	if err := s.Run(next, p.Warmup); err != nil {
+	if err := s.run(next, p.Warmup); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := s.Run(next, b.N); err != nil {
+	if err := s.run(next, b.N); err != nil {
 		b.Fatal(err)
 	}
 }

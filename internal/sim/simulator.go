@@ -9,11 +9,14 @@
 // online access occupies the memory system for hundreds of cycles, so the
 // ROB drains and the core stalls on each one.
 //
-// On the host, Simulator.Run is a two-stage pipeline: one goroutine runs
-// the ORAM protocol ahead, and the calling goroutine prices the recorded
-// accesses through the DRAM model in order. The protocol never reads
-// simulated time, so the overlap changes host time only, never a cycle.
-// A simulation job therefore uses up to two goroutines.
+// Every measured run goes through Simulator.Measure, every pattern-only
+// run (no memory model) through probe, and every concurrent experiment
+// through one worker pool, Exec. On the host, a Measure is a two-stage
+// pipeline: one goroutine runs the ORAM protocol ahead, and the calling
+// goroutine prices the recorded accesses through the DRAM model in order.
+// The protocol never reads simulated time, so the overlap changes host
+// time only, never a cycle. A simulation job therefore uses up to two
+// goroutines.
 package sim
 
 import (
@@ -51,7 +54,7 @@ type Simulator struct {
 	accesses  uint64 // requests serviced in the measurement window
 	oramStat0 ringoram.Stats
 
-	chunks []*chunk // Run's, reused across calls
+	chunks []*chunk // run's, reused across calls
 }
 
 // New builds a simulator around an existing ORAM instance.
@@ -65,15 +68,6 @@ func New(o *ringoram.ORAM, memCfg dram.Config, cpu CPU) (*Simulator, error) {
 	}
 	return &Simulator{oram: o, mem: mem, cpu: cpu}, nil
 }
-
-// ORAM returns the wrapped protocol instance.
-func (s *Simulator) ORAM() *ringoram.ORAM { return s.oram }
-
-// Mem returns the DRAM controller.
-func (s *Simulator) Mem() *dram.Controller { return s.mem }
-
-// Now returns the current simulated time in DRAM cycles.
-func (s *Simulator) Now() uint64 { return s.now }
 
 // chunkAccesses is how many accesses one chunk carries from the protocol
 // stage to the pricing stage, and pipelineChunks how many chunks circulate
@@ -106,18 +100,34 @@ type chunkOp struct {
 	reads, writes int32
 }
 
-// Run services n requests drawn from next. The ORAM protocol runs on a
+// Measure services warmup requests drawn from next, excludes them from
+// the reported metrics (the paper's 38 M-access warm-up before its
+// measured window), services measure more and returns the measured
+// window's Result, with pending writes drained. An error from next or from
+// the ORAM stops the run and is returned, prefixed with its phase.
+func (s *Simulator) Measure(next func() (trace.Request, error), warmup, measure int) (Result, error) {
+	if err := s.run(next, warmup); err != nil {
+		return Result{}, fmt.Errorf("warmup: %w", err)
+	}
+	s.startMeasurement()
+	if err := s.run(next, measure); err != nil {
+		return Result{}, fmt.Errorf("measure: %w", err)
+	}
+	return s.finish(), nil
+}
+
+// run services n requests drawn from next. The ORAM protocol runs on a
 // goroutine of its own, ahead of the DRAM model, which prices the recorded
 // accesses on the calling goroutine in order. The protocol never reads
 // simulated time, so every cycle is what servicing the requests one by one
-// would give. Both stages start and join inside Run: between calls the
+// would give. Both stages start and join inside run: between calls the
 // ORAM and the controller are quiescent, and next has been called once per
 // serviced request, plus once for the request that stopped the run, if one
 // did.
 //
 // An error from next or from the ORAM stops the run: the accesses before
 // it are priced and the error is returned.
-func (s *Simulator) Run(next func() (trace.Request, error), n int) error {
+func (s *Simulator) run(next func() (trace.Request, error), n int) error {
 	if n <= 0 {
 		return nil
 	}
@@ -156,7 +166,7 @@ func (s *Simulator) Run(next func() (trace.Request, error), n int) error {
 	return err
 }
 
-// FromGenerator adapts a trace generator to Run's request source.
+// FromGenerator adapts a trace generator to Measure's request source.
 func FromGenerator(gen *trace.Generator) func() (trace.Request, error) {
 	return func() (trace.Request, error) { return gen.Next(), nil }
 }
@@ -212,9 +222,8 @@ func (s *Simulator) price(c *chunk) {
 	s.now += c.failGap
 }
 
-// StartMeasurement excludes everything so far from the reported metrics,
-// mirroring the paper's 38 M-access warm-up before the measured window.
-func (s *Simulator) StartMeasurement() {
+// startMeasurement excludes everything so far from the reported metrics.
+func (s *Simulator) startMeasurement() {
 	s.mem.ResetStats()
 	s.breakdown = [memop.NumKinds]uint64{}
 	s.startNow = s.now
@@ -234,8 +243,8 @@ type Result struct {
 	Overflows uint64
 }
 
-// Finish drains pending writes and returns the window's results.
-func (s *Simulator) Finish() Result {
+// finish drains pending writes and returns the window's results.
+func (s *Simulator) finish() Result {
 	s.now = s.mem.Drain(s.now)
 	delta := s.oram.Stats()
 	d0 := s.oramStat0

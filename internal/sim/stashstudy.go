@@ -2,9 +2,10 @@ package sim
 
 import (
 	"repro/internal/core"
+	"repro/internal/memop"
 	"repro/internal/report"
+	"repro/internal/ringoram"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // RunStashStudy supports the correctness argument of §VI-D empirically:
@@ -19,28 +20,27 @@ func RunStashStudy(p Params) ([]*report.Table, error) {
 	for b := 2.0; b <= 512; b *= 1.3 {
 		bounds = append(bounds, b)
 	}
-	for _, s := range core.Schemes() {
-		o, _, err := core.New(s, p.options(0))
+	schemes := core.Schemes()
+	rows := make([][]string, len(schemes))
+	err := p.exec().each(len(schemes), func(si int) error {
+		cfg, _, err := core.Build(schemes[si], p.options(0))
 		if err != nil {
-			return nil, err
-		}
-		gen, err := trace.NewGenerator(p.Benchmarks[0], p.Seed)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		h := stats.NewHistogram(bounds)
-		n := uint64(o.Config().NumBlocks)
-		for i := 0; i < p.Warmup+p.Measure; i++ {
-			if _, err := o.Access(int64(gen.Next().Block() % n)); err != nil {
-				return nil, err
-			}
-			if i >= p.Warmup {
-				h.Observe(float64(o.Stash().Size()))
-			}
+		o, err := probe(cfg, p.Benchmarks[0], p.Seed, p.Warmup+p.Measure,
+			func(i int, o *ringoram.ORAM, _ []memop.Op) error {
+				if i >= p.Warmup {
+					h.Observe(float64(o.Stash().Size()))
+				}
+				return nil
+			})
+		if err != nil {
+			return err
 		}
 		st := o.Stats()
 		bg := float64(st.DummyAccesses) / float64(st.OnlineAccesses)
-		t.AddRow(string(s),
+		rows[si] = []string{string(schemes[si]),
 			report.Float(h.Mean(), 1),
 			report.Float(h.Quantile(0.5), 0),
 			report.Float(h.Quantile(0.99), 0),
@@ -48,7 +48,14 @@ func RunStashStudy(p Params) ([]*report.Table, error) {
 			report.Int(int64(o.Config().StashCapacity)),
 			report.Uint(o.Stash().Overflows()),
 			report.Float(bg, 3),
-			report.Uint(st.BGEvictSaturated))
+			report.Uint(st.BGEvictSaturated)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	t.AddNote("overflows must be 0 for every scheme; CB-based schemes rely on background eviction (dummy insertion) to cap occupancy")
 	t.AddNote("bg saturated counts accesses whose background-eviction loop hit its iteration cap with the stash still over threshold — nonzero means the (threshold, A, Y) triple cannot keep up")

@@ -62,9 +62,8 @@ func RunSweep(p Params) ([]*report.Table, error) {
 	}
 	for pi, pt := range points {
 		rs := allRes[pi]
-		var reshuf, peak float64
+		var peak float64
 		for _, r := range rs {
-			reshuf += float64(r.ORAM.EarlyReshuffles) / float64(r.ORAM.OnlineAccesses+1)
 			if float64(r.StashPeak) > peak {
 				peak = float64(r.StashPeak)
 			}
@@ -72,7 +71,7 @@ func RunSweep(p Params) ([]*report.Table, error) {
 		t.AddRow(pt.name,
 			report.Bytes(uint64(ringoram.SpaceBytesStatic(jobs[pi][0].Config))),
 			report.Float(meanCPA(rs), 0),
-			report.Float(reshuf/float64(len(rs)), 3),
+			report.Float(mean(rs, reshufflesPerAccess), 3),
 			report.Float(peak, 0))
 	}
 	t.AddNote("larger S: more space, fewer reshuffles; smaller A: more evictions but lower stash pressure — the trade-off behind §IV-B")

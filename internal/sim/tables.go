@@ -59,31 +59,22 @@ func RunTable2(p Params) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := func(rs []Result, f func(Result) float64) float64 {
-		var s float64
-		for _, r := range rs {
-			s += f(r)
-		}
-		return s / float64(len(rs))
-	}
 	base := runs[0]
 	t := report.New("Table II (measured): schemes relative to Baseline",
 		"scheme", "space", "online reads/access", "reshuffles/access", "evict cycles/op", "bg evictions/access")
 	for _, run := range runs {
 		space := report.Norm(float64(run.SpaceB), float64(base.SpaceB))
-		online := agg(run.Results, func(r Result) float64 {
+		online := mean(run.Results, func(r Result) float64 {
 			return float64(r.ORAM.BlocksRead+r.ORAM.RemoteReads) / float64(r.ORAM.OnlineAccesses+1)
 		})
-		reshuf := agg(run.Results, func(r Result) float64 {
-			return float64(r.ORAM.EarlyReshuffles) / float64(r.ORAM.OnlineAccesses+1)
-		})
-		evict := agg(run.Results, func(r Result) float64 {
+		reshuf := mean(run.Results, reshufflesPerAccess)
+		evict := mean(run.Results, func(r Result) float64 {
 			if r.ORAM.EvictPaths == 0 {
 				return 0
 			}
 			return float64(r.Breakdown[memop.KindEvictPath]) / float64(r.ORAM.EvictPaths)
 		})
-		bg := agg(run.Results, func(r Result) float64 {
+		bg := mean(run.Results, func(r Result) float64 {
 			return float64(r.ORAM.DummyAccesses) / float64(r.ORAM.OnlineAccesses+1)
 		})
 		t.AddRow(string(run.Scheme), space, report.Float(online, 2), report.Float(reshuf, 3),

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/check"
 	"repro/internal/core"
@@ -42,27 +41,19 @@ func RunVerify(p Params) ([]*report.Table, error) {
 	audit := report.New("Correctness audit (§VI-D)",
 		"scheme", "benchmark", "accesses", "invariant checks", "payload round trips", "stash overflows", "verdict")
 	total := p.Warmup + p.Measure
-	// The rows are independent: audit them on a pool as wide as the
-	// experiment's, then add them in declaration order.
+	// The rows are independent: audit them on the experiment's pool, then
+	// add them in declaration order.
 	schemes, benches := core.Schemes(), verifyBenchmarks(p)
 	rows := make([][]string, len(schemes)*len(benches))
-	errs := make([]error, len(rows))
-	tokens := make(chan struct{}, p.exec().Parallelism())
-	var wg sync.WaitGroup
-	for i := range rows {
-		s, bench := schemes[i/len(benches)], benches[i%len(benches)]
-		wg.Add(1)
-		tokens <- struct{}{}
-		go func() {
-			defer func() { <-tokens; wg.Done() }()
-			rows[i], errs[i] = auditScheme(p, s, bench, total)
-		}()
+	err := p.exec().each(len(rows), func(i int) error {
+		var err error
+		rows[i], err = auditScheme(p, schemes[i/len(benches)], benches[i%len(benches)], total)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for i, row := range rows {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
+	for _, row := range rows {
 		audit.AddRow(row...)
 	}
 	audit.AddNote("the audit composes the encrypted data plane with every scheme and benchmark; any address error anywhere fails decryption or the payload comparison")

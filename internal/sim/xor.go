@@ -7,7 +7,6 @@ import (
 	"repro/internal/memop"
 	"repro/internal/report"
 	"repro/internal/ringoram"
-	"repro/internal/trace"
 )
 
 // RunXOR measures the Ring ORAM XOR online fast path in the DRAM model:
@@ -43,6 +42,16 @@ func RunXOR(p Params) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The online transfer is read off the op lists, one probe per row.
+	online := make([]float64, len(suites))
+	err = p.exec().each(len(suites), func(idx int) error {
+		var err error
+		online[idx], err = onlineBlocksPerRead(p, schemes[idx%len(schemes)], idx >= len(schemes))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	t := report.New("XOR online fast path: per-read online transfer, off vs on",
 		"scheme", "xor", "online blks/read", "online B/read", "dram B/access", "cycles/access")
@@ -50,20 +59,11 @@ func RunXOR(p Params) ([]*report.Table, error) {
 		for si, s := range schemes {
 			idx := vi*len(schemes) + si
 			blockB := jobs[idx][0].Config.BlockB
-			on, err := onlineBlocksPerRead(p, s, xor)
-			if err != nil {
-				return nil, err
-			}
-			dramB := aggResult(rs[idx], func(r Result) float64 {
-				if r.Accesses == 0 {
-					return 0
-				}
-				return float64(r.Mem.BytesTransferred) / float64(r.Accesses)
-			})
+			on := online[idx]
 			t.AddRow(string(s), onOff(xor),
 				report.Float(on, 2),
 				report.Float(on*float64(blockB), 1),
-				report.Float(dramB, 1),
+				report.Float(mean(rs[idx], bytesPerAccess), 1),
 				report.Float(meanCPA(rs[idx]), 0))
 		}
 	}
@@ -83,46 +83,23 @@ func onlineBlocksPerRead(p Params, s core.Scheme, xor bool) (float64, error) {
 		return 0, err
 	}
 	cfg.XORRead = xor
-	o, err := ringoram.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	gen, err := trace.NewGenerator(p.Benchmarks[0], p.Seed)
-	if err != nil {
-		return 0, err
-	}
-	n := uint64(cfg.NumBlocks)
 	var blocks, reads uint64
-	for i := 0; i < p.Warmup+p.Measure; i++ {
-		ops, err := o.Access(int64(gen.Next().Block() % n))
-		if err != nil {
-			return 0, err
-		}
-		if i < p.Warmup {
-			continue
-		}
-		if len(ops) < 2 || ops[1].Kind != memop.KindReadPath {
-			return 0, fmt.Errorf("sim: access ops do not start with the online ReadPath pair")
-		}
-		blocks += uint64(len(ops[1].Reads))
-		reads++
-	}
-	if reads == 0 {
-		return 0, nil
+	_, err = probe(cfg, p.Benchmarks[0], p.Seed, p.Warmup+p.Measure,
+		func(i int, _ *ringoram.ORAM, ops []memop.Op) error {
+			if i < p.Warmup {
+				return nil
+			}
+			if len(ops) < 2 || ops[1].Kind != memop.KindReadPath {
+				return fmt.Errorf("sim: access ops do not start with the online ReadPath pair")
+			}
+			blocks += uint64(len(ops[1].Reads))
+			reads++
+			return nil
+		})
+	if err != nil || reads == 0 {
+		return 0, err
 	}
 	return float64(blocks) / float64(reads), nil
-}
-
-// aggResult averages a per-result metric across a suite's results.
-func aggResult(rs []Result, f func(Result) float64) float64 {
-	if len(rs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range rs {
-		sum += f(r)
-	}
-	return sum / float64(len(rs))
 }
 
 func onOff(b bool) string {

@@ -7,8 +7,10 @@
 # layer's scheduler/TCP
 # front end and fleet lifecycle, the durability stack with its fault
 # injector, and the daemon's own reshard/promotion/shutdown paths),
-# the simulator pipeline's equivalence and error-path tests under the
-# race detector at one and two Ps (one P must not deadlock it),
+# the simulator pipeline's equivalence and error-path tests and the
+# worker pool's tests (Exec.each, and experiments on the pool matching
+# their sequential output) under the race detector at one and two Ps
+# (one P must deadlock neither),
 # race-mode crash-recovery and exactly-once smokes, all against the
 # engine's one write protocol (group commit, the delta chain,
 # batch-boundary checkpoints) and all six kill-recover oracles on the
@@ -41,7 +43,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/sim ./internal/server/... ./internal/durable ./internal/faults ./cmd/aboramd
-go test -race -cpu 1,2 -run 'TestRunMatchesReference|TestRunError' ./internal/sim
+go test -race -cpu 1,2 -run 'TestRunMatchesReference|TestRunError|TestExecEach|TestParallelMatchesSequential' ./internal/sim
 go test -race -run '^TestCheckpointStreamsDeterministic$' ./aboram
 go test -race -short -run '^TestCrashRecoverySchedules$|^TestCrashScheduleDeterminism$|^TestRetryScheduleDeterminism$|^TestGroupCommitScheduleDeterminism$|^TestReshardKillRecover|^TestFailoverSmoke$|^TestRetrySchedules$|^TestGroupCommitSchedules$|^TestChaosSoak|^TestXORSweepOracle$|^TestXORRemoteSlotsCovered$|^TestShardOracleClean$|^TestShardIsolation$|^TestShardLeak' ./internal/check
 (cd bench && go vet ./... && go build -o /dev/null ./... && go test ./...)
