@@ -35,22 +35,15 @@ func (o *ORAM) Fingerprint() ([sha256.Size]byte, error) {
 // Load restores an instance saved with Save: a fresh New(opt) with the
 // image applied over it. opt must describe the same configuration the
 // instance was created with (scheme, levels, seed), and must carry the
-// same EncryptionKey if the saved instance was encrypted; a delta stream
-// or an image saved under another key is rejected. Images written by the
-// gob image writer that predates the checkpoint stream still load
-// (gob.go).
+// same EncryptionKey if the saved instance was encrypted; a delta stream,
+// an image saved under another key, and a stream of another format
+// version (ErrFormatTooOld) are rejected.
 func Load(opt Options, r io.Reader) (*ORAM, error) {
 	o, err := New(opt)
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(r)
-	var s *DeltaSnapshot
-	if isLegacyImage(br) {
-		s, err = decodeLegacyImage(o, br)
-	} else {
-		s, err = decodeDelta(br)
-	}
+	s, err := decodeDelta(bufio.NewReader(r))
 	if err != nil {
 		return nil, err
 	}

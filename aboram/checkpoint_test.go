@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
-	"strings"
+	"errors"
 	"testing"
 )
 
@@ -274,19 +274,25 @@ func TestSaveImageBitFlipsRejected(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyImageWithoutProtocol is the regression for a gob image
-// that lacks its protocol section (what a one-bit flip in a genuine image
-// can produce): Load must return an error, not dereference nil.
+// TestLoadLegacyImageWithoutProtocol: an image from the gob image
+// writer that predates the checkpoint stream — here one that also lacks
+// its protocol section — is not a checkpoint stream, and Load must
+// return an error, not panic.
 func TestLoadLegacyImageWithoutProtocol(t *testing.T) {
 	opt := Options{Scheme: SchemeAB, Levels: 8, Seed: 3, EncryptionKey: key}
 	o, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A genuine store section (right shape, right key check), so only the
-	// missing protocol section is wrong.
 	all := o.mem.CaptureAll()
-	img := legacyImage{Memory: &legacyMemory{
+	type memory struct {
+		BlockB   int
+		Store    []byte
+		Versions []uint64
+		Written  []bool
+		KeyCheck [32]byte
+	}
+	img := struct{ Memory *memory }{&memory{
 		BlockB: o.BlockSize(), Store: all.Data, Versions: all.Versions,
 		Written: all.Written, KeyCheck: o.mem.KeyCheck(),
 	}}
@@ -294,9 +300,49 @@ func TestLoadLegacyImageWithoutProtocol(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(opt, &buf)
-	if err == nil || !strings.Contains(err.Error(), "no protocol state") {
-		t.Fatalf("Load of an image without protocol state: %v", err)
+	if _, err := Load(opt, &buf); err == nil {
+		t.Fatal("a gob image loaded")
+	}
+}
+
+// TestVersionlessStreamTooOld: a stream whose header carries no format
+// version — every stream written before the header had one — is refused
+// with ErrFormatTooOld by both Load and ApplyDelta, before any state is
+// touched.
+func TestVersionlessStreamTooOld(t *testing.T) {
+	opt := Options{Scheme: SchemeAB, Levels: 8, Seed: 3, EncryptionKey: key}
+	o, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strip := func(s *DeltaSnapshot) []byte {
+		s.hdr.Version = 0 // gob sends no zero field: decodes as a header that predates Version
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	full := strip(o.captureFull())
+	if _, err := Load(opt, bytes.NewReader(full)); !errors.Is(err, ErrFormatTooOld) {
+		t.Fatalf("Load of a version-less image: %v, want ErrFormatTooOld", err)
+	}
+	d, _, err := o.CaptureDelta(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := o.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.ApplyDelta(bytes.NewReader(strip(d))); !errors.Is(err, ErrFormatTooOld) {
+		t.Fatalf("ApplyDelta of a version-less delta: %v, want ErrFormatTooOld", err)
+	}
+	if err := o.ApplyDelta(bytes.NewReader(full)); !errors.Is(err, ErrFormatTooOld) {
+		t.Fatalf("ApplyDelta of a version-less image: %v, want ErrFormatTooOld", err)
+	}
+	if after, err := o.Fingerprint(); err != nil || after != before {
+		t.Fatalf("a refused stream changed the instance (err %v)", err)
 	}
 }
 

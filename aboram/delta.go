@@ -3,6 +3,7 @@ package aboram
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,8 +31,8 @@ import (
 //
 // Record tags, in stream order:
 //
-//	'H'  header: geometry handshake, Full flag, key check, and the epoch
-//	     window [Since, Cut] (both 0 in a full image)
+//	'H'  header: format version, geometry handshake, Full flag, key
+//	     check, and the epoch window [Since, Cut] (both 0 in a full image)
 //	'B'  bucket batch ([]ringoram.BucketDelta), repeated
 //	'P'  position-map batch (parallel block/path slices), repeated
 //	'M'  encrypted-store slot batch (*secmem.SlotDelta), repeated
@@ -40,21 +41,28 @@ import (
 //	'X'  misc scalars: counters, tallies, both random streams
 //	'Q'  full DeadQ, level-sorted (DR/AB schemes only)
 //	'E'  end marker — a stream without one is torn
-//
-// Streams written before images became full deltas carry the stash
-// payloads as a map and the DeadQ as a map under tag 'D'; both still
-// decode.
 const (
-	deltaTagHeader   = 'H'
-	deltaTagBucket   = 'B'
-	deltaTagPos      = 'P'
-	deltaTagMem      = 'M'
-	deltaTagStash    = 'S'
-	deltaTagMisc     = 'X'
-	deltaTagDeadQ    = 'Q'
-	deltaTagDeadQMap = 'D'
-	deltaTagEnd      = 'E'
+	deltaTagHeader = 'H'
+	deltaTagBucket = 'B'
+	deltaTagPos    = 'P'
+	deltaTagMem    = 'M'
+	deltaTagStash  = 'S'
+	deltaTagMisc   = 'X'
+	deltaTagDeadQ  = 'Q'
+	deltaTagEnd    = 'E'
 )
+
+// checkpointVersion is the one stream format this package reads and
+// writes; a change to any record's payload must bump it. Streams written
+// before the header carried a version decode as version 0. Gob drops
+// fields the receiver lacks, so an older stream could otherwise decode
+// without error into a state missing whatever it stored differently.
+const checkpointVersion = 1
+
+// ErrFormatTooOld rejects a checkpoint stream whose header carries a
+// format version other than the one this package reads. No older format
+// is converted.
+var ErrFormatTooOld = errors.New("aboram: checkpoint format too old")
 
 // maxDeltaBody caps a single record body so a hostile length prefix
 // cannot force an arbitrary allocation before the CRC is checked.
@@ -71,6 +79,7 @@ const (
 var deltaCRC = crc32.MakeTable(crc32.Castagnoli)
 
 type deltaHeader struct {
+	Version   int // checkpointVersion
 	Levels    int
 	Since     uint64
 	Cut       uint64
@@ -80,7 +89,7 @@ type deltaHeader struct {
 	// stream reproduces the state over any instance of the configuration.
 	Full bool
 	// KeyCheck is the data plane's key-check value (secmem.KeyCheck);
-	// zero in unencrypted streams and in streams that predate it.
+	// zero in unencrypted streams.
 	KeyCheck [32]byte
 }
 
@@ -92,8 +101,6 @@ type deltaPos struct {
 type deltaStash struct {
 	Stash    []stash.Entry
 	Payloads [][]byte // parallel to Stash
-	// StashData is the pre-canonical payload form, decoded only.
-	StashData map[int64][]byte
 }
 
 type deltaMisc struct {
@@ -178,6 +185,7 @@ func (o *ORAM) capture(d *ringoram.Delta) *DeltaSnapshot {
 	d.Rng, d.PosRng = &r, &pr
 	s := &DeltaSnapshot{
 		hdr: deltaHeader{
+			Version:   checkpointVersion,
 			Levels:    d.Levels,
 			Encrypted: o.mem != nil,
 			HasDeadQ:  o.dq != nil,
@@ -300,6 +308,9 @@ func decodeDelta(r io.Reader) (*DeltaSnapshot, error) {
 			if err := decodePayload(body, &s.hdr); err != nil {
 				return nil, fmt.Errorf("aboram: decoding delta header: %w", err)
 			}
+			if s.hdr.Version != checkpointVersion {
+				return nil, fmt.Errorf("%w: stream version %d, this build reads version %d", ErrFormatTooOld, s.hdr.Version, checkpointVersion)
+			}
 			haveHdr = true
 		case deltaTagBucket:
 			var chunk []ringoram.BucketDelta
@@ -341,12 +352,6 @@ func decodeDelta(r io.Reader) (*DeltaSnapshot, error) {
 				return nil, fmt.Errorf("aboram: decoding delta DeadQ: %w", err)
 			}
 			haveDQ = true
-		case deltaTagDeadQMap:
-			var dq map[int][]ringoram.SlotRef
-			if err := decodePayload(body, &dq); err != nil {
-				return nil, fmt.Errorf("aboram: decoding delta DeadQ: %w", err)
-			}
-			s.deadq, haveDQ = legacyDeadQ(dq), true
 		case deltaTagEnd:
 			done = true
 		default:
@@ -365,14 +370,11 @@ func decodeDelta(r io.Reader) (*DeltaSnapshot, error) {
 	d.ReshufPerLevel, d.DeadPerLevel = misc.ReshufPerLevel, misc.DeadPerLevel
 	d.Rng, d.PosRng = misc.Rng, misc.PosRng
 	d.Stash, d.StashData = st.Stash, st.Payloads
-	if st.StashData != nil {
-		d.StashData = legacyStashPayloads(st.Stash, st.StashData)
-	}
 	return s, nil
 }
 
 // apply installs a decoded snapshot: the one path by which checkpoint
-// state — base, delta, or legacy image — enters an instance.
+// state — base or delta — enters an instance.
 func (o *ORAM) apply(s *DeltaSnapshot) error {
 	h := &s.hdr
 	if h.Levels != o.inner.Config().Levels {
@@ -384,7 +386,7 @@ func (o *ORAM) apply(s *DeltaSnapshot) error {
 	if h.HasDeadQ != (o.dq != nil) {
 		return fmt.Errorf("aboram: delta DeadQ mismatch (delta hasDeadQ=%v)", h.HasDeadQ)
 	}
-	if o.mem != nil && h.KeyCheck != ([32]byte{}) && h.KeyCheck != o.mem.KeyCheck() {
+	if o.mem != nil && h.KeyCheck != o.mem.KeyCheck() {
 		return fmt.Errorf("aboram: checkpoint was written under a different encryption key")
 	}
 	if h.Full && (int64(len(s.d.Buckets)) != o.inner.Geometry().NumBuckets() ||

@@ -2,6 +2,7 @@ package aboram
 
 import (
 	"bytes"
+	"errors"
 	"sort"
 	"sync"
 	"testing"
@@ -167,8 +168,10 @@ var deltaFuzz struct {
 // FuzzDeltaDecode exercises the delta stream decoder two ways. First,
 // the raw input bytes are fed straight to ApplyDelta — hostile frames,
 // truncations, and gob garbage must surface as errors, never panics or
-// unbounded allocations. Second, the input seeds a byte flip in a
-// genuine SaveDelta stream, which the frame CRCs must always reject.
+// unbounded allocations, and a stream that opens with an intact header
+// of another format version must fail with ErrFormatTooOld. Second, the
+// input seeds a byte flip in a genuine SaveDelta stream, which the frame
+// CRCs must always reject.
 func FuzzDeltaDecode(f *testing.F) {
 	// Seed with a genuine delta stream so the corpus starts structurally
 	// valid, plus framing edge cases.
@@ -184,13 +187,28 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 'H'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 'E'})
+	// A version-less header (every stream written before the header
+	// carried a version) over a genuine body.
+	s, _, err := seedSrc.CaptureDelta(cutSeed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.hdr.Version = 0
+	var old bytes.Buffer
+	if err := s.Encode(&old); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		deltaFuzz.once.Do(func() {
 			deltaFuzz.hostile = deltaFuzzBase(t)
 			deltaFuzz.src = deltaFuzzBase(t)
 			deltaFuzz.cut = deltaFuzz.src.CutEpoch()
 		})
-		_ = deltaFuzz.hostile.ApplyDelta(bytes.NewReader(data)) // must not panic
+		err := deltaFuzz.hostile.ApplyDelta(bytes.NewReader(data)) // must not panic
+		if staleHeader(data) && !errors.Is(err, ErrFormatTooOld) {
+			t.Fatalf("stream with a header of another format version: %v, want ErrFormatTooOld", err)
+		}
 
 		if len(data) == 0 {
 			return
@@ -218,4 +236,12 @@ func FuzzDeltaDecode(f *testing.F) {
 			t.Fatalf("single-bit corruption at byte %d went undetected", flip)
 		}
 	})
+}
+
+// staleHeader reports whether data opens with an intact header record
+// whose format version is not checkpointVersion.
+func staleHeader(data []byte) bool {
+	tag, body, err := readDeltaFrame(bytes.NewReader(data))
+	var h deltaHeader
+	return err == nil && tag == deltaTagHeader && decodePayload(body, &h) == nil && h.Version != checkpointVersion
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"io"
 	"net"
 	"os"
@@ -217,6 +218,96 @@ func TestDaemonDurableRestart(t *testing.T) {
 			t.Fatalf("block %d lost across restart", blk)
 		}
 	}
+}
+
+// TestDaemonRefusesUnreadableDataDir writes through -data-dir, stops the
+// daemon, and damages the only base image: the WAL segment holding the
+// first writes was pruned when that base published, so a restart must
+// exit non-zero naming the directory and the epoch, not serve an empty
+// tree, and must leave every file as it was.
+func TestDaemonRefusesUnreadableDataDir(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-data-dir", dir, "-snapshot-every", "4", "-base-every", "1"}
+	addr, _, shutdown := startDaemon(t, args...)
+	c, err := server.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blk := int64(0); blk < 6; blk++ { // one rotation: snap-2, two writes in wal-2
+		if err := c.Write(blk, make([]byte, info.BlockSize)); err != nil {
+			t.Fatalf("write %d: %v", blk, err)
+		}
+	}
+	c.Close()
+	shutdown()
+	base := dir + "/snap-0000000000000002.ab"
+	if err := os.WriteFile(base, []byte("rot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := digest(t, dir)
+
+	cmd := daemonProcess(append([]string{"-addr", "127.0.0.1:0", "-levels", "8"}, args...)...)
+	var stdout, stderr syncBuffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	deadline := time.After(20 * time.Second)
+	for exited := false; !exited; {
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("restart exited 0 over a damaged base:\n%s", stdout.String())
+			}
+			exited = true
+		case <-time.After(20 * time.Millisecond):
+			if s := stdout.String(); strings.Contains(s, "aboramd: serving ") {
+				cmd.Process.Kill()
+				<-done
+				t.Fatalf("restart served a directory whose only base is damaged:\n%s", s)
+			}
+		case <-deadline:
+			cmd.Process.Kill()
+			<-done
+			t.Fatal("restart neither served nor exited")
+		}
+	}
+	if msg := stderr.String(); !strings.Contains(msg, dir) || !strings.Contains(msg, "epoch 2 ") {
+		t.Fatalf("refusal does not name the directory and epoch 2:\n%s", msg)
+	}
+	after := digest(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused restart changed the directory's files: %v, was %v", after, before)
+	}
+	for name, sum := range before {
+		if after[name] != sum {
+			t.Fatalf("refused restart changed %s", name)
+		}
+	}
+}
+
+// digest maps every file in dir to the sha256 of its bytes.
+func digest(t *testing.T, dir string) map[string][32]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][32]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = sha256.Sum256(data)
+	}
+	return out
 }
 
 // TestDaemonBadFlags checks that invalid configuration fails fast instead

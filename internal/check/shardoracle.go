@@ -111,9 +111,8 @@ func (t *shardTarget) CheckIntegrity() error {
 	return nil
 }
 
-// image fingerprints one shard's complete state; isolation is judged on
-// fingerprint equality (Save's gob stream is not canonical, the
-// fingerprint is).
+// image fingerprints one shard's complete state (the SHA-256 of its
+// canonical Save bytes); isolation is judged on fingerprint equality.
 func (t *shardTarget) image(shard int) ([32]byte, error) {
 	return t.shards[shard].Fingerprint()
 }

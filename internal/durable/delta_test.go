@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/aboram"
 	"repro/internal/rng"
 	"repro/internal/vfs"
 )
@@ -194,7 +193,8 @@ func TestCrossModeDirectories(t *testing.T) {
 }
 
 // copyFixture copies a committed testdata directory into a fresh temp
-// directory (Open publishes a fresh base, so it must work on a copy).
+// directory, so a test that expects Open to change nothing can still
+// not touch the committed files if it does.
 func copyFixture(t *testing.T, name string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -215,19 +215,19 @@ func copyFixture(t *testing.T, name string) string {
 	return dir
 }
 
-// TestLegacyHeaderlessSnapshotLoads pins backward compatibility with the
-// oldest checkpoint format: a raw gob image from the removed image
-// writer, with neither the id header nor delta framing, dropped into the
-// directory under a snapshot name, must recover. The image is the
-// legacy-full fixture's snapshot with its ABSNAP02 header stripped: it
-// holds the fixture writer's first eight writes (blocks 0..7).
+// TestLegacyHeaderlessSnapshotLoads: the oldest checkpoint format — a
+// raw gob image from the removed image writer, with neither the
+// metadata header nor the checkpoint stream framing — dropped into a
+// directory under a snapshot name is unreadable. The image (the
+// legacy-full fixture's snapshot with its header stripped) holds eight
+// writes no WAL segment covers, so Open refuses and changes nothing.
 func TestLegacyHeaderlessSnapshotLoads(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-full", snapName(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(bytes.NewReader(raw))
-	if _, _, err := readSnapMeta(br); err != nil {
+	if _, _, err := readMeta(br, snapMagic); err != nil {
 		t.Fatal(err)
 	}
 	image, err := io.ReadAll(br)
@@ -238,27 +238,14 @@ func TestLegacyHeaderlessSnapshotLoads(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(1)), image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	e, err := Open(deltaOptions(dir))
-	if err != nil {
-		t.Fatalf("Open over legacy snapshot: %v", err)
-	}
-	defer e.Close()
-	if e.Recovery().BaseEpoch != 1 {
-		t.Fatalf("recovery = %+v, want the legacy snapshot as base", e.Recovery())
-	}
-	for i := 0; i < 8; i++ {
-		got, err := e.Read(int64(i))
-		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
-			t.Fatalf("legacy content of block %d lost (err %v)", i, err)
-		}
-	}
+	mustRefuse(t, deltaOptions(dir), 1)
 }
 
-// TestLegacyImageWithoutProtocolFallsBack: a gob snapshot that decodes
-// but lacks its protocol section (one flipped bit in a genuine image can
-// do it) is an unreadable snapshot like any other — Open falls back an
-// epoch instead of dereferencing nil.
+// TestLegacyImageWithoutProtocolFallsBack: a gob snapshot that lacks its
+// protocol section, placed above the legacy-full fixture's own gob
+// snapshot, is unreadable like the one below it. Neither can be used and
+// their WAL segments are gone, so Open refuses instead of dereferencing
+// nil or recovering an empty tree, and changes nothing.
 func TestLegacyImageWithoutProtocolFallsBack(t *testing.T) {
 	dir := copyFixture(t, "legacy-full")
 	// The fixture's own image minus its protocol section: the store (and
@@ -269,7 +256,7 @@ func TestLegacyImageWithoutProtocolFallsBack(t *testing.T) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	if _, _, err := readSnapMeta(br); err != nil {
+	if _, _, err := readMeta(br, snapMagic); err != nil {
 		t.Fatal(err)
 	}
 	var hollow struct {
@@ -292,125 +279,26 @@ func TestLegacyImageWithoutProtocolFallsBack(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(4)), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := Open(testOptions(dir))
-	if err != nil {
-		t.Fatalf("Open with a hollow newest snapshot: %v", err)
-	}
-	defer e.Close()
-	if rec := e.Recovery(); rec.SnapshotsSkipped != 1 || rec.BaseEpoch != 3 {
-		t.Fatalf("recovery = %+v, want the hollow snapshot skipped and base epoch 3", rec)
-	}
-	for i := 0; i < 10; i++ {
-		got, err := e.Read(int64(i))
-		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
-			t.Fatalf("block %d wrong after falling back (err %v)", i, err)
-		}
-	}
+	mustRefuse(t, testOptions(dir), 4)
 }
-
-// legacyFullFingerprint is the Fingerprint() (SHA-256 of aboram.Save)
-// of the engine the testdata/legacy-full directory recovers to.
-// TestLegacyFullDirectoryRecovers also derives it from scratch by
-// replaying the fixture writer's ops on a fresh engine.
-const legacyFullFingerprint = "5f2505361e8b6d9a90586131cab9376d85aa84632dc434612c73aea714f1ee55"
 
 // TestLegacyFullDirectoryRecovers opens a directory written by the
 // removed full-image writer (testOptions, SnapshotEvery 4, ten writes to
 // blocks 0..9, Close): one gob snapshot at epoch 3 plus a two-record
-// WAL. It must recover to the very state that writer's ops reach: the
-// state a fresh engine reaches replaying the same ops and reopening.
+// WAL. The gob image is below the format floor and the WAL covers only
+// the last two writes, so Open refuses and changes nothing.
 func TestLegacyFullDirectoryRecovers(t *testing.T) {
-	opt := testOptions(copyFixture(t, "legacy-full"))
-	e, err := Open(opt)
-	if err != nil {
-		t.Fatalf("Open over the legacy full-image directory: %v", err)
-	}
-	defer e.Close()
-	if rec := e.Recovery(); rec.BaseEpoch != 3 || rec.RecordsReplayed != 2 {
-		t.Fatalf("recovery = %+v, want base epoch 3 and 2 replayed records", rec)
-	}
-	fp, err := e.Fingerprint() // before any read: reads move protocol state
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", fp); got != legacyFullFingerprint {
-		t.Fatalf("recovered fingerprint %s, want %s", got, legacyFullFingerprint)
-	}
-
-	replay := testOptions(t.TempDir())
-	replay.SnapshotEvery = 4
-	w, err := Open(replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := commit(w, 0, int64(i), payload(w.BlockSize(), byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	r, err := Open(replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if rfp, err := r.Fingerprint(); err != nil || rfp != fp {
-		t.Fatalf("fresh replay of the writer's ops fingerprints %x (err %v), legacy recovery %x", rfp, err, fp)
-	}
-
-	for i := 0; i < 10; i++ {
-		got, err := e.Read(int64(i))
-		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(i))) {
-			t.Fatalf("block %d wrong after legacy recovery (err %v)", i, err)
-		}
-	}
+	mustRefuse(t, testOptions(copyFixture(t, "legacy-full")), 3)
 }
 
 // TestLegacyChainDirectoryRecovers opens a chain directory written before
 // bases became full checkpoint streams (testOptions, SnapshotEvery 4,
-// BaseEvery 4; writes of payload 0x40+i to blocks 0..13, each followed
-// by three accesses among those blocks; Close): a gob base at epoch 1,
-// deltas 2..4 in the pre-canonical form (the stash payloads and the
-// DeadQ as maps; deltas 2 and 3 hold written blocks in the stash, all
-// three a non-empty DeadQ), and a two-record WAL. It must recover to the
-// state the writer's own recovery reached, which that recovery saved as
-// testdata/legacy-chain-recovered.gob.
+// BaseEvery 4; fourteen writes, Close): a gob base at epoch 1, deltas
+// 2..4 in a stream without a format version, and a two-record WAL.
+// Nothing in it is readable and the WAL covers only the last two writes,
+// so Open refuses, naming the newest delta, and changes nothing.
 func TestLegacyChainDirectoryRecovers(t *testing.T) {
-	opt := testOptions(copyFixture(t, "legacy-chain"))
-	e, err := Open(opt)
-	if err != nil {
-		t.Fatalf("Open over the legacy chain directory: %v", err)
-	}
-	defer e.Close()
-	if rec := e.Recovery(); rec.BaseEpoch != 1 || rec.DeltasApplied != 3 || rec.RecordsReplayed != 2 || rec.IDsRecovered != 14 {
-		t.Fatalf("recovery = %+v, want base epoch 1, 3 deltas, 2 replayed records, 14 ids", rec)
-	}
-	fp, err := e.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(filepath.Join("testdata", "legacy-chain-recovered.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want, err := aboram.Load(opt.ORAM, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wfp, err := want.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != wfp {
-		t.Fatalf("recovered fingerprint %x, the writer's recovery %x", fp, wfp)
-	}
-	for i := 0; i < 14; i++ {
-		got, err := e.Read(int64(i))
-		if err != nil || !bytes.Equal(got, payload(e.BlockSize(), byte(0x40+i))) {
-			t.Fatalf("block %d wrong after legacy chain recovery (err %v)", i, err)
-		}
-	}
+	mustRefuse(t, testOptions(copyFixture(t, "legacy-chain")), 4)
 }
 
 // TestDeltaRecoveryFingerprintMatchesFull is the correctness pin for the

@@ -26,6 +26,9 @@
 // readable checkpoint chain, replays the WAL suffix up to the first
 // damaged record, and discards the torn tail; an op that was never
 // acknowledged may or may not survive, an acknowledged one always does.
+// When a checkpoint file recovery cannot use holds writes that no WAL
+// segment left on disk covers, Open fails closed: it returns an error
+// and leaves the directory as it found it.
 // internal/check's crash harness enforces exactly this contract at
 // fault-injected kill points.
 //
@@ -43,11 +46,11 @@
 // capture is an in-memory copy, so the serving pause is proportional to
 // what it copies; the encoded checkpoint publishes in the background
 // while serving continues, and publishes are serialized so a crash can
-// tear at most the newest chain element — which recovery drops, falling
-// back to the WAL segment that the unpublished element would have
-// covered. CompactEvery independently bounds replay work for write-hot
-// blocks by rewriting the live WAL segment in place, shrinking
-// superseded whole-block writes to id-only dedup stubs.
+// leave at most the newest chain element unpublished — a temp file
+// recovery ignores, while the WAL segments it would have made redundant
+// are pruned only after it publishes. CompactEvery independently bounds
+// replay work for write-hot blocks by rewriting the live WAL segment in
+// place, shrinking superseded whole-block writes to id-only dedup stubs.
 //
 // The engine is fail-stop: any error on the durability path (append,
 // fsync, checkpoint capture or publish, compaction) poisons the instance
@@ -66,6 +69,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -319,7 +323,10 @@ func (e *Engine) bump(f func(*Stats)) {
 // Open recovers (or initializes) the data directory and returns a
 // serving-ready engine. On return a fresh epoch has been published: the
 // newest checkpoint (always a full base image) reflects everything
-// recovered, and the WAL is empty.
+// recovered, and the WAL is empty. Open refuses a directory holding a
+// checkpoint it cannot use (damaged, of an older format, or above a
+// damaged chain element) whose writes the WAL segments on disk do not
+// cover; the refusal changes nothing in the directory.
 func Open(opt Options) (*Engine, error) {
 	opt = opt.withDefaults()
 	fs := opt.FS
@@ -336,13 +343,13 @@ func Open(opt Options) (*Engine, error) {
 	for _, name := range names {
 		if se, ok := parseEpoch(name, "snap-", ".ab"); ok {
 			snaps = append(snaps, se)
-			if t := fileTerm(fs, filepath.Join(opt.Dir, name), false); t > maxTerm {
+			if t := fileTerm(fs, filepath.Join(opt.Dir, name), snapMagic); t > maxTerm {
 				maxTerm = t
 			}
 		}
 		if de, ok := parseEpoch(name, "delta-", ".abd"); ok {
 			deltaSet[de] = true
-			if t := fileTerm(fs, filepath.Join(opt.Dir, name), true); t > maxTerm {
+			if t := fileTerm(fs, filepath.Join(opt.Dir, name), deltaMagic); t > maxTerm {
 				maxTerm = t
 			}
 		}
@@ -359,11 +366,17 @@ func Open(opt Options) (*Engine, error) {
 	// of consecutive deltas wins. A delta that fails to decode or apply
 	// may have partially mutated the instance, so the chain is rebuilt
 	// from the base, stopping short of the damage; an unreadable base
-	// falls back an epoch (its WAL segments still exist and will be
-	// replayed, because records are whole-content writes and therefore
-	// idempotent).
+	// falls back an epoch. Either is safe only while the WAL segments the
+	// skipped file made redundant survive (checked below).
 	var chainIDs []uint64
 	var chainTail uint64 // epoch of the newest applied chain element
+	var cause error      // the newest file's load failure
+	var causeEpoch uint64
+	failed := func(epoch uint64, err error) {
+		if cause == nil || epoch > causeEpoch {
+			cause, causeEpoch = err, epoch
+		}
+	}
 baseLoop:
 	for _, se := range snaps {
 		limit := -1 // deltas to apply; <0 = every consecutive one, shrinks on damage
@@ -371,6 +384,7 @@ baseLoop:
 			o, ids, _, err := loadSnapshot(fs, opt.Dir, se, opt.ORAM)
 			if err != nil {
 				e.recovery.SnapshotsSkipped++
+				failed(se, fmt.Errorf("%s: %w", snapName(se), err))
 				continue baseLoop
 			}
 			applied, damaged := 0, false
@@ -378,6 +392,7 @@ baseLoop:
 				dids, _, err := loadDelta(fs, opt.Dir, de, o)
 				if err != nil {
 					e.recovery.DeltasSkipped++
+					failed(de, fmt.Errorf("%s: %w", deltaName(de), err))
 					limit = applied
 					damaged = true
 					break
@@ -395,6 +410,9 @@ baseLoop:
 			chainTail = se + uint64(applied)
 			break baseLoop
 		}
+	}
+	if err := checkCovered(opt.Dir, snaps, deltaSet, wals, e.recovery.BaseEpoch, chainTail, cause); err != nil {
+		return nil, err
 	}
 	if e.oram == nil {
 		o, err := aboram.New(opt.ORAM)
@@ -488,6 +506,48 @@ baseLoop:
 		e.sinceSnap = opt.SnapshotPhase % opt.SnapshotEvery
 	}
 	return e, nil
+}
+
+// checkCovered is Open's fail-closed rule. Let S be the newest epoch of
+// a checkpoint file outside the applied chain (base..tail; tail 0 when
+// no base loaded): unreadable, of an older format, or stranded above a
+// damaged element. A checkpoint at S captured every write in wal-1 ..
+// wal-(S-1), and publishing it pruned the segments below it, so unless
+// wal-max(tail,1) .. wal-(S-1) are all still on disk, recovering from
+// the chain would silently lose acknowledged writes. wal-S must be there
+// too: the engine creates it before S publishes and only a newer
+// checkpoint prunes it, so without it nothing bounds what S held (a
+// snap-1 is the empty initial base only in a directory the engine
+// wrote). cause is the newest load failure, wrapped into the refusal.
+func checkCovered(dir string, snaps []uint64, deltas map[uint64]bool, wals []uint64, base, tail uint64, cause error) error {
+	var s uint64
+	for _, se := range snaps {
+		if se != base {
+			s = max(s, se)
+		}
+	}
+	for de := range deltas {
+		if de <= base || de > tail {
+			s = max(s, de)
+		}
+	}
+	if s <= tail {
+		return nil
+	}
+	lo, have := max(tail, 1), uint64(0)
+	for _, we := range wals {
+		if we >= lo && we <= s {
+			have++
+		}
+	}
+	if have == s-lo+1 {
+		return nil
+	}
+	if cause == nil {
+		cause = errors.New("no readable chain reaches it")
+	}
+	return fmt.Errorf("durable: refusing to recover %s: the checkpoint at epoch %d is unusable and WAL segments %d..%d are not all on disk, so recovery would lose acknowledged writes: %w",
+		dir, s, lo, s, cause)
 }
 
 // Recovery returns what Open found and replayed.

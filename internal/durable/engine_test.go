@@ -1,14 +1,23 @@
 package durable
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/aboram"
 	"repro/internal/faults"
+	"repro/internal/server/wire"
 	"repro/internal/vfs"
 )
 
@@ -225,6 +234,190 @@ func TestCorruptSnapshotFallsBackOneEpoch(t *testing.T) {
 			t.Fatalf("block %d lost after snapshot fallback (err %v)", i, err)
 		}
 	}
+}
+
+// dirDigest maps every file in dir to the sha256 of its bytes.
+func dirDigest(t *testing.T, dir string) map[string][32]byte {
+	t.Helper()
+	names, err := vfs.OS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][32]byte{}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = sha256.Sum256(data)
+	}
+	return out
+}
+
+// mustRefuse opens opt.Dir, demands the fail-closed outcome — an error
+// naming the directory and the epoch of the unusable checkpoint, and no
+// file added, removed or changed — and returns the error.
+func mustRefuse(t *testing.T, opt Options, epoch uint64) error {
+	t.Helper()
+	before := dirDigest(t, opt.Dir)
+	e, err := Open(opt)
+	if err == nil {
+		e.Close()
+		t.Fatalf("Open recovered; want a refusal (recovery %+v)", e.Recovery())
+	}
+	if msg := err.Error(); !strings.Contains(msg, opt.Dir) || !strings.Contains(msg, fmt.Sprintf("epoch %d ", epoch)) {
+		t.Fatalf("refusal %q does not name the directory and epoch %d", msg, epoch)
+	}
+	if after := dirDigest(t, opt.Dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused Open changed the directory: before %v, after %v", before, after)
+	}
+	return err
+}
+
+// TestUnreadableOnlyBaseFailsClosed damages the only base of a directory
+// whose earlier WAL segments were pruned when it published: six of the
+// eight acknowledged writes exist nowhere else, so Open must refuse
+// instead of recovering an empty tree (and then pruning the evidence).
+func TestUnreadableOnlyBaseFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	opt := testOptions(dir)
+	opt.SnapshotEvery = 3
+	e, err := Open(opt)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(0x40+i))); err != nil {
+			t.Fatalf("Write %d: %v", i, err)
+		}
+	}
+	e.Close()
+	if err := os.WriteFile(filepath.Join(dir, snapName(3)), []byte("rot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustRefuse(t, opt, 3)
+}
+
+// TestUnreadableNewestDeltaFailsClosed damages the newest delta of a
+// chain whose WAL segments were pruned as the chain grew: the writes it
+// captured are on no other file, so Open must refuse.
+func TestUnreadableNewestDeltaFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	opt := deltaOptions(dir)
+	e, err := Open(opt)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 7; i++ { // base + a 3-delta chain at every-2, BaseEvery=4
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(0x20+i))); err != nil {
+			t.Fatalf("Write %d: %v", i, err)
+		}
+	}
+	e.Close()
+	if err := os.WriteFile(filepath.Join(dir, deltaName(4)), []byte("rot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustRefuse(t, opt, 4)
+}
+
+// TestOrphanFirstWALOpens: a first Open killed before its base published
+// leaves wal-1 and no checkpoint. That directory holds nothing a
+// checkpoint captured, so it opens and replays the segment.
+func TestOrphanFirstWALOpens(t *testing.T) {
+	dir := t.TempDir()
+	opt := testOptions(dir)
+	o, err := aboram.New(opt.ORAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := payload(o.BlockSize(), 0x33)
+	rec, err := AppendRecord(nil, wire.Request{Op: wire.OpWrite, ID: 9, Block: 5, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName(1)), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(opt)
+	if err != nil {
+		t.Fatalf("Open over an orphan wal-1: %v", err)
+	}
+	defer e.Close()
+	if r := e.Recovery(); r.BaseEpoch != 0 || r.RecordsReplayed != 1 {
+		t.Fatalf("recovery = %+v, want no base and 1 replayed record", r)
+	}
+	if got, err := e.Read(5); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("orphan wal-1 write lost (err %v)", err)
+	}
+}
+
+// TestVersionlessDirectoryFailsClosed: a directory whose checkpoints
+// were written before the stream header carried a format version is
+// refused with aboram.ErrFormatTooOld, and left unchanged.
+func TestVersionlessDirectoryFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	opt := testOptions(dir)
+	opt.SnapshotEvery = 3
+	e, err := Open(opt)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := commit(e, 0, int64(i), payload(e.BlockSize(), byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Close()
+	path := filepath.Join(dir, snapName(2))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, stripStreamVersion(t, raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustRefuse(t, opt, 2); !errors.Is(err, aboram.ErrFormatTooOld) {
+		t.Fatalf("refusal %v does not wrap aboram.ErrFormatTooOld", err)
+	}
+}
+
+// stripStreamVersion rewrites a snapshot file's stream header record
+// without its format version, as every release before the version
+// existed wrote it: the header is re-encoded from a struct that lacks
+// the field and re-framed with its length and CRC-32C.
+func stripStreamVersion(t *testing.T, file []byte) []byte {
+	t.Helper()
+	ids, _, err := readMeta(bufio.NewReader(bytes.NewReader(file)), snapMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := file[:len(appendMeta(nil, snapMagic, 0, ids))]
+	frame := file[len(meta):]
+	n := binary.BigEndian.Uint32(frame)
+	body := frame[8 : 8+n]
+	if body[0] != 'H' {
+		t.Fatalf("stream opens with record %q, want the header", body[0])
+	}
+	var hdr struct {
+		Levels              int
+		Since, Cut          uint64
+		Encrypted, HasDeadQ bool
+		Full                bool
+		KeyCheck            [32]byte
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	var nb bytes.Buffer
+	nb.WriteByte('H')
+	if err := gob.NewEncoder(&nb).Encode(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), meta...)
+	out = binary.BigEndian.AppendUint32(out, uint32(nb.Len()))
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(nb.Bytes(), crcTable))
+	out = append(out, nb.Bytes()...)
+	return append(out, frame[8+n:]...)
 }
 
 // TestFailStop checks the engine poisons itself on the first durability

@@ -104,16 +104,17 @@ func TestIDRingCapacity(t *testing.T) {
 	}
 }
 
-// TestSnapMetaRoundTrip pins the snapshot header codec, including the
-// legacy (headerless) fallback and corruption detection.
+// TestSnapMetaRoundTrip pins the snapshot header codec: a round trip,
+// and an error for a file without the header, a corrupt header, and a
+// truncated one.
 func TestSnapMetaRoundTrip(t *testing.T) {
 	ids := []uint64{1, 2, 1 << 60}
 	buf := appendMeta(nil, snapMagic, 42, ids)
 	rest := []byte("snapshot image bytes")
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), buf...), rest...)))
-	got, term, err := readSnapMeta(br)
+	got, term, err := readMeta(br, snapMagic)
 	if err != nil {
-		t.Fatalf("readSnapMeta: %v", err)
+		t.Fatalf("readMeta: %v", err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(ids) {
 		t.Fatalf("ids = %v, want %v", got, ids)
@@ -125,29 +126,31 @@ func TestSnapMetaRoundTrip(t *testing.T) {
 		t.Fatalf("header read consumed into the image: %q", tail)
 	}
 
-	// Legacy file: no magic. The reader must stay unconsumed.
-	br = bufio.NewReader(bytes.NewReader(rest))
-	if got, term, err := readSnapMeta(br); err != nil || got != nil || term != 0 {
-		t.Fatalf("legacy readSnapMeta = %v, %d, %v; want nil, 0, nil", got, term, err)
+	// Headerless file: unreadable, not a legacy snapshot.
+	if _, _, err := readMeta(bufio.NewReader(bytes.NewReader(rest)), snapMagic); err == nil {
+		t.Fatal("headerless snapshot accepted")
 	}
-	if tail, _ := br.Peek(len(rest)); string(tail) != string(rest) {
-		t.Fatalf("legacy probe consumed the image: %q", tail)
+	// A delta header is not a snapshot header.
+	if _, _, err := readMeta(bufio.NewReader(bytes.NewReader(buf)), deltaMagic); err == nil {
+		t.Fatal("snapshot header accepted as a delta header")
 	}
 
 	// Flip a bit inside an id: the CRC must catch it.
 	bad := append([]byte(nil), buf...)
 	bad[len(snapMagic)+12+3] ^= 0x40
-	if _, _, err := readSnapMeta(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+	if _, _, err := readMeta(bufio.NewReader(bytes.NewReader(bad)), snapMagic); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
-	// Truncated header: error, not a silent legacy fallback.
-	if _, _, err := readSnapMeta(bufio.NewReader(bytes.NewReader(buf[:10]))); err == nil {
+	// Truncated header: error.
+	if _, _, err := readMeta(bufio.NewReader(bytes.NewReader(buf[:10])), snapMagic); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
 
-// TestLegacySnapshotLoads checks a pre-header snapshot file (the format
-// before ids were persisted) still restores — with an empty id set.
+// TestLegacySnapshotLoads: a snapshot file without the metadata header
+// (the format before ids were persisted) is unreadable. Publishing it
+// pruned the WAL segment holding its writes, so Open refuses and
+// changes nothing.
 func TestLegacySnapshotLoads(t *testing.T) {
 	dir := t.TempDir()
 	opt := testOptions(dir)
@@ -176,21 +179,7 @@ func TestLegacySnapshotLoads(t *testing.T) {
 	if err := os.WriteFile(snaps[0], raw[hdr:], 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := Open(opt)
-	if err != nil {
-		t.Fatalf("reopen legacy snapshot: %v", err)
-	}
-	defer r.Close()
-	if got := r.Recovery().IDsRecovered; got != 0 {
-		t.Fatalf("IDsRecovered = %d from a legacy snapshot, want 0", got)
-	}
-	for i := 0; i < 3; i++ {
-		got, err := r.Read(int64(i))
-		if err != nil || string(got) != string(payload(r.BlockSize(), byte(0x70+i))) {
-			t.Fatalf("block %d lost under legacy snapshot (err %v)", i, err)
-		}
-	}
+	mustRefuse(t, opt, 2)
 }
 
 // TestGroupCommitBatchSync pins the one protocol and its fsync

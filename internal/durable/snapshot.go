@@ -25,8 +25,9 @@ import (
 // base is the stream of a full image (every bucket, position, and store
 // slot; header flag Full), a delta the stream of the state dirtied since
 // the previous cut. Both are captured in the rotation's serving pause
-// and encoded at publish. A snap file written before bases became full
-// streams holds a gob image instead; aboram.Load still reads it.
+// and encoded at publish. The stream's header carries its format
+// version; a file of any older format is unreadable
+// (aboram.ErrFormatTooOld for a stream without a version).
 //
 // Most epochs are delta files over the previous chain element, with a
 // full snap every BaseEvery rotations (BaseEvery 1: every epoch is a
@@ -41,14 +42,14 @@ import (
 // with the longest cleanly-applying run of consecutive deltas above it,
 // and replays every WAL segment with epoch >= the newest applied chain
 // element in ascending order: records are whole-content writes, so
-// replaying an older segment under a newer checkpoint is idempotent,
-// and the scheme survives a checkpoint file lost to bit rot by falling
-// back to an older base or a shorter chain.
+// replaying an older segment under a newer checkpoint is idempotent. A
+// checkpoint file lost to bit rot is survivable only while the WAL
+// segments it made redundant are still on disk; otherwise Open refuses
+// the directory rather than recover an older state (engine.go).
 //
-// Snapshot metadata header (since wire v2 retry dedup became
-// crash-durable):
+// Metadata header:
 //
-//	magic "ABSNAP02" | uint64 term | uint32 count |
+//	magic | uint64 term | uint32 count |
 //	count x uint64 request ids |
 //	uint32 CRC-32C over (term + count + ids)
 //
@@ -59,25 +60,12 @@ import (
 // engine's fencing term at capture (see term.go): a standby promoted
 // under a higher term stamps it into every checkpoint, so a deposed
 // primary's stale replication stream is rejected by the header alone.
-// The previous format "ABSNAP01" omitted the term and loads as term 0;
-// a file without either magic is a legacy snapshot and loads with an
-// empty id set; a corrupt header fails the load, which recovery treats
-// like any unreadable snapshot (fall back one epoch).
+// A missing or damaged header makes the file unreadable.
 
-// snapMagic opens a snapshot file that carries a term-bearing metadata
-// header; snapMagicV1 is the pre-term format, still readable.
+// snapMagic and deltaMagic open a snapshot and a delta checkpoint file.
 var (
-	snapMagic   = []byte("ABSNAP02")
-	snapMagicV1 = []byte("ABSNAP01")
-)
-
-// deltaMagic opens a delta checkpoint file (same meta header shape as
-// ABSNAP02, followed by an aboram.SaveDelta stream). Deltas postdate the
-// header format, so unlike snapshots they have no headerless legacy form:
-// a delta file without one of the magics is corrupt, never legacy.
-var (
-	deltaMagic   = []byte("ABDELT02")
-	deltaMagicV1 = []byte("ABDELT01")
+	snapMagic  = []byte("ABSNAP02")
+	deltaMagic = []byte("ABDELT02")
 )
 
 // maxSnapIDs bounds the id count a header may claim, so a corrupt count
@@ -124,80 +112,35 @@ func appendMeta(dst []byte, magic []byte, term uint64, ids []uint64) []byte {
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
 }
 
-// readSnapMeta consumes the metadata header, if present. A stream that
-// does not begin with either magic is a legacy snapshot: nothing is
-// consumed, the id set is empty, and the term is 0. A stream that does
-// begin with a magic must carry an intact header — truncation or a CRC
-// mismatch is an error, and the caller skips the snapshot.
-func readSnapMeta(br *bufio.Reader) ([]uint64, uint64, error) {
-	head, err := br.Peek(len(snapMagic))
-	if err != nil {
-		// Too short to carry a magic: leave the stream alone and let
-		// aboram.Load judge it.
-		return nil, 0, nil
-	}
-	withTerm := bytes.Equal(head, snapMagic)
-	if !withTerm && !bytes.Equal(head, snapMagicV1) {
-		// Legacy image: no header to consume.
-		return nil, 0, nil
-	}
-	if _, err := br.Discard(len(snapMagic)); err != nil {
-		return nil, 0, fmt.Errorf("durable: snapshot metadata: %w", err)
-	}
-	return readMetaBody(br, withTerm)
-}
-
-// readDeltaMeta consumes a delta checkpoint's metadata header. Deltas
-// postdate the header format, so unlike snapshots there is no
-// headerless legacy form to tolerate: a missing or damaged header is an
-// error, and recovery treats the file as unreadable.
-func readDeltaMeta(br *bufio.Reader) ([]uint64, uint64, error) {
-	head := make([]byte, len(deltaMagic))
+// readMeta consumes a metadata header that opens with magic and
+// returns its ids and term. A missing magic, a truncation, or a CRC
+// mismatch is an error, and recovery treats the file as unreadable.
+func readMeta(br *bufio.Reader, magic []byte) ([]uint64, uint64, error) {
+	head := make([]byte, len(magic)+12)
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, 0, fmt.Errorf("durable: delta metadata: %w", err)
+		return nil, 0, fmt.Errorf("durable: checkpoint metadata: %w", err)
 	}
-	withTerm := bytes.Equal(head, deltaMagic)
-	if !withTerm && !bytes.Equal(head, deltaMagicV1) {
-		return nil, 0, fmt.Errorf("durable: not a delta checkpoint")
+	if !bytes.Equal(head[:len(magic)], magic) {
+		return nil, 0, fmt.Errorf("durable: no %s checkpoint header", magic)
 	}
-	return readMetaBody(br, withTerm)
-}
-
-// readMetaBody reads the post-magic portion of a metadata header;
-// withTerm selects the current (term-bearing) or the V1 body layout.
-func readMetaBody(br *bufio.Reader, withTerm bool) ([]uint64, uint64, error) {
-	var term uint64
-	pre := 4
-	if withTerm {
-		pre = 12
-	}
-	head := make([]byte, pre)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, 0, fmt.Errorf("durable: snapshot metadata count: %w", err)
-	}
-	cnt := head[pre-4:]
-	if withTerm {
-		term = binary.BigEndian.Uint64(head[:8])
-	}
-	count := binary.BigEndian.Uint32(cnt)
+	term := binary.BigEndian.Uint64(head[len(magic):])
+	count := binary.BigEndian.Uint32(head[len(magic)+8:])
 	if count > maxSnapIDs {
-		return nil, 0, fmt.Errorf("durable: snapshot metadata claims %d ids", count)
+		return nil, 0, fmt.Errorf("durable: checkpoint metadata claims %d ids", count)
 	}
-	body := make([]byte, pre+8*int(count))
-	copy(body, head)
-	if _, err := io.ReadFull(br, body[pre:]); err != nil {
-		return nil, 0, fmt.Errorf("durable: snapshot metadata ids: %w", err)
+	body := make([]byte, 12+8*int(count)+4)
+	copy(body, head[len(magic):])
+	if _, err := io.ReadFull(br, body[12:]); err != nil {
+		return nil, 0, fmt.Errorf("durable: checkpoint metadata ids: %w", err)
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return nil, 0, fmt.Errorf("durable: snapshot metadata checksum: %w", err)
-	}
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(sum[:]) {
-		return nil, 0, fmt.Errorf("durable: snapshot metadata checksum mismatch")
+	sum := body[len(body)-4:]
+	body = body[:len(body)-4]
+	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(sum) {
+		return nil, 0, fmt.Errorf("durable: checkpoint metadata checksum mismatch")
 	}
 	ids := make([]uint64, count)
 	for i := range ids {
-		ids[i] = binary.BigEndian.Uint64(body[pre+8*i:])
+		ids[i] = binary.BigEndian.Uint64(body[12+8*i:])
 	}
 	return ids, term, nil
 }
@@ -241,7 +184,7 @@ func loadSnapshot(fs vfs.FS, dir string, epoch uint64, opt aboram.Options) (*abo
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	ids, term, err := readSnapMeta(br)
+	ids, term, err := readMeta(br, snapMagic)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -262,7 +205,7 @@ func loadDelta(fs vfs.FS, dir string, epoch uint64, o *aboram.ORAM) ([]uint64, u
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	ids, term, err := readDeltaMeta(br)
+	ids, term, err := readMeta(br, deltaMagic)
 	if err != nil {
 		return nil, 0, err
 	}

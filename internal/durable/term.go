@@ -61,22 +61,16 @@ func (e *Engine) SetTerm(term uint64) error {
 }
 
 // fileTerm reads the term a checkpoint file's header claims, without
-// loading the image. Unreadable or legacy headers report term 0 — the
-// caller is computing a maximum, and a file recovery would skip cannot
-// raise the directory's term anyway.
-func fileTerm(fs vfs.FS, path string, delta bool) uint64 {
+// loading the image. An unreadable header reports term 0 — the caller
+// is computing a maximum, and a file recovery would skip cannot raise
+// the directory's term anyway.
+func fileTerm(fs vfs.FS, path string, magic []byte) uint64 {
 	f, err := fs.Open(path)
 	if err != nil {
 		return 0
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<12)
-	var term uint64
-	if delta {
-		_, term, err = readDeltaMeta(br)
-	} else {
-		_, term, err = readSnapMeta(br)
-	}
+	_, term, err := readMeta(bufio.NewReaderSize(f, 1<<12), magic)
 	if err != nil {
 		return 0
 	}
@@ -98,11 +92,11 @@ func ReadDirTerm(fs vfs.FS, dir string) (uint64, error) {
 		path := filepath.Join(dir, name)
 		switch {
 		case hasEpoch(name, "snap-", ".ab"):
-			if t := fileTerm(fs, path, false); t > term {
+			if t := fileTerm(fs, path, snapMagic); t > term {
 				term = t
 			}
 		case hasEpoch(name, "delta-", ".abd"):
-			if t := fileTerm(fs, path, true); t > term {
+			if t := fileTerm(fs, path, deltaMagic); t > term {
 				term = t
 			}
 		case hasEpoch(name, "wal-", ".log"):

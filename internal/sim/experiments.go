@@ -195,20 +195,22 @@ func RunFig9(p Params) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// RunFig10 regenerates the per-level reshuffle comparison.
+// RunFig10 regenerates the per-level reshuffle comparison. It runs no
+// DRAM jobs: the counts come from one protocol probe per scheme.
 func RunFig10(p Params) ([]*report.Table, error) {
-	runs, err := runAllSchemes(p)
-	if err != nil {
-		return nil, err
+	schemes := core.Schemes()
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = string(s)
 	}
 	t := report.New("Fig 10: EarlyReshuffles per level (summed over benchmarks)",
-		append([]string{"level"}, schemeNames(runs)...)...)
-	// Per-level counts need the ORAM instances; rerun one benchmark per
+		append([]string{"level"}, names...)...)
+	// Per-level counts need the ORAM instances; run one benchmark per
 	// scheme with per-level capture. Use the first benchmark as the
 	// representative, as reshuffle distribution is application independent.
-	perScheme := make([][]uint64, len(runs))
-	err = p.exec().each(len(runs), func(si int) error {
-		cfg, _, err := core.Build(runs[si].Scheme, p.options(0))
+	perScheme := make([][]uint64, len(schemes))
+	err := p.exec().each(len(schemes), func(si int) error {
+		cfg, _, err := core.Build(schemes[si], p.options(0))
 		if err != nil {
 			return err
 		}
@@ -224,7 +226,7 @@ func RunFig10(p Params) ([]*report.Table, error) {
 	}
 	for lvl := 0; lvl < p.Levels; lvl++ {
 		row := []string{report.Int(int64(lvl))}
-		for si := range runs {
+		for si := range schemes {
 			row = append(row, report.Uint(perScheme[si][lvl]))
 		}
 		t.AddRow(row...)

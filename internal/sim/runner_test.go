@@ -63,6 +63,20 @@ func baselineJobs(t *testing.T, p Params) []Job {
 	return jobs
 }
 
+// TestFig10RunsNoJobs pins that Fig 10 drives only its per-scheme
+// protocol probes: its table needs the scheme names, not the DRAM job
+// matrix.
+func TestFig10RunsNoJobs(t *testing.T) {
+	p := tinyParams()
+	p.Exec = NewExec(1)
+	if _, err := RunFig10(p); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Exec.Stats(); st.Jobs != 0 {
+		t.Fatalf("RunFig10 ran %d DRAM jobs, want 0", st.Jobs)
+	}
+}
+
 func TestExecCacheReuse(t *testing.T) {
 	p := tinyParams()
 	e := NewExec(4)

@@ -1,6 +1,8 @@
 #!/bin/sh
 # The full verification gate (also reachable as `make check`):
 # gofmt over every tracked .go file (bench/ included) +
+# a guard that aboram/gob.go is the only non-test Go file outside bench/
+# importing encoding/gob (the checkpoint payload codec) +
 # vet + build + tests + the race-detector pass over the concurrent
 # packages (the sim orchestrator's worker pool — simulated cycles only,
 # the in-process TCP benches are gone — the ringoram engine, the serving
@@ -37,6 +39,11 @@ set -eux
 unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on: $unformatted" >&2
+	exit 1
+fi
+gob_users=$(git ls-files -z '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | xargs -0 grep -l '"encoding/gob"' || true)
+if [ "$gob_users" != "aboram/gob.go" ]; then
+	echo "encoding/gob imported outside aboram/gob.go: $gob_users" >&2
 	exit 1
 fi
 go vet ./...
