@@ -23,13 +23,14 @@ race:
 bench:
 	bash bench/run.sh -seed 7
 
-# Run each of the twelve native fuzz targets for FUZZTIME (default 30s
+# Run each of the thirteen native fuzz targets for FUZZTIME (default 30s
 # per target).
 FUZZTIME ?= 30s
 fuzz:
 	go test -run='^$$' -fuzz='^FuzzAccess$$' -fuzztime=$(FUZZTIME) ./internal/ringoram
 	go test -run='^$$' -fuzz='^FuzzCheckpointRoundTrip$$' -fuzztime=$(FUZZTIME) ./aboram
 	go test -run='^$$' -fuzz='^FuzzDeltaDecode$$' -fuzztime=$(FUZZTIME) ./aboram
+	go test -run='^$$' -fuzz='^FuzzDataPlaneTamper$$' -fuzztime=$(FUZZTIME) ./aboram
 	go test -run='^$$' -fuzz='^FuzzTraceParse$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	go test -run='^$$' -fuzz='^FuzzWireDecode$$' -fuzztime=$(FUZZTIME) ./internal/server/wire
 	go test -run='^$$' -fuzz='^FuzzShardRoute$$' -fuzztime=$(FUZZTIME) ./internal/server

@@ -23,10 +23,13 @@
 // sees which slot of each path was real.
 //
 // With an encryption key set, the backing store's contents are AES-CTR
-// encrypted and Merkle-authenticated, and tampering with it surfaces as an
-// error. Checkpoint images (Save, SaveDelta) and a daemon's write-ahead
-// log are not sealed: they carry the position map, the stash payloads and
-// the logged write payloads in plaintext.
+// encrypted, and the real blocks stored off-chip are Merkle-authenticated:
+// tampering with them surfaces as an error. The treetop's slots are
+// on-chip (Table III), so they are encrypted but not hashed, and dummy
+// slots are encrypted only — no read asks for their content, and one
+// that did would fail. Checkpoint images (Save, SaveDelta) and a
+// daemon's write-ahead log are not sealed: they carry the position map,
+// the stash payloads and the logged write payloads in plaintext.
 package aboram
 
 import (
@@ -112,10 +115,7 @@ func New(opt Options) (*ORAM, error) {
 	cfg.XORRead = opt.XORRead
 	o := &ORAM{dq: dq, xor: opt.XORRead}
 	if opt.EncryptionKey != nil {
-		var slots int64
-		// The data plane must cover every physical slot of the tree.
-		slots = int64(ringoram.SpaceBytesStatic(cfg)) / int64(cfg.BlockB)
-		mem, err := secmem.New(slots, cfg.BlockB, opt.EncryptionKey)
+		mem, err := ringoram.NewDataPlane(cfg, opt.EncryptionKey)
 		if err != nil {
 			return nil, err
 		}

@@ -294,6 +294,12 @@ func decodeDelta(r io.Reader) (*DeltaSnapshot, error) {
 	)
 	for done := false; !done; {
 		tag, body, err := readDeltaFrame(r)
+		if !haveHdr && errors.Is(err, errFrameLength) {
+			// A stream opens with a short header frame, so an impossible
+			// first length says the bytes are some other format, most
+			// likely an image from before the checkpoint stream.
+			return nil, fmt.Errorf("aboram: not a checkpoint stream (older format?): %w", err)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -434,6 +440,10 @@ func writeDeltaFrame(w io.Writer, tag byte, payload any) error {
 	return err
 }
 
+// errFrameLength marks a frame whose length prefix is zero or over
+// maxDeltaBody.
+var errFrameLength = errors.New("aboram: delta frame length")
+
 func readDeltaFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -441,7 +451,7 @@ func readDeltaFrame(r io.Reader) (byte, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
 	if n == 0 || n > maxDeltaBody {
-		return 0, nil, fmt.Errorf("aboram: delta frame length %d out of range", n)
+		return 0, nil, fmt.Errorf("%w %d out of range", errFrameLength, n)
 	}
 	// Grow the buffer as bytes actually arrive rather than trusting the
 	// length prefix: a hostile header must not force a large allocation.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ringoram"
-	"repro/internal/secmem"
 )
 
 // This file is the engine-direct oracle variant: where NewSchemeTarget
@@ -34,9 +33,7 @@ type ringTarget struct {
 // is overwritten; cfg.Allocator is used as given (nil for allocator-free
 // shapes).
 func NewRingTarget(cfg ringoram.Config) (Target, error) {
-	// The data plane must cover every physical slot, mirroring aboram.New.
-	slots := int64(ringoram.SpaceBytesStatic(cfg)) / int64(cfg.BlockB)
-	mem, err := secmem.New(slots, cfg.BlockB, oracleKey)
+	mem, err := ringoram.NewDataPlane(cfg, oracleKey)
 	if err != nil {
 		return nil, err
 	}

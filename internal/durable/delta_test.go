@@ -291,6 +291,21 @@ func TestLegacyFullDirectoryRecovers(t *testing.T) {
 	mustRefuse(t, testOptions(copyFixture(t, "legacy-full")), 3)
 }
 
+// TestLegacyRefusalNamesOldFormat: the refusals of both legacy fixtures
+// say the checkpoint is not a checkpoint stream, so an operator reads an
+// older build's directory as such and not as corruption.
+func TestLegacyRefusalNamesOldFormat(t *testing.T) {
+	for _, fixture := range []struct {
+		name  string
+		epoch uint64
+	}{{"legacy-full", 3}, {"legacy-chain", 4}} {
+		err := mustRefuse(t, testOptions(copyFixture(t, fixture.name)), fixture.epoch)
+		if !strings.Contains(err.Error(), "not a checkpoint stream (older format?)") {
+			t.Errorf("%s: refusal %q does not name an older format", fixture.name, err)
+		}
+	}
+}
+
 // TestLegacyChainDirectoryRecovers opens a chain directory written before
 // bases became full checkpoint streams (testOptions, SnapshotEvery 4,
 // BaseEvery 4; fourteen writes, Close): a gob base at epoch 1, deltas

@@ -16,12 +16,37 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("New(%d) accepted", n)
 		}
 	}
-	tr, err := New(5) // non-power-of-two padding
+	tr, err := New(5) // a partial last node at each level
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Leaves() != 5 {
-		t.Fatalf("Leaves = %d", tr.Leaves())
+	if tr.Leaves() != 5 || tr.Depth() != 2 {
+		t.Fatalf("Leaves = %d, Depth = %d, want 5 and 2", tr.Leaves(), tr.Depth())
+	}
+}
+
+// TestSizedToLeafCount pins the storage bound of a tree sized to its leaf
+// count with no power-of-two padding: n leaves need at most
+// n + ⌈n/3⌉ + Depth() digests, and the depth is ⌈log4 n⌉.
+func TestSizedToLeafCount(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 5, 16, 17, 63, 64, 65, 1000, 1 << 14, 100003} {
+		tr, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth := 0
+		for span := 1; span < n; span *= Arity {
+			depth++
+		}
+		if tr.Depth() != depth {
+			t.Errorf("n=%d: Depth = %d, want %d", n, tr.Depth(), depth)
+		}
+		if bound := n + (n+2)/3 + depth; len(tr.nodes) > bound {
+			t.Errorf("n=%d: %d digests, want at most %d", n, len(tr.nodes), bound)
+		}
+		if err := tr.Audit(); err != nil {
+			t.Errorf("n=%d: fresh tree: %v", n, err)
+		}
 	}
 }
 
@@ -67,8 +92,8 @@ func TestVerifyDetectsInternalCorruption(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr.Update(i, []byte{byte(i)})
 	}
-	// Corrupt an internal node directly.
-	tr.nodes[1][0] ^= 0xff
+	// Corrupt an internal node directly: leaf 0's parent.
+	tr.nodes[tr.base[1]][0] ^= 0xff
 	if err := tr.Verify(0, []byte{0}); err == nil {
 		t.Fatal("internal corruption undetected")
 	}
@@ -85,58 +110,40 @@ func TestOutOfRange(t *testing.T) {
 	if err := tr.Verify(-1, nil); err == nil {
 		t.Fatal("verify out of range accepted")
 	}
-	if _, err := tr.Proof(99); err == nil {
-		t.Fatal("proof out of range accepted")
-	}
-}
-
-func TestProofRoundTrip(t *testing.T) {
-	tr, _ := New(6)
-	for i := 0; i < 6; i++ {
-		tr.Update(i, []byte{byte(i), byte(i * 3)})
-	}
-	for i := 0; i < 6; i++ {
-		proof, err := tr.Proof(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !VerifyProof(i, []byte{byte(i), byte(i * 3)}, proof, tr.Root()) {
-			t.Fatalf("valid proof rejected for leaf %d", i)
-		}
-		if VerifyProof(i, []byte("wrong"), proof, tr.Root()) {
-			t.Fatalf("forged content accepted for leaf %d", i)
-		}
-		if i > 0 && VerifyProof(i-1, []byte{byte(i), byte(i * 3)}, proof, tr.Root()) {
-			t.Fatal("proof valid at wrong position")
-		}
-	}
 }
 
 func TestReplayDetected(t *testing.T) {
-	// The attack Merkle trees exist to stop: record old content+proof,
-	// write new content, replay the old pair.
+	// The attack Merkle trees exist to stop: record old content, write
+	// new content at the same leaf, replay the old content.
 	tr, _ := New(4)
 	tr.Update(1, []byte("v1"))
-	oldProof, _ := tr.Proof(1)
-	oldRoot := tr.Root()
-	tr.Update(1, []byte("v2"))
-	if VerifyProof(1, []byte("v1"), oldProof, tr.Root()) {
-		t.Fatal("stale content accepted against fresh root")
+	if err := tr.Verify(1, []byte("v1")); err != nil {
+		t.Fatalf("sanity: current content rejected: %v", err)
 	}
-	// The old pair only verifies against the old root, which the trusted
-	// processor no longer holds.
-	if !VerifyProof(1, []byte("v1"), oldProof, oldRoot) {
-		t.Fatal("sanity: old proof should match old root")
+	tr.Update(1, []byte("v2"))
+	if err := tr.Verify(1, []byte("v1")); err == nil {
+		t.Fatal("stale content accepted at a rewritten leaf")
+	}
+	tr.Begin()
+	defer tr.End()
+	if err := tr.Verify(1, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Verify(1, []byte("v1")); err == nil {
+		t.Fatal("stale content accepted inside a scope")
 	}
 }
 
 func TestDomainSeparation(t *testing.T) {
 	// A leaf digest must never collide with an internal-node digest for
-	// crafted content. Hash a pair and feed the same 65 bytes as a leaf.
-	var l, r Digest
-	pair := hashPair(l, r)
-	crafted := append(append([]byte{}, l[:]...), r[:]...)
-	if hashLeaf(crafted) == pair {
+	// crafted content. Hash a node and feed its children as a leaf.
+	children := make([]Digest, Arity)
+	node := hashNode(children)
+	var crafted []byte
+	for _, c := range children {
+		crafted = append(crafted, c[:]...)
+	}
+	if hashLeaf(crafted) == node {
 		t.Fatal("leaf/internal domains collide")
 	}
 }
@@ -178,62 +185,74 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
-// eagerTree is the tree as it was before access scopes: every Update
-// re-hashes its whole path and every Verify walks to the root. It is the
-// reference the scoped tree must agree with.
+// eagerTree is the tree without access scopes: every Update re-hashes its
+// whole path and every Verify walks to the root. It keeps one slice per
+// level (leaves first) and is the reference the scoped tree must agree
+// with.
 type eagerTree struct {
-	padded int
-	nodes  []Digest
+	levels [][]Digest
 }
 
 func newEager(n int) *eagerTree {
-	padded := 1
-	for padded < n {
-		padded <<= 1
+	e := &eagerTree{levels: [][]Digest{make([]Digest, n)}}
+	for i := range e.levels[0] {
+		e.levels[0][i] = eagerLeaf(nil)
 	}
-	e := &eagerTree{padded: padded, nodes: make([]Digest, 2*padded-1)}
-	for i := padded - 1; i < len(e.nodes); i++ {
-		e.nodes[i] = eagerLeaf(nil)
-	}
-	for i := padded - 2; i >= 0; i-- {
-		e.nodes[i] = eagerPair(e.nodes[2*i+1], e.nodes[2*i+2])
+	for len(e.levels[len(e.levels)-1]) > 1 {
+		below := e.levels[len(e.levels)-1]
+		level := make([]Digest, (len(below)+3)/4)
+		for q := range level {
+			level[q] = e.node(len(e.levels)-1, q)
+		}
+		e.levels = append(e.levels, level)
 	}
 	return e
 }
 
+// node hashes node q of level l+1 from its stored children on level l.
+func (e *eagerTree) node(l, q int) Digest {
+	h := sha256.New()
+	h.Write([]byte{0x01})
+	for k := 4 * q; k < 4*q+4; k++ {
+		var child Digest // absent: zeros
+		if k < len(e.levels[l]) {
+			child = e.levels[l][k]
+		}
+		h.Write(child[:])
+	}
+	var d Digest
+	copy(d[:], h.Sum(nil))
+	return d
+}
+
+func (e *eagerTree) root() Digest { return e.levels[len(e.levels)-1][0] }
+
 func (e *eagerTree) update(i int, content []byte) {
-	idx := e.padded - 1 + i
-	e.nodes[idx] = eagerLeaf(content)
-	for idx > 0 {
-		idx = (idx - 1) / 2
-		e.nodes[idx] = eagerPair(e.nodes[2*idx+1], e.nodes[2*idx+2])
+	e.levels[0][i] = eagerLeaf(content)
+	for l, q := 0, i/4; l+1 < len(e.levels); l, q = l+1, q/4 {
+		e.levels[l+1][q] = e.node(l, q)
 	}
 }
 
 func (e *eagerTree) verify(i int, content []byte) bool {
-	idx := e.padded - 1 + i
-	if eagerLeaf(content) != e.nodes[idx] {
+	if eagerLeaf(content) != e.levels[0][i] {
 		return false
 	}
-	for idx > 0 {
-		idx = (idx - 1) / 2
-		if eagerPair(e.nodes[2*idx+1], e.nodes[2*idx+2]) != e.nodes[idx] {
+	for l, q := 0, i/4; l+1 < len(e.levels); l, q = l+1, q/4 {
+		if e.node(l, q) != e.levels[l+1][q] {
 			return false
 		}
 	}
 	return true
 }
 
-func (e *eagerTree) proof(i int) []Digest {
-	var proof []Digest
-	for idx := e.padded - 1 + i; idx > 0; idx = (idx - 1) / 2 {
-		if idx%2 == 0 {
-			proof = append(proof, e.nodes[idx-1])
-		} else {
-			proof = append(proof, e.nodes[idx+1])
-		}
+// flat lays the levels out as Tree does: leaves first, root last.
+func (e *eagerTree) flat() []Digest {
+	var all []Digest
+	for _, level := range e.levels {
+		all = append(all, level...)
 	}
-	return proof
+	return all
 }
 
 func eagerLeaf(content []byte) Digest {
@@ -248,17 +267,7 @@ func eagerLeaf(content []byte) Digest {
 	return d
 }
 
-func eagerPair(l, r Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(l[:])
-	h.Write(r[:])
-	var d Digest
-	copy(d[:], h.Sum(nil))
-	return d
-}
-
-// runScopedScript decodes script into Begin/End/Update/Verify/Root/Proof
+// runScopedScript decodes script into Begin/End/Update/Verify/Root
 // operations, runs them on a scoped tree and on the eager reference, and
 // reports the first disagreement. Byte 0 sizes the tree; every further
 // pair of bytes is one operation. Tampered Verifies pass content that
@@ -267,7 +276,7 @@ func runScopedScript(script []byte) error {
 	if len(script) == 0 {
 		return nil
 	}
-	n := int(script[0])%33 + 1
+	n := int(script[0])%80 + 1
 	tr, _ := New(n)
 	ref := newEager(n)
 	content := make([][]byte, n) // nil: never written
@@ -275,7 +284,7 @@ func runScopedScript(script []byte) error {
 	for step := 0; len(script) >= 2; step, script = step+1, script[2:] {
 		op, arg := script[0], script[1]
 		leaf := int(arg) % n
-		switch op % 7 {
+		switch op % 6 {
 		case 0:
 			tr.Begin()
 		case 1:
@@ -289,7 +298,7 @@ func runScopedScript(script []byte) error {
 			content[leaf] = data
 		case 3, 4:
 			data := content[leaf]
-			if op%7 == 4 {
+			if op%6 == 4 {
 				data = append([]byte{}, data...)
 				if len(data) == 0 {
 					data = []byte{1}
@@ -301,35 +310,27 @@ func runScopedScript(script []byte) error {
 			if got != want {
 				return fmt.Errorf("step %d: Verify(%d) accepted=%v, eager accepted=%v", step, leaf, got, want)
 			}
-			if op%7 == 4 && got {
+			if op%6 == 4 && got {
 				return fmt.Errorf("step %d: tampered leaf %d accepted", step, leaf)
 			}
 		case 5:
-			if tr.Root() != ref.nodes[0] {
+			if tr.Root() != ref.root() {
 				return fmt.Errorf("step %d: roots differ", step)
-			}
-		case 6:
-			p, err := tr.Proof(leaf)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(p, ref.proof(leaf)) {
-				return fmt.Errorf("step %d: proofs of leaf %d differ", step, leaf)
 			}
 		}
 	}
 	tr.End()
-	if tr.Root() != ref.nodes[0] {
+	if tr.Root() != ref.root() {
 		return fmt.Errorf("roots differ after the script")
 	}
-	if !reflect.DeepEqual(tr.nodes, ref.nodes) {
+	if !reflect.DeepEqual(tr.nodes, ref.flat()) {
 		return fmt.Errorf("node arrays differ after the script")
 	}
 	return tr.Audit()
 }
 
 // Property: for random scripts the scoped tree gives the eager tree's
-// roots, proofs and verdicts, and rejects every tampered leaf.
+// roots, node arrays and verdicts, and rejects every tampered leaf.
 func TestScopedMatchesEager(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -344,6 +345,7 @@ func TestScopedMatchesEager(t *testing.T) {
 func FuzzScopedVerify(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 2, 1, 3, 1, 4, 1, 2, 2, 4, 1, 3, 2, 1, 0, 5, 0})
 	f.Add([]byte{32, 2, 5, 0, 0, 2, 6, 3, 5, 4, 6, 6, 6, 1, 1, 4, 5})
+	f.Add([]byte{68, 0, 0, 2, 65, 3, 65, 2, 66, 4, 66, 1, 0, 3, 66, 5, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if err := runScopedScript(script); err != nil {
 			t.Fatal(err)
@@ -358,7 +360,7 @@ func TestScopedVerifyDetectsInternalCorruption(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr.Update(i, []byte{byte(i)})
 	}
-	tr.nodes[1][0] ^= 0xff
+	tr.nodes[tr.base[1]][0] ^= 0xff
 	tr.Begin()
 	defer tr.End()
 	if err := tr.Verify(0, []byte{0}); err == nil {
@@ -370,8 +372,8 @@ func TestScopedVerifyDetectsInternalCorruption(t *testing.T) {
 // the first checked ancestor, and the Updates of one scope hash each
 // shared ancestor once.
 func TestScopedHashCounts(t *testing.T) {
-	tr, _ := New(16) // 4 internal levels
-	for i := 0; i < 16; i++ {
+	tr, _ := New(256) // 4 internal levels
+	for i := 0; i < 256; i++ {
 		tr.Update(i, []byte{byte(i)})
 	}
 	count := func(f func()) uint64 {
@@ -392,7 +394,7 @@ func TestScopedHashCounts(t *testing.T) {
 	if got := count(func() { tr.Verify(1, []byte{1}) }); got != 1 {
 		t.Fatalf("sibling Verify: %d hashes, want the leaf only", got)
 	}
-	if got := count(func() { tr.Verify(2, []byte{2}) }); got != 2 {
+	if got := count(func() { tr.Verify(4, []byte{4}) }); got != 2 {
 		t.Fatalf("cousin Verify: %d hashes, want leaf + one ancestor", got)
 	}
 	if got := count(func() { tr.Update(0, []byte{9}); tr.Update(1, []byte{9}) }); got != 2 {
@@ -406,6 +408,28 @@ func TestScopedHashCounts(t *testing.T) {
 	}
 	if got := count(func() { tr.Verify(1, []byte{9}) }); got != 5 {
 		t.Fatalf("Verify after End: %d hashes, want a full walk of 5", got)
+	}
+}
+
+// TestBlockCount pins Blocks to the SHA-256 block arithmetic: a leaf over
+// secmem's 80-byte input (index, version, 64-byte ciphertext) is 2 blocks
+// and an internal node over four digests is 3.
+func TestBlockCount(t *testing.T) {
+	tr, _ := New(256)
+	content := make([]byte, 80)
+	b := tr.Blocks
+	if err := tr.Update(7, content); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Blocks - b; got != 2+4*3 {
+		t.Fatalf("unscoped Update: %d blocks, want the leaf's 2 + 4 nodes x 3", got)
+	}
+	b = tr.Blocks
+	if err := tr.Verify(7, content); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Blocks - b; got != 14 {
+		t.Fatalf("unscoped Verify: %d blocks, want 14", got)
 	}
 }
 

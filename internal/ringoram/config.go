@@ -40,7 +40,11 @@ type SlotRef struct {
 type DataPlane interface {
 	// ReadBlock fetches the content stored at a physical block address.
 	ReadBlock(addr uint64) ([]byte, error)
-	// WriteBlock stores content at a physical block address.
+	// WriteBlock stores content at a physical block address. nil data
+	// stores a dummy: content no ReadBlock asks for, so the plane may
+	// store it unauthenticated and fail a later ReadBlock of the address
+	// until real content is written there. An XOR read (XORDataPlane)
+	// still folds it in.
 	WriteBlock(addr uint64, data []byte) error
 }
 

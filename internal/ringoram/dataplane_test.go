@@ -12,11 +12,7 @@ import (
 // attached.
 func newDataORAM(t *testing.T, cfg Config) (*ORAM, *secmem.Memory) {
 	t.Helper()
-	var slots int64
-	for l := 0; l < cfg.Levels; l++ {
-		slots += (int64(1) << l) * int64(cfg.zPrimeAt(l)+cfg.sAt(l))
-	}
-	mem, err := secmem.New(slots, cfg.BlockB, []byte("0123456789abcdef"))
+	mem, err := NewDataPlane(cfg, []byte("0123456789abcdef"))
 	if err != nil {
 		t.Fatal(err)
 	}

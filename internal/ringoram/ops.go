@@ -370,8 +370,8 @@ func (o *ORAM) loadPayload(blk int64, addr uint64) {
 }
 
 // storePayload writes a slot's content to the data plane: the stashed
-// payload for a real block (consumed from the map), zeros for a dummy or
-// never-written block.
+// payload for a real block (consumed from the map; zeros if it was never
+// written), nil for a dummy (DataPlane.WriteBlock).
 func (o *ORAM) storePayload(blk int64, addr uint64) {
 	if o.dataErr != nil {
 		return
@@ -380,9 +380,9 @@ func (o *ORAM) storePayload(blk int64, addr uint64) {
 	if blk >= 0 {
 		d = o.stashData[blk]
 		delete(o.stashData, blk)
-	}
-	if d == nil {
-		d = make([]byte, o.cfg.BlockB)
+		if d == nil {
+			d = make([]byte, o.cfg.BlockB)
+		}
 	}
 	if err := o.cfg.Data.WriteBlock(addr, d); err != nil {
 		o.dataErr = err

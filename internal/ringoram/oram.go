@@ -334,11 +334,25 @@ func (o *ORAM) SpaceBytes() uint64 {
 
 // SpaceBytesStatic computes the tree size for a config without building it.
 func SpaceBytesStatic(cfg Config) uint64 {
+	return uint64(slotsAbove(cfg, cfg.Levels)) * uint64(cfg.BlockB)
+}
+
+// slotsAbove counts the physical slots of levels [0, levels): the
+// level-major prefix of the flat slot array.
+func slotsAbove(cfg Config, levels int) int64 {
 	var slots int64
-	for l := 0; l < cfg.Levels; l++ {
+	for l := 0; l < levels; l++ {
 		slots += (int64(1) << l) * int64(cfg.zPrimeAt(l)+cfg.sAt(l))
 	}
-	return uint64(slots) * uint64(cfg.BlockB)
+	return slots
+}
+
+// NewDataPlane builds the encrypted store that backs cfg's tree, one block
+// per physical slot, under a 16-byte AES key. The slots of the
+// TreetopLevels on-chip levels, the prefix of the slot array, stay
+// encrypted but outside the integrity tree (secmem.NewTreetop).
+func NewDataPlane(cfg Config, key []byte) (*secmem.Memory, error) {
+	return secmem.NewTreetop(slotsAbove(cfg, cfg.Levels), slotsAbove(cfg, cfg.TreetopLevels), cfg.BlockB, key)
 }
 
 // Utilization returns user data bytes / tree bytes (Fig 8b).

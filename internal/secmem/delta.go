@@ -64,7 +64,9 @@ func (m *Memory) capture(d *SlotDelta) *SlotDelta {
 }
 
 // ApplySlots installs a captured delta: ciphertext, version, and
-// written flag per block, re-authenticating each touched block. It
+// written flag per block, re-authenticating each written off-chip block.
+// A checkpoint does not say which blocks hold dummies, so a restored
+// dummy is authenticated like real content: it reads as zeros. It
 // validates shape and ranges first so a corrupt delta is rejected
 // before any state changes.
 func (m *Memory) ApplySlots(d *SlotDelta) error {
@@ -86,7 +88,7 @@ func (m *Memory) ApplySlots(d *SlotDelta) error {
 		m.versions[idx] = d.Versions[i]
 		m.written[idx] = d.Written[i]
 		m.slotEpoch[idx] = m.clock
-		if m.written[idx] {
+		if m.written[idx] && m.offChip(idx) {
 			if err := m.reauth(idx); err != nil {
 				return err
 			}

@@ -1,9 +1,21 @@
 // Package secmem implements the threat model's secure-memory engine (§II):
 // data blocks leave the trusted processor encrypted (AES-128-CTR with a
-// per-write version counter in the IV) and authenticated (a Merkle tree
-// over the ciphertext whose root never leaves the chip). Reads decrypt and
-// verify; any tampering with ciphertext, version, or position — including
-// replay of stale ciphertext — is detected and surfaced as an error.
+// per-write version counter in the IV) and authenticated (a 4-ary Merkle
+// tree over the ciphertext whose root never leaves the chip). Reads
+// decrypt and verify; any tampering with ciphertext, version, or position
+// — including replay of stale ciphertext — is detected and surfaced as an
+// error.
+//
+// Only what leaves the chip is authenticated, and only real content:
+//   - The first blocks of the store may be declared on-chip (NewTreetop):
+//     the ORAM's treetop levels (Table III). They are encrypted like the
+//     rest, so checkpoint bytes mean the same, but they get no Merkle
+//     leaf and tampering with them is outside the model.
+//   - A dummy store (Write with nil plaintext) is a fresh encryption of
+//     zeros that is not hashed. No one reads a dummy for its content: a
+//     Read or PeelXOR of that block fails closed until a real Write
+//     authenticates it, and a dummy folded into an XOR payload is
+//     covered by the real block's verify, which a tampered pad corrupts.
 //
 // The ORAM protocols obliviously decide *where* blocks live; secmem
 // guarantees *what* is stored there is confidential and authentic. The
@@ -25,13 +37,14 @@ import (
 // fixed-size blocks. It is not safe for concurrent use.
 type Memory struct {
 	blockB   int
+	treetop  int64 // blocks [0, treetop) are on-chip: encrypted, never hashed
 	block    cipher.Block
 	kcv      [32]byte
-	store    []byte   // ciphertext, blockB bytes per block
-	versions []uint64 // per-block write counter (IV component)
-	written  []bool   // blocks that have been written at least once
-	tree     *merkle.Tree
-	scratch  []byte // authInput assembly buffer (hashed immediately, never retained)
+	store    []byte       // ciphertext, blockB bytes per block
+	versions []uint64     // per-block write counter (IV component)
+	written  []bool       // blocks that have been written at least once
+	tree     *merkle.Tree // leaf i authenticates block treetop+i
+	scratch  []byte       // authInput assembly buffer (hashed immediately, never retained)
 	ctr      ctrScratch
 
 	// Dirty tracking for incremental checkpoints (delta.go): every Write
@@ -45,10 +58,21 @@ type Memory struct {
 }
 
 // New builds a store of n blocks of blockB bytes under the given 16-byte
-// AES key.
+// AES key, every block off-chip.
 func New(n int64, blockB int, key []byte) (*Memory, error) {
+	return NewTreetop(n, 0, blockB, key)
+}
+
+// NewTreetop builds a store of n blocks whose first treetop blocks are
+// on-chip: they are encrypted but not authenticated, and InjectFault and
+// ReplayFault refuse them. The integrity tree covers the n-treetop
+// off-chip blocks.
+func NewTreetop(n, treetop int64, blockB int, key []byte) (*Memory, error) {
 	if n <= 0 || blockB <= 0 {
 		return nil, fmt.Errorf("secmem: non-positive geometry (%d x %d)", n, blockB)
+	}
+	if treetop < 0 || treetop > n {
+		return nil, fmt.Errorf("secmem: on-chip prefix %d out of range [0, %d]", treetop, n)
 	}
 	if len(key) != 16 {
 		return nil, fmt.Errorf("secmem: key must be 16 bytes, got %d", len(key))
@@ -57,12 +81,15 @@ func New(n int64, blockB int, key []byte) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := merkle.New(int(n))
+	// An all-on-chip store keeps a one-leaf tree it never uses, so the
+	// scope and root methods need no special case.
+	tree, err := merkle.New(int(max(n-treetop, 1)))
 	if err != nil {
 		return nil, err
 	}
 	m := &Memory{
 		blockB:    blockB,
+		treetop:   treetop,
 		block:     blk,
 		kcv:       keyCheck(key),
 		store:     make([]byte, n*int64(blockB)),
@@ -103,6 +130,21 @@ func (m *Memory) Scoped() bool { return m.tree.Scoped() }
 
 // Hashes returns the integrity tree's digest count (merkle.Tree.Hashes).
 func (m *Memory) Hashes() uint64 { return m.tree.Hashes }
+
+// Blocks returns the SHA-256 blocks the integrity tree processed
+// (merkle.Tree.Blocks).
+func (m *Memory) Blocks() uint64 { return m.tree.Blocks }
+
+// Depth returns the integrity tree's internal levels: an unscoped Read of
+// an off-chip block hashes Depth()+1 times.
+func (m *Memory) Depth() int { return m.tree.Depth() }
+
+// Treetop returns the number of on-chip blocks, the prefix [0, Treetop())
+// of the store.
+func (m *Memory) Treetop() int64 { return m.treetop }
+
+// offChip reports whether block idx is in untrusted memory.
+func (m *Memory) offChip(idx int64) bool { return idx >= m.treetop }
 
 // keystream XORs data in place with the CTR keystream for (block, version).
 func (m *Memory) keystream(idx int64, version uint64, data []byte) {
@@ -161,17 +203,29 @@ func (m *Memory) ciphertext(idx int64) []byte {
 	return m.store[idx*int64(m.blockB) : (idx+1)*int64(m.blockB)]
 }
 
+// reauth refreshes off-chip block idx's authentication path.
 func (m *Memory) reauth(idx int64) error {
-	return m.tree.Update(int(idx), m.authInput(idx))
+	return m.tree.Update(int(idx-m.treetop), m.authInput(idx))
 }
 
-// Write encrypts plaintext into block idx and refreshes its
-// authentication path. len(plaintext) must equal BlockBytes.
+// verify authenticates content claimed for off-chip block idx at the
+// given version.
+func (m *Memory) verify(idx int64, version uint64, ct []byte) error {
+	m.Verifies++
+	return m.tree.Verify(int(idx-m.treetop), m.authInputFor(idx, version, ct))
+}
+
+// Write encrypts plaintext into block idx and, for an off-chip block,
+// refreshes its authentication path. len(plaintext) must equal
+// BlockBytes, or plaintext is nil: a dummy store, a fresh encryption of
+// zeros under a new version that is not authenticated, so a Read or
+// PeelXOR of an off-chip dummy fails until a real Write replaces it. The
+// block still counts as written: an XOR read folds its pad.
 func (m *Memory) Write(idx int64, plaintext []byte) error {
 	if idx < 0 || idx >= m.NumBlocks() {
 		return fmt.Errorf("secmem: block %d out of range", idx)
 	}
-	if len(plaintext) != m.blockB {
+	if plaintext != nil && len(plaintext) != m.blockB {
 		return fmt.Errorf("secmem: plaintext %d bytes, want %d", len(plaintext), m.blockB)
 	}
 	m.Writes++
@@ -179,13 +233,20 @@ func (m *Memory) Write(idx int64, plaintext []byte) error {
 	m.written[idx] = true
 	m.slotEpoch[idx] = m.clock
 	ct := m.ciphertext(idx)
-	copy(ct, plaintext)
+	if plaintext == nil {
+		clear(ct)
+	} else {
+		copy(ct, plaintext)
+	}
 	m.keystream(idx, m.versions[idx], ct)
+	if plaintext == nil || !m.offChip(idx) {
+		return nil
+	}
 	return m.reauth(idx)
 }
 
-// Read verifies and decrypts block idx into a fresh slice. Tampered
-// content returns an error and no data.
+// Read verifies (off-chip) and decrypts block idx into a fresh slice.
+// Tampered content, or an off-chip dummy, returns an error and no data.
 func (m *Memory) Read(idx int64) ([]byte, error) {
 	if idx < 0 || idx >= m.NumBlocks() {
 		return nil, fmt.Errorf("secmem: block %d out of range", idx)
@@ -194,9 +255,10 @@ func (m *Memory) Read(idx int64) ([]byte, error) {
 	if !m.written[idx] {
 		return make([]byte, m.blockB), nil
 	}
-	m.Verifies++
-	if err := m.tree.Verify(int(idx), m.authInput(idx)); err != nil {
-		return nil, fmt.Errorf("secmem: integrity failure at block %d: %w", idx, err)
+	if m.offChip(idx) {
+		if err := m.verify(idx, m.versions[idx], m.ciphertext(idx)); err != nil {
+			return nil, fmt.Errorf("secmem: integrity failure at block %d: %w", idx, err)
+		}
 	}
 	pt := append([]byte(nil), m.ciphertext(idx)...)
 	m.keystream(idx, m.versions[idx], pt)
@@ -213,7 +275,7 @@ func (m *Memory) ReadBlock(addr uint64) ([]byte, error) {
 }
 
 // WriteBlock adapts Write to byte addressing, implementing the ORAM
-// engine's data-plane interface.
+// engine's data-plane interface; nil data is a dummy store.
 func (m *Memory) WriteBlock(addr uint64, data []byte) error {
 	if addr%uint64(m.blockB) != 0 {
 		return fmt.Errorf("secmem: unaligned address %#x", addr)
@@ -228,10 +290,14 @@ func (m *Memory) Ciphertext(idx int64) []byte {
 }
 
 // InjectFault flips one bit of stored ciphertext, simulating memory
-// tampering; the next Read of the block must fail verification.
+// tampering; the next Read of the block must fail verification. On-chip
+// blocks are not untrusted memory and are refused.
 func (m *Memory) InjectFault(idx int64, byteOffset int) error {
 	if idx < 0 || idx >= m.NumBlocks() || byteOffset < 0 || byteOffset >= m.blockB {
 		return fmt.Errorf("secmem: fault target out of range")
+	}
+	if !m.offChip(idx) {
+		return fmt.Errorf("secmem: block %d is on-chip, not untrusted memory", idx)
 	}
 	m.ciphertext(idx)[byteOffset] ^= 0x01
 	return nil
@@ -242,6 +308,9 @@ func (m *Memory) InjectFault(idx int64, byteOffset int) error {
 func (m *Memory) ReplayFault(idx int64, oldCiphertext []byte) error {
 	if idx < 0 || idx >= m.NumBlocks() {
 		return fmt.Errorf("secmem: block %d out of range", idx)
+	}
+	if !m.offChip(idx) {
+		return fmt.Errorf("secmem: block %d is on-chip, not untrusted memory", idx)
 	}
 	if len(oldCiphertext) != m.blockB {
 		return fmt.Errorf("secmem: ciphertext %d bytes, want %d", len(oldCiphertext), m.blockB)

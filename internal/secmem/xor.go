@@ -44,15 +44,15 @@ func xorInto(dst, src []byte) {
 // layer). Verification of the recovered real ciphertext happens at peel
 // time, against the Merkle tree as usual.
 func (m *Memory) ReadPathXOR(real int64, dummies []int64) (*XORRead, error) {
-	if real < 0 || real >= m.NumBlocks() {
-		return nil, fmt.Errorf("secmem: real block %d out of range", real)
+	if real < m.treetop || real >= m.NumBlocks() {
+		return nil, fmt.Errorf("secmem: real block %d out of the off-chip range", real)
 	}
 	m.Reads++
 	m.XORReads++
 	x := &XORRead{Payload: make([]byte, m.blockB)}
 	for _, d := range dummies {
-		if d < 0 || d >= m.NumBlocks() {
-			return nil, fmt.Errorf("secmem: dummy block %d out of range", d)
+		if d < m.treetop || d >= m.NumBlocks() {
+			return nil, fmt.Errorf("secmem: dummy block %d out of the off-chip range", d)
 		}
 		if d == real {
 			return nil, fmt.Errorf("secmem: dummy block %d aliases the real slot", d)
@@ -75,13 +75,14 @@ func (m *Memory) ReadPathXOR(real int64, dummies []int64) (*XORRead, error) {
 // this Memory: peel each dummy pad, verify the recovered real ciphertext
 // against the Merkle tree (binding position and version exactly as a plain
 // Read does), then decrypt. Tampering with the payload, the pads, or the
-// stored state surfaces as an integrity error.
+// stored state surfaces as an integrity error. XOR reads cover off-chip
+// blocks only: the real block's verify is what authenticates the pads.
 func (m *Memory) PeelXOR(x *XORRead) ([]byte, error) {
 	if x == nil || len(x.Payload) != m.blockB {
 		return nil, fmt.Errorf("secmem: malformed XOR payload")
 	}
-	if x.Real.Idx < 0 || x.Real.Idx >= m.NumBlocks() {
-		return nil, fmt.Errorf("secmem: real block %d out of range", x.Real.Idx)
+	if x.Real.Idx < m.treetop || x.Real.Idx >= m.NumBlocks() {
+		return nil, fmt.Errorf("secmem: real block %d out of the off-chip range", x.Real.Idx)
 	}
 	if !x.RealWritten {
 		// Mirrors Read of a never-written block: zeros, no verification.
@@ -96,8 +97,7 @@ func (m *Memory) PeelXOR(x *XORRead) ([]byte, error) {
 		// keystream back in *is* the peel.
 		m.keystream(p.Idx, p.Version, ct)
 	}
-	m.Verifies++
-	if err := m.tree.Verify(int(x.Real.Idx), m.authInputFor(x.Real.Idx, x.Real.Version, ct)); err != nil {
+	if err := m.verify(x.Real.Idx, x.Real.Version, ct); err != nil {
 		return nil, fmt.Errorf("secmem: integrity failure peeling block %d: %w", x.Real.Idx, err)
 	}
 	m.keystream(x.Real.Idx, x.Real.Version, ct)

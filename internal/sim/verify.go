@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/ringoram"
-	"repro/internal/secmem"
 	"repro/internal/trace"
 )
 
@@ -103,8 +102,7 @@ func auditScheme(p Params, s core.Scheme, bench trace.Benchmark, total int) ([]s
 	}
 	// Attach the encrypted data plane so payload integrity is part of the
 	// audit.
-	slots := int64(ringoram.SpaceBytesStatic(cfg)) / int64(cfg.BlockB)
-	mem, err := secmem.New(slots, cfg.BlockB, []byte("0123456789abcdef"))
+	mem, err := ringoram.NewDataPlane(cfg, []byte("0123456789abcdef"))
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@
 # the benchmark module's own vet + build + self-tests (bench/ is a
 # separate module, so `go build ./...` here cannot see a refactor
 # breaking the surface it compiles against),
-# then a short-budget fuzz smoke over the twelve native fuzz targets.
+# then a short-budget fuzz smoke over the thirteen native fuzz targets.
 # Longer campaigns: `make fuzz FUZZTIME=10m`, `make crash`,
 # `make soak SOAKTIME=60s`, or see EXPERIMENTS.md.
 set -eux
@@ -59,6 +59,7 @@ FUZZTIME="${FUZZTIME:-5s}"
 go test -run='^$' -fuzz='^FuzzAccess$' -fuzztime="$FUZZTIME" ./internal/ringoram
 go test -run='^$' -fuzz='^FuzzCheckpointRoundTrip$' -fuzztime="$FUZZTIME" ./aboram
 go test -run='^$' -fuzz='^FuzzDeltaDecode$' -fuzztime="$FUZZTIME" ./aboram
+go test -run='^$' -fuzz='^FuzzDataPlaneTamper$' -fuzztime="$FUZZTIME" ./aboram
 go test -run='^$' -fuzz='^FuzzTraceParse$' -fuzztime="$FUZZTIME" ./internal/trace
 go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime="$FUZZTIME" ./internal/server/wire
 go test -run='^$' -fuzz='^FuzzShardRoute$' -fuzztime="$FUZZTIME" ./internal/server
