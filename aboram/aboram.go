@@ -24,7 +24,9 @@
 //
 // With an encryption key set, the backing store's contents are AES-CTR
 // encrypted, and the real blocks stored off-chip are Merkle-authenticated:
-// tampering with them surfaces as an error. The treetop's slots are
+// tampering with them surfaces as an error. That error is sticky: the
+// access that met it may have lost the content it was moving, so every
+// later operation, Save and capture returns it. The treetop's slots are
 // on-chip (Table III), so they are encrypted but not hashed, and dummy
 // slots are encrypted only — no read asks for their content, and one
 // that did would fail. Checkpoint images (Save, SaveDelta) and a

@@ -17,7 +17,13 @@ import (
 // (only a key-check value), but the image also carries the position
 // map, which block sits in which slot, the plaintext payloads of stashed
 // blocks, and the random-generator states that draw every future remap.
-func (o *ORAM) Save(w io.Writer) error { return o.captureFull().Encode(w) }
+func (o *ORAM) Save(w io.Writer) error {
+	s, err := o.captureFull()
+	if err != nil {
+		return err
+	}
+	return s.Encode(w)
+}
 
 // Fingerprint returns SHA-256 over Save's bytes. Save is canonical, so
 // two instances with equal fingerprints hold — and restore to — the same

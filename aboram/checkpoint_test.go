@@ -323,7 +323,11 @@ func TestVersionlessStreamTooOld(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	full := strip(o.captureFull())
+	base, _, err := o.CaptureBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := strip(base)
 	if _, err := Load(opt, bytes.NewReader(full)); !errors.Is(err, ErrFormatTooOld) {
 		t.Fatalf("Load of a version-less image: %v, want ErrFormatTooOld", err)
 	}

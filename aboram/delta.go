@@ -2,13 +2,12 @@ package aboram
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/ringoram"
 	"repro/internal/rng"
 	"repro/internal/secmem"
@@ -19,10 +18,11 @@ import (
 // epoch cut, so a durability layer can checkpoint at O(dirty set)
 // instead of O(tree), and Save writes the same stream with a window that
 // covers everything (a full image: every bucket, position, and slot).
-// The stream is a sequence of CRC-framed records — each frame is
-// `u32 length | u32 CRC-32C | body`, body is one tag byte plus a gob
-// payload (gob.go) — terminated by an explicit end marker, so a torn
-// tail or a flipped bit is detected instead of silently changing state. No Go map
+// The stream is a sequence of records, each a frame of internal/frame
+// (`u32 length | u32 CRC-32C | body`, the one record frame of every
+// durable stream) whose body is one tag byte plus a gob payload
+// (gob.go), terminated by an explicit end marker, so a torn tail or a
+// flipped bit is detected instead of silently changing state. No Go map
 // reaches a payload, so the bytes are a function of the state alone.
 // ApplyDelta decodes and CRC-verifies the whole stream before mutating
 // anything; semantic validation failures mid-apply leave the instance
@@ -64,19 +64,13 @@ const checkpointVersion = 1
 // is converted.
 var ErrFormatTooOld = errors.New("aboram: checkpoint format too old")
 
-// maxDeltaBody caps a single record body so a hostile length prefix
-// cannot force an arbitrary allocation before the CRC is checked.
-const maxDeltaBody = 1 << 24
-
-// Batch sizes keep every record comfortably under maxDeltaBody at any
+// Batch sizes keep every record comfortably under frame.MaxBody at any
 // supported geometry while still amortizing the frame overhead.
 const (
 	deltaBucketBatch = 1024
 	deltaSlotBatch   = 8192
 	deltaPosBatch    = 8192
 )
-
-var deltaCRC = crc32.MakeTable(crc32.Castagnoli)
 
 type deltaHeader struct {
 	Version   int // checkpointVersion
@@ -149,7 +143,11 @@ func (o *ORAM) CaptureDelta(since uint64) (*DeltaSnapshot, uint64, error) {
 	if since > cut {
 		return nil, 0, fmt.Errorf("aboram: delta since epoch %d is in the future (cut %d)", since, cut)
 	}
-	s := o.capture(o.inner.CaptureDelta(since))
+	d, err := o.inner.CaptureDelta(since)
+	if err != nil {
+		return nil, 0, err
+	}
+	s := o.capture(d)
 	s.hdr.Since, s.hdr.Cut = since, cut
 	if o.mem != nil {
 		s.mem = o.mem.CaptureDirty(since)
@@ -163,16 +161,21 @@ func (o *ORAM) CaptureDelta(since uint64) (*DeltaSnapshot, uint64, error) {
 // deltas only up to the next base. Encoded, it is exactly Save's bytes.
 func (o *ORAM) CaptureBase() (*DeltaSnapshot, uint64, error) {
 	cut := o.CutEpoch()
-	return o.captureFull(), cut, nil
+	s, err := o.captureFull()
+	return s, cut, err
 }
 
-func (o *ORAM) captureFull() *DeltaSnapshot {
-	s := o.capture(o.inner.CaptureFull())
+func (o *ORAM) captureFull() (*DeltaSnapshot, error) {
+	d, err := o.inner.CaptureFull()
+	if err != nil {
+		return nil, err
+	}
+	s := o.capture(d)
 	s.hdr.Full = true
 	if o.mem != nil {
 		s.mem = o.mem.CaptureAll()
 	}
-	return s
+	return s, nil
 }
 
 // capture wraps a protocol capture with the sections every snapshot
@@ -294,7 +297,7 @@ func decodeDelta(r io.Reader) (*DeltaSnapshot, error) {
 	)
 	for done := false; !done; {
 		tag, body, err := readDeltaFrame(r)
-		if !haveHdr && errors.Is(err, errFrameLength) {
+		if !haveHdr && errors.Is(err, frame.ErrLength) {
 			// A stream opens with a short header frame, so an impossible
 			// first length says the bytes are some other format, most
 			// likely an image from before the checkpoint stream.
@@ -420,48 +423,26 @@ func (o *ORAM) apply(s *DeltaSnapshot) error {
 }
 
 func writeDeltaFrame(w io.Writer, tag byte, payload any) error {
-	var body bytes.Buffer
-	body.WriteByte(tag)
-	if payload != nil {
-		if err := encodePayload(&body, payload); err != nil {
-			return fmt.Errorf("aboram: encoding delta record %q: %w", tag, err)
+	buf, err := frame.Append(nil, func(b []byte) ([]byte, error) {
+		body := bytes.NewBuffer(append(b, tag))
+		if payload != nil {
+			if err := encodePayload(body, payload); err != nil {
+				return nil, err
+			}
 		}
+		return body.Bytes(), nil
+	})
+	if err != nil {
+		return fmt.Errorf("aboram: encoding delta record %q: %w", tag, err)
 	}
-	if body.Len() > maxDeltaBody {
-		return fmt.Errorf("aboram: delta record %q overflows frame (%d bytes)", tag, body.Len())
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(body.Len()))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(body.Bytes(), deltaCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body.Bytes())
+	_, err = w.Write(buf)
 	return err
 }
 
-// errFrameLength marks a frame whose length prefix is zero or over
-// maxDeltaBody.
-var errFrameLength = errors.New("aboram: delta frame length")
-
 func readDeltaFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("aboram: torn delta frame header: %w", err)
+	body, err := frame.Read(r)
+	if err != nil {
+		return 0, nil, fmt.Errorf("aboram: delta %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n == 0 || n > maxDeltaBody {
-		return 0, nil, fmt.Errorf("%w %d out of range", errFrameLength, n)
-	}
-	// Grow the buffer as bytes actually arrive rather than trusting the
-	// length prefix: a hostile header must not force a large allocation.
-	var body bytes.Buffer
-	if m, err := io.CopyN(&body, r, int64(n)); err != nil {
-		return 0, nil, fmt.Errorf("aboram: torn delta frame body (%d of %d bytes): %w", m, n, err)
-	}
-	b := body.Bytes()
-	if crc32.Checksum(b, deltaCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return 0, nil, fmt.Errorf("aboram: delta frame CRC mismatch")
-	}
-	return b[0], b[1:], nil
+	return body[0], body[1:], nil
 }

@@ -3,6 +3,7 @@ package aboram
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,9 +14,10 @@ import (
 // of one written off-chip slot — real content or a dummy — at a
 // fuzz-chosen point. Before the flip every read returns exactly what a
 // plain map remembers. After it, every operation returns the map's bytes
-// or an integrity error, never wrong bytes; the script stops at the first
-// error, since a failed access loses the content it was moving. A final
-// sweep reads every block the same way.
+// or an integrity error, never wrong bytes. A failed access loses the
+// content it was moving, so the failure is sticky: the script runs on
+// and every later operation must fail too. A final sweep reads every
+// block the same way.
 //
 // Input: byte 0 bit 0 turns XOR reads on; bytes 1-2 pick the slot and
 // byte 3 the flipped byte; byte 4 is the number of operations before the
@@ -55,9 +57,9 @@ func runTamperScript(t *testing.T, data []byte) {
 	}
 	nb, bs := o.NumBlocks(), o.BlockSize()
 	model := map[int64][]byte{}
-	tampered := false
-	// do runs one operation and reports whether the script goes on.
-	do := func(kind byte, blk int64, fill byte) bool {
+	tampered, failed := false, false
+	// do runs one operation.
+	do := func(kind byte, blk int64, fill byte) {
 		var got []byte
 		var err error
 		switch kind % 3 {
@@ -78,7 +80,11 @@ func runTamperScript(t *testing.T, data []byte) {
 			if !tampered || !strings.Contains(err.Error(), "integrity failure") {
 				t.Fatalf("block %d (tampered=%v): %v", blk, tampered, err)
 			}
-			return false
+			failed = true
+			return
+		}
+		if failed {
+			t.Fatalf("block %d: an operation succeeded after an integrity failure", blk)
 		}
 		if got != nil {
 			want := model[blk]
@@ -89,7 +95,6 @@ func runTamperScript(t *testing.T, data []byte) {
 				t.Fatalf("block %d (tampered=%v): read wrong bytes", blk, tampered)
 			}
 		}
-		return true
 	}
 	tamper := func() {
 		var offChip []int64
@@ -112,16 +117,56 @@ func runTamperScript(t *testing.T, data []byte) {
 		if i/3 == before {
 			tamper()
 		}
-		if !do(ops[i], (int64(ops[i+1])<<8|int64(ops[i+2]))%nb, ops[i+2]) {
-			return
-		}
+		do(ops[i], (int64(ops[i+1])<<8|int64(ops[i+2]))%nb, ops[i+2])
 	}
 	if !tampered {
 		tamper()
 	}
 	for blk := int64(0); blk < nb; blk++ {
-		if !do(1, blk, 0) {
-			return
+		do(1, blk, 0)
+	}
+	if _, err := o.Fingerprint(); failed != (err != nil) {
+		t.Fatalf("Fingerprint after the script (failed=%v): %v", failed, err)
+	}
+}
+
+// TestDataPlaneFailureSticky flips every off-chip slot of a levels-8 AB
+// tree. The first Read of block 0 fails, having stashed the block
+// without its content; every later operation and checkpoint capture
+// must fail as well rather than serve zeros or capture the loss.
+func TestDataPlaneFailureSticky(t *testing.T) {
+	o, err := New(Options{Scheme: SchemeAB, Levels: 8, Seed: 1, EncryptionKey: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := int64(0); b < 64; b++ {
+		if err := o.Write(b, fuzzPayload(o.BlockSize(), b, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range o.mem.CaptureDirty(0).Idx {
+		if i >= o.mem.Treetop() {
+			if err := o.mem.InjectFault(i, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := o.Read(0); err == nil {
+		t.Fatal("the first read of a tampered store succeeded")
+	}
+	if got, err := o.Read(0); err == nil {
+		t.Fatalf("the second read succeeded with % x", got)
+	}
+	for name, op := range map[string]func() error{
+		"Access":       func() error { return o.Access(1) },
+		"Write":        func() error { return o.Write(1, make([]byte, o.BlockSize())) },
+		"ReadXOR":      func() error { _, err := o.ReadXOR(1); return err },
+		"Save":         func() error { return o.Save(io.Discard) },
+		"CaptureBase":  func() error { _, _, err := o.CaptureBase(); return err },
+		"CaptureDelta": func() error { _, _, err := o.CaptureDelta(0); return err },
+	} {
+		if err := op(); err == nil {
+			t.Errorf("%s succeeded after a data-plane failure", name)
 		}
 	}
 }

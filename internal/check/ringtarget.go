@@ -76,7 +76,11 @@ func (t *ringTarget) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := o.ApplyDelta(t.o.CaptureFull()); err != nil {
+	d, err := t.o.CaptureFull()
+	if err != nil {
+		return err
+	}
+	if err := o.ApplyDelta(d); err != nil {
 		return err
 	}
 	t.o = o

@@ -1,8 +1,8 @@
 // Package durable is the persistence engine behind the serving layer: it
 // makes an aboram.ORAM crash-safe by combining periodic atomic snapshots
 // (aboram's checkpoint stream behind temp file + fsync + rename)
-// with a write-ahead log of acknowledged mutating operations, framed as
-// CRC-checked wire-protocol records (see wal.go).
+// with a write-ahead log of acknowledged mutating operations: wire-protocol
+// requests in internal/frame's CRC-checked record frame (see wal.go).
 //
 // The engine has one write protocol, the one the serving scheduler
 // drives for every drained batch:
@@ -71,6 +71,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -333,29 +334,26 @@ func Open(opt Options) (*Engine, error) {
 	if err := fs.MkdirAll(opt.Dir); err != nil {
 		return nil, fmt.Errorf("durable: creating %s: %w", opt.Dir, err)
 	}
-	names, err := fs.ReadDir(opt.Dir)
+	files, err := listDir(fs, opt.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: listing %s: %w", opt.Dir, err)
 	}
 	var snaps, wals []uint64
-	var maxTerm uint64
+	var maxTerm, maxEpoch uint64
 	deltaSet := map[uint64]bool{}
-	for _, name := range names {
-		if se, ok := parseEpoch(name, "snap-", ".ab"); ok {
-			snaps = append(snaps, se)
-			if t := fileTerm(fs, filepath.Join(opt.Dir, name), snapMagic); t > maxTerm {
-				maxTerm = t
-			}
+	for _, f := range files {
+		switch f.kind {
+		case kindSnap:
+			snaps = append(snaps, f.epoch)
+		case kindDelta:
+			deltaSet[f.epoch] = true
+		case kindWAL:
+			wals = append(wals, f.epoch)
+		default:
+			continue
 		}
-		if de, ok := parseEpoch(name, "delta-", ".abd"); ok {
-			deltaSet[de] = true
-			if t := fileTerm(fs, filepath.Join(opt.Dir, name), deltaMagic); t > maxTerm {
-				maxTerm = t
-			}
-		}
-		if we, ok := parseEpoch(name, "wal-", ".log"); ok {
-			wals = append(wals, we)
-		}
+		maxTerm = max(maxTerm, fileTerm(fs, opt.Dir, f))
+		maxEpoch = max(maxEpoch, f.epoch)
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
@@ -381,7 +379,11 @@ baseLoop:
 	for _, se := range snaps {
 		limit := -1 // deltas to apply; <0 = every consecutive one, shrinks on damage
 		for {
-			o, ids, _, err := loadSnapshot(fs, opt.Dir, se, opt.ORAM)
+			var o *aboram.ORAM
+			ids, _, err := readCheckpoint(fs, opt.Dir, snapName(se), snapMagic, func(r io.Reader) (err error) {
+				o, err = aboram.Load(opt.ORAM, r)
+				return err
+			})
 			if err != nil {
 				e.recovery.SnapshotsSkipped++
 				failed(se, fmt.Errorf("%s: %w", snapName(se), err))
@@ -389,7 +391,7 @@ baseLoop:
 			}
 			applied, damaged := 0, false
 			for de := se + 1; deltaSet[de] && (limit < 0 || applied < limit); de++ {
-				dids, _, err := loadDelta(fs, opt.Dir, de, o)
+				dids, _, err := readCheckpoint(fs, opt.Dir, deltaName(de), deltaMagic, o.ApplyDelta)
 				if err != nil {
 					e.recovery.DeltasSkipped++
 					failed(de, fmt.Errorf("%s: %w", deltaName(de), err))
@@ -411,7 +413,7 @@ baseLoop:
 			break baseLoop
 		}
 	}
-	if err := checkCovered(opt.Dir, snaps, deltaSet, wals, e.recovery.BaseEpoch, chainTail, cause); err != nil {
+	if err := checkCovered(opt.Dir, files, e.recovery.BaseEpoch, chainTail, cause); err != nil {
 		return nil, err
 	}
 	if e.oram == nil {
@@ -433,11 +435,7 @@ baseLoop:
 	// window (in original acknowledgment order). Anything else in a
 	// segment is skipped (forward compatibility), and each segment is
 	// truncated at its first damaged record.
-	maxEpoch := chainTail
 	for _, we := range wals {
-		if we > maxEpoch {
-			maxEpoch = we
-		}
 		if we < chainTail {
 			continue
 		}
@@ -464,23 +462,11 @@ baseLoop:
 				// A fencing-term bump (SetTerm); the ID field holds the
 				// term. Checkpoint headers carry the term too, so the
 				// maximum over both sources survives any crash.
-				if rec.ID > maxTerm {
-					maxTerm = rec.ID
-				}
+				maxTerm = max(maxTerm, rec.ID)
 			}
 		}
 		e.recovery.SegmentsReplayed++
 		e.recovery.TornTail = e.recovery.TornTail || torn
-	}
-	for _, se := range snaps {
-		if se > maxEpoch {
-			maxEpoch = se
-		}
-	}
-	for de := range deltaSet {
-		if de > maxEpoch {
-			maxEpoch = de
-		}
 	}
 	e.recovery.IDsRecovered = e.ids.n
 
@@ -519,24 +505,19 @@ baseLoop:
 // checkpoint prunes it, so without it nothing bounds what S held (a
 // snap-1 is the empty initial base only in a directory the engine
 // wrote). cause is the newest load failure, wrapped into the refusal.
-func checkCovered(dir string, snaps []uint64, deltas map[uint64]bool, wals []uint64, base, tail uint64, cause error) error {
+func checkCovered(dir string, files []dirFile, base, tail uint64, cause error) error {
 	var s uint64
-	for _, se := range snaps {
-		if se != base {
-			s = max(s, se)
-		}
-	}
-	for de := range deltas {
-		if de <= base || de > tail {
-			s = max(s, de)
+	for _, f := range files {
+		if (f.kind == kindSnap && f.epoch != base) || (f.kind == kindDelta && (f.epoch <= base || f.epoch > tail)) {
+			s = max(s, f.epoch)
 		}
 	}
 	if s <= tail {
 		return nil
 	}
 	lo, have := max(tail, 1), uint64(0)
-	for _, we := range wals {
-		if we >= lo && we <= s {
+	for _, f := range files {
+		if f.kind == kindWAL && f.epoch >= lo && f.epoch <= s {
 			have++
 		}
 	}
@@ -616,6 +597,15 @@ func (e *Engine) fail(err error) error {
 	return err
 }
 
+// enter is the prologue of every serving call: a poisoned engine
+// refuses with its cause, and a staged replica attach is serviced first.
+func (e *Engine) enter() error {
+	if e.failed != nil {
+		return e.failed
+	}
+	return e.maybeAttach()
+}
+
 // pollPublish reports a background publish failure without waiting.
 func (e *Engine) pollPublish() error {
 	e.pubMu.Lock()
@@ -636,10 +626,7 @@ func (e *Engine) awaitPublish() error {
 // from the checkpoint, which preserves every correctness and
 // obliviousness property.
 func (e *Engine) Access(block int64) error {
-	if e.failed != nil {
-		return e.failed
-	}
-	if err := e.maybeAttach(); err != nil {
+	if err := e.enter(); err != nil {
 		return err
 	}
 	return e.oram.Access(block)
@@ -647,10 +634,7 @@ func (e *Engine) Access(block int64) error {
 
 // Read obliviously fetches a block's content.
 func (e *Engine) Read(block int64) ([]byte, error) {
-	if e.failed != nil {
-		return nil, e.failed
-	}
-	if err := e.maybeAttach(); err != nil {
+	if err := e.enter(); err != nil {
 		return nil, err
 	}
 	return e.oram.Read(block)
@@ -660,10 +644,7 @@ func (e *Engine) Read(block int64) ([]byte, error) {
 // (server.XORReader). Reads mutate no durable content, so — like Read —
 // nothing is logged.
 func (e *Engine) ReadXOR(block int64) (*aboram.XORResult, error) {
-	if e.failed != nil {
-		return nil, e.failed
-	}
-	if err := e.maybeAttach(); err != nil {
+	if err := e.enter(); err != nil {
 		return nil, err
 	}
 	return e.oram.ReadXOR(block)
@@ -681,10 +662,7 @@ func (e *Engine) Write(block int64, data []byte) error {
 // recent-id set that every checkpoint header carries, so recovery can
 // rebuild the retry-dedup window.
 func (e *Engine) WriteIdentified(id uint64, block int64, data []byte) error {
-	if e.failed != nil {
-		return e.failed
-	}
-	if err := e.maybeAttach(); err != nil {
+	if err := e.enter(); err != nil {
 		return err
 	}
 	if err := e.pollPublish(); err != nil {
@@ -694,14 +672,17 @@ func (e *Engine) WriteIdentified(id uint64, block int64, data []byte) error {
 	}
 	if err := e.oram.Write(block, data); err != nil {
 		// A domain error (bad block, wrong size) touched nothing durable
-		// and does not poison the engine.
+		// and does not poison the engine. A data-plane integrity error is
+		// different: it is sticky in the ORAM, which returns it from every
+		// later access and capture, so the engine fail-stops at its next
+		// checkpoint capture. Retrying here cannot succeed.
 		return err
 	}
-	frame, err := e.w.append(wire.Request{Op: wire.OpWrite, ID: id, Block: block, Data: data})
+	rec, err := e.w.append(wire.Request{Op: wire.OpWrite, ID: id, Block: block, Data: data})
 	if err != nil {
 		return e.fail(err)
 	}
-	e.shipRecord(frame)
+	e.shipRecord(rec)
 	if id != 0 {
 		e.ids.push(id)
 	}
@@ -733,10 +714,7 @@ func (e *Engine) WriteIdentified(id uint64, block int64, data []byte) error {
 // when the capture happens. A rotation wins over a compaction (the fresh
 // segment starts empty). A no-op when nothing is due.
 func (e *Engine) MaybeCheckpoint() error {
-	if e.failed != nil {
-		return e.failed
-	}
-	if err := e.maybeAttach(); err != nil {
+	if err := e.enter(); err != nil {
 		return err
 	}
 	var err error
@@ -758,10 +736,7 @@ func (e *Engine) MaybeCheckpoint() error {
 // scheduler calls it once per drained batch, before acknowledging the
 // batch's writes. The fsync is skipped when nothing is dirty.
 func (e *Engine) BatchSync() error {
-	if e.failed != nil {
-		return e.failed
-	}
-	if err := e.maybeAttach(); err != nil {
+	if err := e.enter(); err != nil {
 		return err
 	}
 	if e.dirty != 0 {
@@ -826,10 +801,10 @@ func (e *Engine) rotate(syncPublish bool) error {
 	term := e.Term()
 	isBase := e.sinceBase+1 >= e.opt.BaseEvery
 	capture := func() (*aboram.DeltaSnapshot, uint64, error) { return e.oram.CaptureDelta(e.lastCut) }
-	tmp, final, magic, kind := deltaTmpName(next), deltaName(next), deltaMagic, wire.ReplFileDelta
+	final, magic, kind := deltaName(next), deltaMagic, wire.ReplFileDelta
 	if isBase {
 		capture = e.oram.CaptureBase
-		tmp, final, magic, kind = snapTmpName(next), snapName(next), snapMagic, wire.ReplFileBase
+		final, magic, kind = snapName(next), snapMagic, wire.ReplFileBase
 	}
 	meta := appendMeta(nil, magic, term, e.ids.list())
 	snap, cut, err := capture()
@@ -890,7 +865,7 @@ func (e *Engine) rotate(syncPublish bool) error {
 		// The encoded size is known only now; bump is lock-protected, so
 		// the async path updates it safely when the publish lands.
 		e.bump(func(s *Stats) { s.LastSnapshotBytes = uint64(len(blob)) })
-		if err := writeBlob(e.fs, e.opt.Dir, tmp, final, blob); err != nil {
+		if _, err := publish(e.fs, e.opt.Dir, final, blob, false); err != nil {
 			return err
 		}
 		e.prune(next, isBase)
@@ -914,45 +889,17 @@ func (e *Engine) rotate(syncPublish bool) error {
 	return nil
 }
 
-// prune removes files the checkpoint just published at epoch pub makes
-// redundant: WAL segments below it always (chain element N captures
-// everything through wal-(N-1)), older snapshots and deltas only when
-// pub is a full image (a delta still needs its base and predecessors),
-// and any orphaned temp file. Cleanup is best-effort: stale files cost
-// disk, not correctness — recovery always prefers the newest readable
-// generation. Failures are counted (and logged once) so leaked disk is
-// observable.
-func (e *Engine) prune(pub uint64, dropChain bool) {
-	names, err := e.fs.ReadDir(e.opt.Dir)
-	if err != nil {
-		return
-	}
-	for _, name := range names {
-		se, isSnap := parseEpoch(name, "snap-", ".ab")
-		de, isDelta := parseEpoch(name, "delta-", ".abd")
-		we, isWAL := parseEpoch(name, "wal-", ".log")
-		var stale bool
-		switch {
-		case isSnap:
-			stale = dropChain && se < pub
-		case isDelta:
-			stale = dropChain && de < pub
-		case isWAL:
-			stale = we < pub
-		default:
-			stale = filepath.Ext(name) == ".tmp"
+// prune removes the files the checkpoint just published at epoch pub
+// made stale (dirFile.stale). Failures are counted (and logged once) so
+// leaked disk is observable.
+func (e *Engine) prune(pub uint64, base bool) {
+	pruneDir(e.fs, e.opt.Dir, pub, base, func(name string, err error) {
+		e.bump(func(s *Stats) { s.PruneFailures++ })
+		if !e.pruneLogged {
+			e.pruneLogged = true
+			e.opt.Logf("durable: pruning stale %s: %v (counting further failures silently)", name, err)
 		}
-		if !stale {
-			continue
-		}
-		if err := e.fs.Remove(filepath.Join(e.opt.Dir, name)); err != nil {
-			e.bump(func(s *Stats) { s.PruneFailures++ })
-			if !e.pruneLogged {
-				e.pruneLogged = true
-				e.opt.Logf("durable: pruning stale %s: %v (counting further failures silently)", name, err)
-			}
-		}
-	}
+	})
 }
 
 // compactWAL rewrites the live segment in place, shrinking superseded
@@ -975,25 +922,16 @@ func (e *Engine) compactWAL() error {
 			return err
 		}
 	}
-	path := filepath.Join(e.opt.Dir, walName(e.epoch))
-	data, err := readWAL(e.fs, path)
-	if err != nil {
-		return err
-	}
-	out, shrunk, err := compactRecords(data)
+	f, err := compactSegment(e.fs, e.opt.Dir, e.epoch)
 	if err != nil {
 		return err
 	}
 	e.sinceCompact = 0
-	if shrunk == 0 {
+	if f == nil {
 		return nil
 	}
-	f, err := publishCompacted(e.fs, e.opt.Dir, e.epoch, out)
-	if err != nil {
-		return err
-	}
 	e.w.close() // orphaned pre-compaction inode
-	e.w = &wal{f: f, path: path}
+	e.w = &wal{f: f}
 	e.bump(func(s *Stats) { s.CompactionRuns++ })
 	// The rewrite is a pure function of the segment bytes, and the
 	// replica's copy is byte-identical (wal-batches ship records

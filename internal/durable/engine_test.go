@@ -8,7 +8,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +16,7 @@ import (
 
 	"repro/aboram"
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/server/wire"
 	"repro/internal/vfs"
 )
@@ -392,9 +392,9 @@ func stripStreamVersion(t *testing.T, file []byte) []byte {
 		t.Fatal(err)
 	}
 	meta := file[:len(appendMeta(nil, snapMagic, 0, ids))]
-	frame := file[len(meta):]
-	n := binary.BigEndian.Uint32(frame)
-	body := frame[8 : 8+n]
+	stream := file[len(meta):]
+	n := binary.BigEndian.Uint32(stream)
+	body := stream[8 : 8+n]
 	if body[0] != 'H' {
 		t.Fatalf("stream opens with record %q, want the header", body[0])
 	}
@@ -413,11 +413,11 @@ func stripStreamVersion(t *testing.T, file []byte) []byte {
 	if err := gob.NewEncoder(&nb).Encode(&hdr); err != nil {
 		t.Fatal(err)
 	}
-	out := append([]byte(nil), meta...)
-	out = binary.BigEndian.AppendUint32(out, uint32(nb.Len()))
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(nb.Bytes(), crcTable))
-	out = append(out, nb.Bytes()...)
-	return append(out, frame[8+n:]...)
+	out, err := frame.Append(append([]byte(nil), meta...), func(b []byte) ([]byte, error) { return append(b, nb.Bytes()...), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, stream[8+n:]...)
 }
 
 // TestFailStop checks the engine poisons itself on the first durability

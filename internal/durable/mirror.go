@@ -137,7 +137,7 @@ func (m *Mirror) Apply(f wire.ReplFrame) error {
 	case wire.ReplSnapChunk:
 		return m.applyChunk(f)
 	case wire.ReplRotate:
-		return m.applyRotate(f.Epoch)
+		return m.openWAL(f.Epoch, nil) // the fresh segment the primary rotated to
 	case wire.ReplWALBatch:
 		return m.applyBatch(f)
 	case wire.ReplCompact:
@@ -178,22 +178,21 @@ func (m *Mirror) applyChunk(f wire.ReplFrame) error {
 	data := m.curBuf
 	m.curActive, m.curBuf = false, nil
 	switch f.File {
-	case wire.ReplFileBase:
-		if err := writeBlob(m.fs, m.dir, snapTmpName(f.Epoch), snapName(f.Epoch), data); err != nil {
+	case wire.ReplFileBase, wire.ReplFileDelta:
+		base := f.File == wire.ReplFileBase
+		name := deltaName(f.Epoch)
+		if base {
+			name = snapName(f.Epoch)
+		}
+		if _, err := publish(m.fs, m.dir, name, data, false); err != nil {
 			return err
 		}
-		// A full base makes the older generation redundant, exactly as
-		// the primary's prune law says.
-		m.prune(f.Epoch, true)
-		return nil
-	case wire.ReplFileDelta:
-		if err := writeBlob(m.fs, m.dir, deltaTmpName(f.Epoch), deltaName(f.Epoch), data); err != nil {
-			return err
-		}
-		// The engine prunes on every publish: a delta makes older WAL
-		// segments redundant (the chain carries their effects), but the
-		// chain itself stays.
-		m.prune(f.Epoch, false)
+		// The primary's prune law, applied as the engine does after every
+		// publish: a delta makes older WAL segments redundant, a full base
+		// the older chain too.
+		pruneDir(m.fs, m.dir, f.Epoch, base, func(name string, err error) {
+			m.opt.Logf("durable: mirror pruning stale %s: %v", name, err)
+		})
 		return nil
 	case wire.ReplFileWAL:
 		// Bootstrap only: the live segment image, which stays open as
@@ -208,10 +207,7 @@ func (m *Mirror) applyChunk(f wire.ReplFrame) error {
 
 // openWAL installs a live segment with the given initial contents.
 func (m *Mirror) openWAL(epoch uint64, data []byte) error {
-	if m.wal != nil {
-		m.wal.Close()
-		m.wal = nil
-	}
+	m.Close()
 	w, err := m.fs.Create(filepath.Join(m.dir, walName(epoch)))
 	if err != nil {
 		return fmt.Errorf("durable: mirror creating WAL segment: %w", err)
@@ -232,11 +228,6 @@ func (m *Mirror) openWAL(epoch uint64, data []byte) error {
 	}
 	m.wal, m.walEpoch = w, epoch
 	return nil
-}
-
-// applyRotate opens the fresh segment the primary just rotated to.
-func (m *Mirror) applyRotate(epoch uint64) error {
-	return m.openWAL(epoch, nil)
 }
 
 // applyBatch appends freshly shipped records to the live segment,
@@ -268,20 +259,8 @@ func (m *Mirror) applyCompact(epoch uint64) error {
 	if m.wal == nil || epoch != m.walEpoch {
 		return fmt.Errorf("durable: mirror compact for epoch %d, live segment %d", epoch, m.walEpoch)
 	}
-	path := filepath.Join(m.dir, walName(epoch))
-	data, err := readWAL(m.fs, path)
-	if err != nil {
-		return err
-	}
-	out, shrunk, err := compactRecords(data)
-	if err != nil {
-		return err
-	}
-	if shrunk == 0 {
-		return nil
-	}
-	f, err := publishCompacted(m.fs, m.dir, epoch, out)
-	if err != nil {
+	f, err := compactSegment(m.fs, m.dir, epoch)
+	if err != nil || f == nil {
 		return err
 	}
 	m.wal.Close() // orphaned pre-compaction inode
@@ -291,10 +270,7 @@ func (m *Mirror) applyCompact(epoch uint64) error {
 
 // wipe clears the directory for a bootstrap.
 func (m *Mirror) wipe() error {
-	if m.wal != nil {
-		m.wal.Close()
-		m.wal = nil
-	}
+	m.Close()
 	names, err := m.fs.ReadDir(m.dir)
 	if err != nil {
 		return fmt.Errorf("durable: mirror listing %s: %w", m.dir, err)
@@ -305,36 +281,4 @@ func (m *Mirror) wipe() error {
 		}
 	}
 	return m.fs.SyncDir(m.dir)
-}
-
-// prune applies the primary's prune law after a full base lands: WAL
-// segments and chain files below the base are redundant. Best-effort,
-// like the engine's.
-func (m *Mirror) prune(pub uint64, dropChain bool) {
-	names, err := m.fs.ReadDir(m.dir)
-	if err != nil {
-		return
-	}
-	for _, name := range names {
-		se, isSnap := parseEpoch(name, "snap-", ".ab")
-		de, isDelta := parseEpoch(name, "delta-", ".abd")
-		we, isWAL := parseEpoch(name, "wal-", ".log")
-		var stale bool
-		switch {
-		case isSnap:
-			stale = dropChain && se < pub
-		case isDelta:
-			stale = dropChain && de < pub
-		case isWAL:
-			stale = we < pub
-		default:
-			stale = filepath.Ext(name) == ".tmp"
-		}
-		if !stale {
-			continue
-		}
-		if err := m.fs.Remove(filepath.Join(m.dir, name)); err != nil {
-			m.opt.Logf("durable: mirror pruning stale %s: %v", name, err)
-		}
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/rng"
 	"repro/internal/server/wire"
 )
@@ -74,6 +75,46 @@ func attachMirror(t *testing.T, s *Shipper, dir string) *Mirror {
 	}
 	s.Attach(&mirrorSink{m: m, s: s})
 	return m
+}
+
+// TestMirrorRefusesDamagedBatch: a wal-batch holding a record with one
+// flipped body byte must not decode, so a booted mirror never appends it
+// or advances the watermark it acknowledges — its own recovery would
+// truncate the segment at that record and lose the records after it.
+func TestMirrorRefusesDamagedBatch(t *testing.T) {
+	m, err := NewMirror(t.TempDir(), MirrorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, f := range []wire.ReplFrame{
+		{Kind: wire.ReplSnapChunk, File: wire.ReplFileWAL, Epoch: 1, Last: true},
+		{Kind: wire.ReplBootDone},
+	} {
+		if err := m.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var recs []byte
+	for i := 0; i < 2; i++ {
+		if recs, err = AppendRecord(recs, wire.Request{Op: wire.OpWrite, ID: uint64(i + 1), Block: int64(i), Data: payload(64, byte(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := wire.AppendReplFrame(nil, wire.ReplFrame{Kind: wire.ReplWALBatch, FirstSeq: 1, Count: 2, Data: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[len(body)-len(recs)+frame.Header+20] ^= 0x40 // a payload byte of the first record
+	if f, err := wire.DecodeReplFrame(body); err == nil {
+		if err := m.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("a damaged wal-batch decoded; the mirror acknowledges seq %d", m.Seq())
+	}
+	if m.Seq() != 0 {
+		t.Fatalf("mirror watermark %d, want 0", m.Seq())
+	}
 }
 
 // TestTermPersistsAcrossRecovery pins the fencing-term plumbing: SetTerm

@@ -1,13 +1,13 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	iofs "io/fs"
 	"path/filepath"
+	"slices"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -18,10 +18,9 @@ import (
 // is authoritative, whether a migration is in flight, how far its
 // watermark has advanced, and whether it is rolling back.
 //
-// Records use the same CRC-32C length framing as the WAL:
+// Records are frames of internal/frame, like the WAL's:
 //
-//	record := uint32 BE body length | uint32 BE CRC-32C | body
-//	body   := op u8 | gen u64 BE | a u64 BE | b u64 BE
+//	body := op u8 | gen u64 BE | a u64 BE | b u64 BE
 //
 // but the journal file itself is replaced whole on every append
 // (temp + fsync + rename + dir fsync) rather than appended in place:
@@ -32,7 +31,6 @@ import (
 // a consistent earlier state instead of a panic.
 const (
 	reshardLogName = "reshard.log"
-	reshardTmpName = "reshard.tmp"
 
 	reshardBody = 1 + 8 + 8 + 8
 )
@@ -168,10 +166,7 @@ func unpackReshard(op ReshardOp, gen, a, b uint64) (ReshardRecord, error) {
 			return rec, errors.New("durable: reshard record: non-canonical")
 		}
 	}
-	if err := rec.validate(); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return rec, rec.validate()
 }
 
 // AppendReshardRecord appends the framed encoding of rec to dst.
@@ -180,18 +175,13 @@ func AppendReshardRecord(dst []byte, rec ReshardRecord) ([]byte, error) {
 		return nil, err
 	}
 	a, b := rec.fields()
-	body := make([]byte, 0, reshardBody)
-	body = append(body, byte(rec.Op))
-	for _, v := range [...]uint64{rec.Gen, a, b} {
-		body = append(body,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	dst = append(dst,
-		byte(len(body)>>24), byte(len(body)>>16), byte(len(body)>>8), byte(len(body)))
-	crc := crc32.Checksum(body, crcTable)
-	dst = append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
-	return append(dst, body...), nil
+	return frame.Append(dst, func(body []byte) ([]byte, error) {
+		body = append(body, byte(rec.Op))
+		for _, v := range [...]uint64{rec.Gen, a, b} {
+			body = binary.BigEndian.AppendUint64(body, v)
+		}
+		return body, nil
+	})
 }
 
 // ScanReshardJournal parses a journal image into its longest valid
@@ -199,32 +189,13 @@ func AppendReshardRecord(dst []byte, rec ReshardRecord) ([]byte, error) {
 // returns the decoded records, the offset where the valid prefix ends,
 // and whether damaged bytes follow it.
 func ScanReshardJournal(data []byte) (recs []ReshardRecord, off int, torn bool) {
-	u64 := func(p []byte) uint64 {
-		return uint64(p[0])<<56 | uint64(p[1])<<48 | uint64(p[2])<<40 | uint64(p[3])<<32 |
-			uint64(p[4])<<24 | uint64(p[5])<<16 | uint64(p[6])<<8 | uint64(p[7])
-	}
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < recHeader {
-			return recs, off, true
+	return scanRecords(data, func(body []byte) (ReshardRecord, error) {
+		if len(body) != reshardBody {
+			return ReshardRecord{}, fmt.Errorf("durable: reshard record of %d bytes", len(body))
 		}
-		n := int(rest[0])<<24 | int(rest[1])<<16 | int(rest[2])<<8 | int(rest[3])
-		if n != reshardBody || len(rest) < recHeader+n {
-			return recs, off, true
-		}
-		crc := uint32(rest[4])<<24 | uint32(rest[5])<<16 | uint32(rest[6])<<8 | uint32(rest[7])
-		body := rest[recHeader : recHeader+n]
-		if crc32.Checksum(body, crcTable) != crc {
-			return recs, off, true
-		}
-		rec, err := unpackReshard(ReshardOp(body[0]), u64(body[1:]), u64(body[9:]), u64(body[17:]))
-		if err != nil {
-			return recs, off, true
-		}
-		recs = append(recs, rec)
-		off += recHeader + n
-	}
-	return recs, off, false
+		u64 := binary.BigEndian.Uint64
+		return unpackReshard(ReshardOp(body[0]), u64(body[1:]), u64(body[9:]), u64(body[17:]))
+	})
 }
 
 // ReshardProgress describes an in-flight migration.
@@ -257,9 +228,7 @@ func ResolveReshard(recs []ReshardRecord, defaultShards int) (ReshardLayout, err
 		if err := rec.validate(); err != nil {
 			return lay, fmt.Errorf("record %d: %w", i, err)
 		}
-		if rec.Gen > lay.MaxGen {
-			lay.MaxGen = rec.Gen
-		}
+		lay.MaxGen = max(lay.MaxGen, rec.Gen)
 		switch rec.Op {
 		case ReshardBegin:
 			if lay.Active != nil {
@@ -311,19 +280,11 @@ type ReshardJournal struct {
 // whole-file publish makes that possible only under external damage,
 // and the truncated state is always a consistent earlier layout).
 func OpenReshardJournal(fsys vfs.FS, dir string) (*ReshardJournal, error) {
+	data, err := readWAL(fsys, filepath.Join(dir, reshardLogName))
+	if err != nil {
+		return nil, err
+	}
 	j := &ReshardJournal{fs: fsys, dir: dir}
-	f, err := fsys.Open(filepath.Join(dir, reshardLogName))
-	if err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
-			return j, nil
-		}
-		return nil, fmt.Errorf("durable: opening reshard journal: %w", err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("durable: reading reshard journal: %w", err)
-	}
 	j.recs, _, _ = ScanReshardJournal(data)
 	return j, nil
 }
@@ -345,27 +306,8 @@ func (j *ReshardJournal) Append(rec ReshardRecord) error {
 			return err
 		}
 	}
-	tmp := filepath.Join(j.dir, reshardTmpName)
-	f, err := j.fs.Create(tmp)
-	if err != nil {
+	if _, err := publish(j.fs, j.dir, reshardLogName, img, false); err != nil {
 		return fmt.Errorf("durable: reshard journal: %w", err)
-	}
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: reshard journal write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: reshard journal sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: reshard journal close: %w", err)
-	}
-	if err := j.fs.Rename(tmp, filepath.Join(j.dir, reshardLogName)); err != nil {
-		return fmt.Errorf("durable: reshard journal publish: %w", err)
-	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		return fmt.Errorf("durable: reshard journal dir sync: %w", err)
 	}
 	j.recs = append(j.recs, rec)
 	return nil
@@ -399,14 +341,7 @@ func ShardDir(dir string, gen uint64, shard, shards int) string {
 func PruneGens(fsys vfs.FS, dir string, maxGen uint64, keep ...uint64) int {
 	removed := 0
 	for gen := uint64(1); gen <= maxGen; gen++ {
-		dead := true
-		for _, k := range keep {
-			if gen == k {
-				dead = false
-				break
-			}
-		}
-		if dead && fsys.RemoveAll(GenDir(dir, gen)) == nil {
+		if !slices.Contains(keep, gen) && fsys.RemoveAll(GenDir(dir, gen)) == nil {
 			removed++
 		}
 	}

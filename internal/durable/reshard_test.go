@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -90,7 +91,7 @@ func TestReshardScanTornTail(t *testing.T) {
 	}{
 		{"truncated mid-record", func(b []byte) []byte { return b[:len(b)-recLen/2] }, 2},
 		{"flipped body bit", func(b []byte) []byte {
-			b[2*recLen+recHeader+3] ^= 0x40
+			b[2*recLen+frame.Header+3] ^= 0x40
 			return b
 		}, 2},
 		{"flipped length", func(b []byte) []byte {

@@ -1,14 +1,12 @@
 package durable
 
 import (
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/server/wire"
-	"repro/internal/vfs"
 )
 
 // Shipper streams one engine's durability events to a standby as
@@ -209,12 +207,12 @@ func (s *Shipper) dropLocked(err error) {
 // record buffers one freshly appended WAL record frame for the next
 // flush, assigning it the next stream sequence number. Engine goroutine
 // only; the frame is copied (the WAL reuses its buffer).
-func (s *Shipper) record(frame []byte) {
+func (s *Shipper) record(rec []byte) {
 	s.mu.Lock()
 	if s.sink != nil {
 		s.seq++
-		s.batch = append(s.batch, frame...)
-		s.recLens = append(s.recLens, len(frame))
+		s.batch = append(s.batch, rec...)
+		s.recLens = append(s.recLens, len(rec))
 	}
 	s.mu.Unlock()
 }
@@ -510,17 +508,16 @@ func (e *Engine) maybeAttach() error {
 		s.Detach()
 		return nil
 	}
-	blob, err := readFile(e.fs, filepath.Join(e.opt.Dir, snapName(base)))
-	if err != nil {
-		return drop(err)
-	}
-	s.shipFile(term, wire.ReplFileBase, base, blob)
-	for de := base + 1; de <= e.epoch; de++ {
-		blob, err := readFile(e.fs, filepath.Join(e.opt.Dir, deltaName(de)))
+	for ep := base; ep <= e.epoch; ep++ {
+		kind, name := wire.ReplFileDelta, deltaName(ep)
+		if ep == base {
+			kind, name = wire.ReplFileBase, snapName(ep)
+		}
+		blob, err := readFile(e.fs, filepath.Join(e.opt.Dir, name))
 		if err != nil {
 			return drop(err)
 		}
-		s.shipFile(term, wire.ReplFileDelta, de, blob)
+		s.shipFile(term, kind, ep, blob)
 	}
 	walData, err := readWAL(e.fs, filepath.Join(e.opt.Dir, walName(e.epoch)))
 	if err != nil {
@@ -533,9 +530,9 @@ func (e *Engine) maybeAttach() error {
 }
 
 // shipRecord forwards one appended record frame to the shipper.
-func (e *Engine) shipRecord(frame []byte) {
+func (e *Engine) shipRecord(rec []byte) {
 	if s := e.opt.Ship; s != nil {
-		s.record(frame)
+		s.record(rec)
 	}
 }
 
@@ -552,14 +549,4 @@ func (e *Engine) shipSemiSync() {
 	if s := e.opt.Ship; s != nil {
 		s.semiSyncWait()
 	}
-}
-
-// readFile loads one file's bytes through the engine's filesystem.
-func readFile(fs vfs.FS, path string) ([]byte, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }

@@ -5,12 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"strings"
 
-	"repro/aboram"
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -18,10 +17,16 @@ import (
 //
 //	snap-<epoch>.ab    full checkpoint (metadata header + aboram.Save image)
 //	delta-<epoch>.abd  incremental checkpoint (metadata header + aboram.SaveDelta stream)
-//	*.tmp              checkpoint in flight; never read, deleted on recovery
+//	*.tmp              publish in flight; never read, deleted by the next prune
 //	wal-<epoch>.log    acknowledged writes since epoch <epoch> was captured
 //
-// Both bodies are one format, aboram's CRC-framed checkpoint stream: a
+// Every record on disk — each checkpoint stream record, each WAL record
+// (wal.go), each reshard journal record (reshard.go) — is a frame of
+// internal/frame, the one record frame: u32 length | u32 CRC-32C | body.
+// listDir is the one parse of this layout, dirFile.stale the one prune
+// law, and publish the one temp + fsync + rename + directory fsync.
+//
+// Both checkpoint bodies are one format, aboram's checkpoint stream: a
 // base is the stream of a full image (every bucket, position, and store
 // slot; header flag Full), a delta the stream of the state dirtied since
 // the previous cut. Both are captured in the rotation's serving pause
@@ -51,7 +56,7 @@ import (
 //
 //	magic | uint64 term | uint32 count |
 //	count x uint64 request ids |
-//	uint32 CRC-32C over (term + count + ids)
+//	uint32 CRC-32C (frame.Checksum) over (term + count + ids)
 //
 // followed by the checkpoint stream. The ids are the engine's recent
 // acknowledged write ids at snapshot time, oldest first; recovery seeds
@@ -77,24 +82,91 @@ func snapName(epoch uint64) string  { return fmt.Sprintf("snap-%016d.ab", epoch)
 func deltaName(epoch uint64) string { return fmt.Sprintf("delta-%016d.abd", epoch) }
 func walName(epoch uint64) string   { return fmt.Sprintf("wal-%016d.log", epoch) }
 
-// Temp names keep the ".tmp" extension (the prune sweep removes any
-// orphan) and the "snap-"/"delta-"/"wal-" prefix (fault-injection tests
-// bucket crash sites by it).
-func snapTmpName(epoch uint64) string  { return fmt.Sprintf("snap-%016d.tmp", epoch) }
-func deltaTmpName(epoch uint64) string { return fmt.Sprintf("delta-%016d.tmp", epoch) }
+// fileKind classifies the files of a data directory.
+type fileKind uint8
 
-// parseEpoch extracts the epoch from a snapshot or WAL file name,
-// returning ok=false for foreign files.
-func parseEpoch(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
+const (
+	kindForeign fileKind = iota
+	kindSnap
+	kindDelta
+	kindWAL
+	kindTmp // a publish in flight, or its orphan
+)
+
+// epochFiles are the epoch-numbered file shapes: prefix, 16-digit
+// epoch, suffix.
+var epochFiles = [...]struct {
+	kind           fileKind
+	prefix, suffix string
+}{{kindSnap, "snap-", ".ab"}, {kindDelta, "delta-", ".abd"}, {kindWAL, "wal-", ".log"}}
+
+// dirFile is one entry of a data directory listing.
+type dirFile struct {
+	name  string
+	kind  fileKind
+	epoch uint64 // snap, delta and WAL files only
+}
+
+// listDir lists dir with each file's kind and epoch: the one parse of
+// the directory layout that recovery, the term scan and both prune
+// sweeps consume.
+func listDir(fs vfs.FS, dir string) ([]dirFile, error) {
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	var epoch uint64
-	if _, err := fmt.Sscanf(mid, "%d", &epoch); err != nil || len(mid) != 16 {
-		return 0, false
+	files := make([]dirFile, len(names))
+	for i, name := range names {
+		files[i] = dirFile{name: name}
+		if filepath.Ext(name) == ".tmp" {
+			files[i].kind = kindTmp
+		}
+		for _, p := range epochFiles {
+			if !strings.HasPrefix(name, p.prefix) || !strings.HasSuffix(name, p.suffix) {
+				continue
+			}
+			mid := name[len(p.prefix) : len(name)-len(p.suffix)]
+			var epoch uint64
+			if _, err := fmt.Sscanf(mid, "%d", &epoch); err == nil && len(mid) == 16 {
+				files[i].kind, files[i].epoch = p.kind, epoch
+			}
+		}
 	}
-	return epoch, true
+	return files, nil
+}
+
+// stale is the prune law: once the checkpoint at epoch pub is durable,
+// the WAL segments below it are redundant (chain element N captures
+// everything through wal-(N-1)), older snapshots and deltas only when
+// pub is a full base (a delta still needs its base and predecessors),
+// and any temp file is an orphan.
+func (f dirFile) stale(pub uint64, base bool) bool {
+	switch f.kind {
+	case kindSnap, kindDelta:
+		return base && f.epoch < pub
+	case kindWAL:
+		return f.epoch < pub
+	}
+	return f.kind == kindTmp
+}
+
+// pruneDir removes the files of dir the checkpoint at epoch pub made
+// stale. Cleanup is best-effort — stale files cost disk, not
+// correctness — so each removal failure goes to failed and the sweep
+// goes on.
+func pruneDir(fs vfs.FS, dir string, pub uint64, base bool, failed func(name string, err error)) {
+	files, err := listDir(fs, dir)
+	if err != nil {
+		return
+	}
+	for _, f := range files {
+		if !f.stale(pub, base) {
+			continue
+		}
+		if err := fs.Remove(filepath.Join(dir, f.name)); err != nil {
+			failed(f.name, err)
+		}
+	}
 }
 
 // appendMeta appends a metadata header (magic, term, id count, ids,
@@ -109,7 +181,7 @@ func appendMeta(dst []byte, magic []byte, term uint64, ids []uint64) []byte {
 		body = binary.BigEndian.AppendUint64(body, id)
 	}
 	dst = append(dst, body...)
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
+	return binary.BigEndian.AppendUint32(dst, frame.Checksum(body))
 }
 
 // readMeta consumes a metadata header that opens with magic and
@@ -135,7 +207,7 @@ func readMeta(br *bufio.Reader, magic []byte) ([]uint64, uint64, error) {
 	}
 	sum := body[len(body)-4:]
 	body = body[:len(body)-4]
-	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(sum) {
+	if frame.Checksum(body) != binary.BigEndian.Uint32(sum) {
 		return nil, 0, fmt.Errorf("durable: checkpoint metadata checksum mismatch")
 	}
 	ids := make([]uint64, count)
@@ -145,72 +217,72 @@ func readMeta(br *bufio.Reader, magic []byte) ([]uint64, uint64, error) {
 	return ids, term, nil
 }
 
-// writeBlob durably publishes one already-encoded checkpoint blob:
-// temp file, single write, fsync, rename into place, directory fsync.
-// Any error leaves at most a stale .tmp behind, which recovery (and the
-// next successful publish) ignores and cleans up.
-func writeBlob(fs vfs.FS, dir, tmpName, finalName string, data []byte) error {
-	tmp := filepath.Join(dir, tmpName)
-	f, err := fs.Create(tmp)
+// publish durably replaces dir/name with data: a temp file (name with
+// its extension replaced by ".tmp"), one write, fsync, rename into
+// place, directory fsync. Any error leaves at most a stale temp file,
+// which recovery ignores and the next prune removes. The temp file is
+// closed before the rename, unless keepOpen: then its handle is
+// returned, still open — a POSIX fd follows the file, not the name, and
+// the vfs has no append-open to reacquire one — for a rewritten WAL
+// segment to go on appending through.
+func publish(fs vfs.FS, dir, name string, data []byte, keepOpen bool) (vfs.File, error) {
+	tmp := strings.TrimSuffix(name, filepath.Ext(name)) + ".tmp"
+	tmpPath := filepath.Join(dir, tmp)
+	f, err := fs.Create(tmpPath)
 	if err != nil {
-		return fmt.Errorf("durable: creating checkpoint temp: %w", err)
+		return nil, fmt.Errorf("durable: creating %s: %w", tmp, err)
+	}
+	open := true
+	fail := func(step string, err error) (vfs.File, error) {
+		if open {
+			f.Close()
+		}
+		return nil, fmt.Errorf("durable: %s %s: %w", step, tmp, err)
 	}
 	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: writing checkpoint: %w", err)
+		return fail("writing", err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: syncing checkpoint: %w", err)
+		return fail("syncing", err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: closing checkpoint: %w", err)
+	if !keepOpen {
+		open = false
+		if err := f.Close(); err != nil {
+			return fail("closing", err)
+		}
 	}
-	if err := fs.Rename(tmp, filepath.Join(dir, finalName)); err != nil {
-		return fmt.Errorf("durable: publishing checkpoint: %w", err)
+	if err := fs.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
+		return fail("renaming", err)
 	}
 	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("durable: syncing directory: %w", err)
+		return fail("syncing the directory after", err)
 	}
-	return nil
+	if !open {
+		return nil, nil
+	}
+	return f, nil
 }
 
-// loadSnapshot restores an instance (and its recent-write-id and term
-// metadata) from one snapshot file.
-func loadSnapshot(fs vfs.FS, dir string, epoch uint64, opt aboram.Options) (*aboram.ORAM, []uint64, uint64, error) {
-	f, err := fs.Open(filepath.Join(dir, snapName(epoch)))
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	ids, term, err := readMeta(br, snapMagic)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	o, err := aboram.Load(opt, br)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return o, ids, term, nil
-}
-
-// loadDelta applies one delta checkpoint file on top of o and returns
-// the recent-id set and term it carried. On error o may be partially
-// mutated — the caller discards it and rebuilds from the base.
-func loadDelta(fs vfs.FS, dir string, epoch uint64, o *aboram.ORAM) ([]uint64, uint64, error) {
-	f, err := fs.Open(filepath.Join(dir, deltaName(epoch)))
+// readCheckpoint opens the checkpoint file dir/name, consumes its
+// metadata header (which must open with magic), and hands the stream
+// after it to body — aboram.Load for a base, ApplyDelta for a delta, nil
+// to read the header alone. It returns the header's ids and term. When
+// body fails on a delta the instance it was applying to may be
+// partially mutated; the caller discards it and rebuilds from the base.
+func readCheckpoint(fs vfs.FS, dir, name string, magic []byte, body func(io.Reader) error) ([]uint64, uint64, error) {
+	f, err := fs.Open(filepath.Join(dir, name))
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	ids, term, err := readMeta(br, deltaMagic)
-	if err != nil {
-		return nil, 0, err
+	size := 1 << 16
+	if body == nil {
+		size = 1 << 12
 	}
-	if err := o.ApplyDelta(br); err != nil {
-		return nil, 0, err
+	br := bufio.NewReaderSize(f, size)
+	ids, term, err := readMeta(br, magic)
+	if err == nil && body != nil {
+		err = body(br)
 	}
-	return ids, term, nil
+	return ids, term, err
 }

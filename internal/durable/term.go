@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bufio"
 	"fmt"
 	"path/filepath"
 
@@ -43,13 +42,11 @@ func (e *Engine) SetTerm(term uint64) error {
 	if term <= e.Term() {
 		return fmt.Errorf("durable: term %d not above current term %d", term, e.Term())
 	}
-	frame, err := e.w.append(wire.Request{Op: wire.OpTerm, ID: term})
+	rec, err := e.w.append(wire.Request{Op: wire.OpTerm, ID: term})
 	if err != nil {
 		return e.fail(err)
 	}
-	if s := e.opt.Ship; s != nil {
-		s.record(frame)
-	}
+	e.shipRecord(rec)
 	if err := e.syncWAL(); err != nil {
 		return e.fail(err)
 	}
@@ -61,19 +58,20 @@ func (e *Engine) SetTerm(term uint64) error {
 }
 
 // fileTerm reads the term a checkpoint file's header claims, without
-// loading the image. An unreadable header reports term 0 — the caller
-// is computing a maximum, and a file recovery would skip cannot raise
-// the directory's term anyway.
-func fileTerm(fs vfs.FS, path string, magic []byte) uint64 {
-	f, err := fs.Open(path)
-	if err != nil {
+// loading the image. Other files, and an unreadable header, report term
+// 0 — the caller is computing a maximum, and a file recovery would skip
+// cannot raise the directory's term anyway.
+func fileTerm(fs vfs.FS, dir string, f dirFile) uint64 {
+	var magic []byte
+	switch f.kind {
+	case kindSnap:
+		magic = snapMagic
+	case kindDelta:
+		magic = deltaMagic
+	default:
 		return 0
 	}
-	defer f.Close()
-	_, term, err := readMeta(bufio.NewReaderSize(f, 1<<12), magic)
-	if err != nil {
-		return 0
-	}
+	_, term, _ := readCheckpoint(fs, dir, f.name, magic, nil)
 	return term
 }
 
@@ -83,41 +81,26 @@ func fileTerm(fs vfs.FS, path string, magic []byte) uint64 {
 // is term 0. Mirrors use it to fence a stale primary before accepting
 // a bootstrap that would wipe the directory.
 func ReadDirTerm(fs vfs.FS, dir string) (uint64, error) {
-	names, err := fs.ReadDir(dir)
+	files, err := listDir(fs, dir)
 	if err != nil {
 		return 0, fmt.Errorf("durable: listing %s: %w", dir, err)
 	}
 	var term uint64
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		switch {
-		case hasEpoch(name, "snap-", ".ab"):
-			if t := fileTerm(fs, path, snapMagic); t > term {
-				term = t
-			}
-		case hasEpoch(name, "delta-", ".abd"):
-			if t := fileTerm(fs, path, deltaMagic); t > term {
-				term = t
-			}
-		case hasEpoch(name, "wal-", ".log"):
-			data, err := readWAL(fs, path)
-			if err != nil {
-				return 0, err
-			}
-			recs, _, _ := ScanWAL(data)
-			for _, rec := range recs {
-				if rec.Op == wire.OpTerm && rec.ID > term {
-					term = rec.ID
-				}
+	for _, f := range files {
+		term = max(term, fileTerm(fs, dir, f))
+		if f.kind != kindWAL {
+			continue
+		}
+		data, err := readWAL(fs, filepath.Join(dir, f.name))
+		if err != nil {
+			return 0, err
+		}
+		recs, _, _ := ScanWAL(data)
+		for _, rec := range recs {
+			if rec.Op == wire.OpTerm {
+				term = max(term, rec.ID)
 			}
 		}
 	}
 	return term, nil
-}
-
-// hasEpoch reports whether name is an epoch-numbered file of the given
-// shape.
-func hasEpoch(name, prefix, suffix string) bool {
-	_, ok := parseEpoch(name, prefix, suffix)
-	return ok
 }

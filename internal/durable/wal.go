@@ -3,44 +3,31 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	iofs "io/fs"
 	"path/filepath"
 
+	"repro/internal/frame"
 	"repro/internal/server/wire"
 	"repro/internal/vfs"
 )
 
-// WAL record framing. Each acknowledged mutating op is one record:
-//
-//	record := uint32 big-endian body length | uint32 big-endian CRC-32C |
-//	          body (wire request encoding)
-//
-// The CRC covers the body only; the length field is validated by range
-// (a torn length prefix fails the bound or the CRC with overwhelming
-// probability). Recovery accepts the longest prefix of intact records
-// and discards everything from the first damaged byte on — a damaged
-// record can only be the torn tail of a crash, because records are
-// written with a single Write call and fsynced before the op is
-// acknowledged.
-const recHeader = 4 + 4
+// WAL records. Each acknowledged mutating op is one record: a frame of
+// internal/frame (the one record frame of every durable stream) whose
+// body is the op's wire request encoding. Recovery accepts the longest
+// prefix of intact records and discards everything from the first
+// damaged byte on — a damaged record can only be the torn tail of a
+// crash, because records are written with a single Write call and
+// fsynced before the op is acknowledged.
 
-// crcTable is the Castagnoli polynomial, the standard choice for
-// storage checksums (hardware-accelerated on amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// AppendRecord appends the framed WAL encoding of req to dst.
+// AppendRecord appends the framed WAL encoding of req to dst. The body
+// is encoded in place, so a reused dst makes the append allocation-free.
 func AppendRecord(dst []byte, req wire.Request) ([]byte, error) {
-	body, err := wire.AppendRequest(nil, req)
+	out, err := frame.Append(dst, func(b []byte) ([]byte, error) { return wire.AppendRequest(b, req) })
 	if err != nil {
 		return nil, fmt.Errorf("durable: encoding WAL record: %w", err)
 	}
-	dst = append(dst,
-		byte(len(body)>>24), byte(len(body)>>16), byte(len(body)>>8), byte(len(body)))
-	crc := crc32.Checksum(body, crcTable)
-	dst = append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
-	return append(dst, body...), nil
+	return out, nil
 }
 
 // ScanWAL parses a WAL image into its longest valid record prefix. It
@@ -49,35 +36,32 @@ func AppendRecord(dst []byte, req wire.Request) ([]byte, error) {
 // ScanWAL never fails and never panics: arbitrary input is simply a
 // (possibly empty) valid prefix plus a torn tail.
 func ScanWAL(data []byte) (recs []wire.Request, off int, torn bool) {
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < recHeader {
-			return recs, off, true
+	return scanRecords(data, wire.DecodeRequest)
+}
+
+// scanRecords splits an image of frames into its longest prefix of
+// intact frames whose bodies decode, returning the decoded records, the
+// offset where that prefix ends, and whether bytes follow it.
+func scanRecords[T any](data []byte, decode func([]byte) (T, error)) (recs []T, off int, torn bool) {
+	for rest := data; len(rest) > 0; {
+		body, next, ok := frame.Next(rest)
+		if !ok {
+			return recs, len(data) - len(rest), true
 		}
-		n := int(rest[0])<<24 | int(rest[1])<<16 | int(rest[2])<<8 | int(rest[3])
-		if n <= 0 || n > wire.MaxBody || len(rest) < recHeader+n {
-			return recs, off, true
-		}
-		crc := uint32(rest[4])<<24 | uint32(rest[5])<<16 | uint32(rest[6])<<8 | uint32(rest[7])
-		body := rest[recHeader : recHeader+n]
-		if crc32.Checksum(body, crcTable) != crc {
-			return recs, off, true
-		}
-		req, err := wire.DecodeRequest(body)
+		rec, err := decode(body)
 		if err != nil {
-			return recs, off, true
+			return recs, len(data) - len(rest), true
 		}
-		recs = append(recs, req)
-		off += recHeader + n
+		recs = append(recs, rec)
+		rest = next
 	}
-	return recs, off, false
+	return recs, len(data), false
 }
 
 // wal is one open write-ahead log segment.
 type wal struct {
-	f    vfs.File
-	path string
-	buf  []byte // reusable frame buffer
+	f   vfs.File
+	buf []byte // reusable frame buffer
 }
 
 // createWAL creates (truncates) a WAL segment.
@@ -86,7 +70,7 @@ func createWAL(fs vfs.FS, path string) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wal{f: f, path: path}, nil
+	return &wal{f: f}, nil
 }
 
 // append frames one record and writes it with a single Write call, so a
@@ -94,15 +78,15 @@ func createWAL(fs vfs.FS, path string) (*wal, error) {
 // so a replication shipper can forward them without re-encoding; the
 // slice is valid only until the next append (the buffer is reused).
 func (w *wal) append(req wire.Request) ([]byte, error) {
-	frame, err := AppendRecord(w.buf[:0], req)
+	rec, err := AppendRecord(w.buf[:0], req)
 	if err != nil {
 		return nil, err
 	}
-	w.buf = frame[:0]
-	if _, err := w.f.Write(frame); err != nil {
+	w.buf = rec[:0]
+	if _, err := w.f.Write(rec); err != nil {
 		return nil, fmt.Errorf("durable: WAL append: %w", err)
 	}
-	return frame, nil
+	return rec, nil
 }
 
 // sync flushes appended records to stable storage.
@@ -149,54 +133,45 @@ func compactRecords(data []byte) (out []byte, shrunk int, err error) {
 	return out, shrunk, nil
 }
 
-// publishCompacted durably replaces a live WAL segment with its
-// compacted rewrite: temp file, write, fsync, rename over the segment,
-// directory fsync. The returned handle is the temp file's, kept open
-// across the rename — a POSIX fd follows the file, not the name, and
-// the vfs has no append-open to reacquire one — so it becomes the live
-// segment's handle.
-func publishCompacted(fs vfs.FS, dir string, epoch uint64, out []byte) (vfs.File, error) {
-	path := filepath.Join(dir, walName(epoch))
-	tmpPath := filepath.Join(dir, fmt.Sprintf("wal-%016d.tmp", epoch))
-	f, err := fs.Create(tmpPath)
+// compactSegment rewrites dir's WAL segment for epoch with
+// compactRecords and publishes the rewrite over it. It returns the
+// rewritten segment's open handle, or nil when nothing shrank and the
+// segment stands. The engine and a replication mirror both call it, on
+// byte-identical segments, and land on byte-identical rewrites.
+func compactSegment(fs vfs.FS, dir string, epoch uint64) (vfs.File, error) {
+	data, err := readWAL(fs, filepath.Join(dir, walName(epoch)))
 	if err != nil {
-		return nil, fmt.Errorf("durable: creating compaction temp: %w", err)
+		return nil, err
 	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("durable: writing compacted WAL: %w", err)
+	out, shrunk, err := compactRecords(data)
+	if err != nil || shrunk == 0 {
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("durable: syncing compacted WAL: %w", err)
-	}
-	if err := fs.Rename(tmpPath, path); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("durable: publishing compacted WAL: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("durable: syncing directory: %w", err)
-	}
-	return f, nil
+	return publish(fs, dir, walName(epoch), out, true)
 }
 
-// readWAL loads a whole WAL segment image. Only a missing file is an
-// empty segment (the epoch crashed before its first record); every other
-// open failure propagates so recovery fails loudly — treating a
-// transient EIO/EACCES as empty would silently drop acknowledged writes.
+// readWAL loads a whole log file: a WAL segment or the reshard journal.
+// Only a missing file is empty (the epoch crashed before its first
+// record); every other failure propagates so recovery fails loudly —
+// treating a transient EIO/EACCES as empty would silently drop
+// acknowledged writes.
 func readWAL(fs vfs.FS, path string) ([]byte, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("durable: opening WAL %s: %w", path, err)
+	data, err := readFile(fs, path)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return nil, nil
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
 	if err != nil {
-		return nil, fmt.Errorf("durable: reading WAL %s: %w", path, err)
+		return nil, fmt.Errorf("durable: reading %s: %w", path, err)
 	}
 	return data, nil
+}
+
+// readFile loads one file's bytes through fs.
+func readFile(fs vfs.FS, path string) ([]byte, error) {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
 }

@@ -6,6 +6,7 @@ import (
 	iofs "io/fs"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/server/wire"
 	"repro/internal/vfs"
 )
@@ -94,7 +95,7 @@ func TestScanStopsAtCorruption(t *testing.T) {
 	}
 	firstEnd := len(first)
 	bad := append([]byte(nil), log...)
-	bad[firstEnd+recHeader+2] ^= 0xff
+	bad[firstEnd+frame.Header+2] ^= 0xff
 	recs, off, torn := ScanWAL(bad)
 	if len(recs) != 1 || off != firstEnd || !torn {
 		t.Fatalf("corrupted log: %d records, off %d, torn %v; want 1, %d, true", len(recs), off, torn, firstEnd)
@@ -131,5 +132,28 @@ func TestAppendRecordRejectsInvalid(t *testing.T) {
 	}
 	if _, err := AppendRecord(nil, wire.Request{Op: 77, Block: 1}); err == nil {
 		t.Fatal("unknown op framed")
+	}
+}
+
+// discardFile is a vfs.File whose writes go nowhere.
+type discardFile struct{ vfs.File }
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWALAppendAllocationFree: at steady state a WAL append encodes the
+// record in place in the segment's reused frame buffer, allocating
+// nothing per record.
+func TestWALAppendAllocationFree(t *testing.T) {
+	w := &wal{f: discardFile{}}
+	req := wire.Request{Op: wire.OpWrite, ID: 9, Block: 3, Data: bytes.Repeat([]byte{7}, 64)}
+	if _, err := w.append(req); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := w.append(req); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per WAL append, want 0", n)
 	}
 }

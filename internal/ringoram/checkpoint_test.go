@@ -15,7 +15,7 @@ func restoreFull(t *testing.T, cfg Config, orig *ORAM) *ORAM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clone.ApplyDelta(orig.CaptureFull()); err != nil {
+	if err := clone.ApplyDelta(captureFull(t, orig)); err != nil {
 		t.Fatal(err)
 	}
 	return clone
@@ -147,19 +147,19 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.ApplyDelta(orig.CaptureFull()); err == nil {
+	if err := other.ApplyDelta(captureFull(t, orig)); err == nil {
 		t.Fatal("level mismatch accepted")
 	}
 	fresh := func() *ORAM {
 		o, _ := New(cbCfg())
 		return o
 	}
-	cp2 := orig.CaptureFull()
+	cp2 := captureFull(t, orig)
 	cp2.Rng = nil
 	if err := fresh().ApplyDelta(cp2); err == nil {
 		t.Fatal("missing rng accepted")
 	}
-	cp3 := orig.CaptureFull()
+	cp3 := captureFull(t, orig)
 	cp3.Buckets[5].Block = cp3.Buckets[5].Block[:1]
 	if err := fresh().ApplyDelta(cp3); err == nil {
 		t.Fatal("truncated slots accepted")
@@ -183,11 +183,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			d.Stash, d.StashData = []stash.Entry{{Block: 1}}, [][]byte{{1}}
 		},
 	} {
-		d := orig.CaptureFull()
+		d := captureFull(t, orig)
 		mutate(d)
 		clone, _ := newDataORAM(t, cfg)
 		if err := clone.ApplyDelta(d); err == nil {
 			t.Fatalf("%s garbage accepted", name)
 		}
 	}
+}
+
+// captureFull is CaptureFull for an instance that has not failed.
+func captureFull(t *testing.T, o *ORAM) *Delta {
+	t.Helper()
+	d, err := o.CaptureFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -76,8 +76,12 @@ func (o *ORAM) Cut() uint64 {
 
 // CaptureDelta collects everything mutated after `since` (exclusive).
 // Rng and PosRng alias the live streams — copy or encode the delta
-// before the next access.
-func (o *ORAM) CaptureDelta(since uint64) *Delta {
+// before the next access. After a data-plane error it returns that
+// error instead: the state has lost a payload.
+func (o *ORAM) CaptureDelta(since uint64) (*Delta, error) {
+	if o.dataErr != nil {
+		return nil, o.dataErr
+	}
 	d := o.captureState()
 	for b := int64(0); b < o.geom.NumBuckets(); b++ {
 		if o.bucketEpoch[b] > since {
@@ -85,13 +89,16 @@ func (o *ORAM) CaptureDelta(since uint64) *Delta {
 		}
 	}
 	d.PosBlocks, d.PosPaths = o.pos.CaptureDirty(since)
-	return d
+	return d, nil
 }
 
 // CaptureFull is CaptureDelta over the whole state: every bucket and
 // every position-map entry, independent of the dirty stamps. Rng and
 // PosRng alias the live streams, as with CaptureDelta.
-func (o *ORAM) CaptureFull() *Delta {
+func (o *ORAM) CaptureFull() (*Delta, error) {
+	if o.dataErr != nil {
+		return nil, o.dataErr
+	}
 	d := o.captureState()
 	d.Buckets = make([]BucketDelta, o.geom.NumBuckets())
 	for b := range d.Buckets {
@@ -102,7 +109,7 @@ func (o *ORAM) CaptureFull() *Delta {
 	for blk := range d.PosBlocks {
 		d.PosBlocks[blk] = int64(blk)
 	}
-	return d
+	return d, nil
 }
 
 // captureState fills the sections every capture carries in full.

@@ -68,6 +68,9 @@ func (o *ORAM) WriteBlock(block int64, data []byte) ([]memop.Op, error) {
 // the block's content while it sits in the stash — before any maintenance
 // operation can write it back to the tree.
 func (o *ORAM) access(block int64, newData []byte) ([]byte, []memop.Op, error) {
+	if o.dataErr != nil {
+		return nil, nil, o.dataErr
+	}
 	if block < 0 || block >= o.cfg.NumBlocks {
 		return nil, nil, fmt.Errorf("ringoram: block %d out of range", block)
 	}
@@ -119,9 +122,7 @@ func (o *ORAM) access(block int64, newData []byte) ([]byte, []memop.Op, error) {
 	}
 	o.servedLevel = served
 	if o.dataErr != nil {
-		err := o.dataErr
-		o.dataErr = nil
-		return nil, nil, err
+		return nil, nil, o.dataErr
 	}
 	return data, o.ops, nil
 }
@@ -356,7 +357,9 @@ func (o *ORAM) touchBucket(b int64, lvl int, target int64) (addr uint64, ok bool
 }
 
 // loadPayload moves a real block's content from the data plane into the
-// stash-side payload map. Errors are deferred to the end of the access.
+// stash-side payload map. An error is the instance's sticky data-plane
+// failure (ORAM.dataErr): the block it was moving is stashed with no
+// content, so the access fails, and so does every later one.
 func (o *ORAM) loadPayload(blk int64, addr uint64) {
 	if o.dataErr != nil {
 		return

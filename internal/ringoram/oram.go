@@ -101,7 +101,11 @@ type ORAM struct {
 	servedLevel int   // level that served the last ReadPath target (-1: none)
 
 	// Data plane state (Config.Data != nil): contents of stashed real
-	// blocks, keyed by block ID, plus the first deferred storage error.
+	// blocks, keyed by block ID, plus the first storage error. That error
+	// is sticky: a failed load leaves its block stashed without content
+	// and a failed store abandons the rest of the access's writes, so
+	// every later access and capture returns it instead of serving or
+	// checkpointing a state that has lost a payload.
 	stashData map[int64][]byte
 	dataErr   error
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/frame"
 )
 
 // Replication sub-protocol. A standby dials the primary's normal TCP
@@ -36,9 +38,12 @@ import (
 // WAL image, and an ack reports the highest record the replica has
 // fsynced. Frames apply strictly in order, so an ack of seq n also
 // confirms every earlier snapshot-chunk, rotate, and compact frame.
-// The records region of a wal-batch reuses the WAL's record framing
-// (length u32 | crc u32 | body) verbatim, so the replica can append it
-// to its mirrored segment byte-for-byte.
+// The records region of a wal-batch is WAL records verbatim — frames of
+// internal/frame, the one record frame of every durable stream, around
+// request encodings — so the replica can append it to its mirrored
+// segment byte-for-byte. The decoder checks every record the way the
+// replica's recovery will, so a standby never acknowledges a record its
+// own recovery would drop.
 //
 // Like the rest of the protocol the encoding is canonical: one byte
 // representation per valid frame, which FuzzReplStream exploits to
@@ -247,100 +252,85 @@ func DecodeReplFrame(body []byte) (ReplFrame, error) {
 
 // validateReplFrame enforces the canonical-form invariants shared by
 // the encoder and the decoder: each kind's fields in range, every other
-// field zero.
+// field zero, so every frame has exactly one encoding.
 func validateReplFrame(f ReplFrame) error {
 	if f.Shard < 0 || f.Shard > 1<<32-1 {
 		return fmt.Errorf("wire: repl shard %d out of range", f.Shard)
 	}
-	// Fields not belonging to the kind must be zero so every frame has
-	// exactly one encoding.
-	clear := func(cond bool, what string) error {
-		if !cond {
-			return fmt.Errorf("wire: %s frame with stray %s", f.Kind, what)
-		}
-		return nil
-	}
-	zeroShards := f.Shards == 0
-	zeroChunk := f.File == 0 && f.Epoch == 0 && !f.Last
-	zeroData := len(f.Data) == 0
-	zeroBatch := f.FirstSeq == 0 && f.Count == 0
-	zeroSeq := f.Seq == 0
+	// carries is the set of field groups (bits of the table below) the
+	// kind encodes.
+	const shards, epoch, chunk, data, batch, seq = 1, 2, 4, 8, 16, 32
+	var carries int
 	switch f.Kind {
 	case ReplHello:
+		carries = shards
 		if f.Shards < 1 || f.Shards > 1<<16-1 {
 			return fmt.Errorf("wire: hello with %d shards", f.Shards)
 		}
 		if f.Shard != 0 {
 			return fmt.Errorf("wire: hello with shard %d, must be 0", f.Shard)
 		}
-		for _, e := range []error{clear(zeroChunk, "chunk fields"), clear(zeroData, "data"), clear(zeroBatch, "batch fields"), clear(zeroSeq, "seq")} {
-			if e != nil {
-				return e
-			}
-		}
 	case ReplSnapChunk:
+		carries = epoch | chunk | data
 		if f.File != ReplFileBase && f.File != ReplFileDelta && f.File != ReplFileWAL {
 			return fmt.Errorf("wire: snap-chunk file kind %d", uint8(f.File))
 		}
 		if len(f.Data) > MaxReplBody-replHeader-10 {
 			return fmt.Errorf("wire: snap-chunk data %d bytes exceeds frame bound", len(f.Data))
 		}
-		for _, e := range []error{clear(zeroShards, "shards"), clear(zeroBatch, "batch fields"), clear(zeroSeq, "seq")} {
-			if e != nil {
-				return e
-			}
-		}
 	case ReplRotate, ReplCompact:
-		for _, e := range []error{clear(zeroShards, "shards"), clear(f.File == 0 && !f.Last, "chunk fields"), clear(zeroData, "data"), clear(zeroBatch, "batch fields"), clear(zeroSeq, "seq")} {
-			if e != nil {
-				return e
-			}
-		}
+		carries = epoch
 	case ReplWALBatch:
+		carries = batch | data
 		if f.Count < 1 {
 			return fmt.Errorf("wire: wal-batch with count %d", f.Count)
 		}
 		if err := validateWALRecords(f.Data, f.Count); err != nil {
 			return err
 		}
-		for _, e := range []error{clear(zeroShards, "shards"), clear(zeroChunk, "chunk fields"), clear(zeroSeq, "seq")} {
-			if e != nil {
-				return e
-			}
-		}
 	case ReplBootDone, ReplHeartbeat, ReplAck:
-		for _, e := range []error{clear(zeroShards, "shards"), clear(zeroChunk, "chunk fields"), clear(zeroData, "data"), clear(zeroBatch, "batch fields")} {
-			if e != nil {
-				return e
-			}
-		}
+		carries = seq
 	default:
 		return fmt.Errorf("wire: unknown repl frame kind %d", uint8(f.Kind))
+	}
+	for _, g := range [...]struct {
+		bit  int
+		name string
+		zero bool
+	}{
+		{shards, "shards", f.Shards == 0},
+		{epoch, "epoch", f.Epoch == 0},
+		{chunk, "chunk fields", f.File == 0 && !f.Last},
+		{data, "data", len(f.Data) == 0},
+		{batch, "batch fields", f.FirstSeq == 0 && f.Count == 0},
+		{seq, "seq", f.Seq == 0},
+	} {
+		if carries&g.bit == 0 && !g.zero {
+			return fmt.Errorf("wire: %s frame with stray %s", f.Kind, g.name)
+		}
 	}
 	return nil
 }
 
-// validateWALRecords walks a wal-batch records region: count records in
-// the WAL's length u32 | crc u32 | body framing, nothing before,
-// between, or after. Record bodies are opaque here — the replica's
-// recovery path validates CRCs and decodes them.
+// validateWALRecords walks a wal-batch records region: count intact WAL
+// records (frame CRC checked, body a valid request), nothing before,
+// between, or after.
 func validateWALRecords(data []byte, count int) error {
-	rest := data
 	for i := 0; i < count; i++ {
-		if len(rest) < 8 {
-			return fmt.Errorf("wire: wal-batch record %d truncated at header (%d bytes left)", i, len(rest))
+		if len(data) == 0 {
+			return fmt.Errorf("wire: wal-batch holds %d records, count says %d", i, count)
 		}
-		n := binary.BigEndian.Uint32(rest[0:4])
-		if n == 0 || n > MaxBody {
-			return fmt.Errorf("wire: wal-batch record %d length %d out of range", i, n)
+		body, rest, ok := frame.Next(data)
+		if !ok {
+			return fmt.Errorf("wire: wal-batch record %d torn or damaged", i)
 		}
-		if uint32(len(rest)-8) < n {
-			return fmt.Errorf("wire: wal-batch record %d truncated at body", i)
+		if _, err := DecodeRequest(body); err != nil {
+			return fmt.Errorf("wire: wal-batch record %d: %w", i, err)
 		}
-		rest = rest[8+n:]
+		data = rest
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("wire: wal-batch carries %d trailing bytes after %d records", len(rest), count)
+	if len(data) != 0 {
+		return fmt.Errorf("wire: wal-batch carries %d trailing bytes after %d records", len(data), count)
 	}
 	return nil
 }
@@ -351,32 +341,15 @@ func WriteReplFrame(w io.Writer, f ReplFrame) error {
 	if err != nil {
 		return err
 	}
-	if len(body) > MaxReplBody {
-		return fmt.Errorf("wire: repl frame body %d bytes exceeds limit %d", len(body), MaxReplBody)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+	return WriteFrame(w, body, MaxReplBody)
 }
 
 // ReadReplFrame reads and parses one framed replication frame,
 // rejecting oversized length prefixes before allocating.
 func ReadReplFrame(r io.Reader) (ReplFrame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	body, err := ReadFrame(r, MaxReplBody)
+	if err != nil {
 		return ReplFrame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxReplBody {
-		return ReplFrame{}, fmt.Errorf("wire: repl frame length %d exceeds limit %d", n, MaxReplBody)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return ReplFrame{}, fmt.Errorf("wire: truncated repl frame: %w", err)
 	}
 	return DecodeReplFrame(body)
 }

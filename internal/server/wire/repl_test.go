@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
-// walRecords builds a records region in the WAL framing (length | crc |
-// body) from raw record bodies. The crc is arbitrary here: the codec
-// treats record bodies as opaque.
+// walRecords builds a records region of WAL records (frames of
+// internal/frame) from raw record bodies.
 func walRecords(bodies ...[]byte) []byte {
 	var out []byte
 	for _, b := range bodies {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = binary.BigEndian.AppendUint32(out, 0xDEADBEEF)
-		out = append(out, b...)
+		out, _ = frame.Append(out, func(dst []byte) ([]byte, error) { return append(dst, b...), nil })
 	}
 	return out
 }
@@ -90,13 +90,55 @@ func TestReplFrameRejects(t *testing.T) {
 		{Kind: ReplRotate, Epoch: 3, Last: true},
 		{Kind: ReplSnapChunk, File: ReplFileKind(9), Epoch: 1},
 		{Kind: ReplWALBatch, Count: 0},
-		{Kind: ReplWALBatch, Count: 1, Data: []byte{0, 0, 0}},                      // truncated header
-		{Kind: ReplWALBatch, Count: 1, Data: walRecords([]byte("a"), []byte("b"))}, // trailing record
-		{Kind: ReplWALBatch, Count: 2, Data: walRecords([]byte("a"))},              // missing record
+		{Kind: ReplWALBatch, Count: 1, Data: []byte{0, 0, 0}}, // truncated header
 	}
 	for i, f := range bad {
 		if _, err := AppendReplFrame(nil, f); err == nil {
 			t.Errorf("bad frame %d (%s) encoded successfully: %+v", i, f.Kind, f)
+		}
+	}
+	// Count mismatches are built from intact records, so the refusal
+	// must come from the count check itself, not from a record's frame
+	// or body.
+	rec, err := AppendRequest(nil, Request{Op: OpWrite, ID: 7, Block: 3, Data: []byte("abcd")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		f    ReplFrame
+		want string
+	}{
+		{ReplFrame{Kind: ReplWALBatch, Count: 1, Data: walRecords(rec, rec)}, "trailing bytes after 1 records"},
+		{ReplFrame{Kind: ReplWALBatch, Count: 2, Data: walRecords(rec)}, "holds 1 records, count says 2"},
+	} {
+		_, err := AppendReplFrame(nil, tc.f)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("count %d over %d bytes: got error %v, want one naming %q", tc.f.Count, len(tc.f.Data), err, tc.want)
+		}
+	}
+}
+
+// TestReplWALBatchDamageRefused flips every bit of a wal-batch's records
+// region in turn: each damaged batch must fail to decode, since the
+// replica would otherwise append and acknowledge a record its recovery
+// truncates.
+func TestReplWALBatchDamageRefused(t *testing.T) {
+	var f ReplFrame
+	for _, fr := range replSeedFrames(t) {
+		if fr.Kind == ReplWALBatch {
+			f = fr
+		}
+	}
+	body, err := AppendReplFrame(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := len(body) - len(f.Data)
+	for bit := 8 * start; bit < 8*len(body); bit++ {
+		bad := append([]byte(nil), body...)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, err := DecodeReplFrame(bad); err == nil {
+			t.Fatalf("wal-batch with bit %d of its records flipped decoded", bit-8*start)
 		}
 	}
 }

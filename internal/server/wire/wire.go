@@ -481,10 +481,12 @@ func DecodeInfo(data []byte) (InfoPayload, error) {
 	return info, nil
 }
 
-// WriteFrame writes one length-prefixed frame body.
-func WriteFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxBody {
-		return fmt.Errorf("wire: frame body %d bytes exceeds limit %d", len(body), MaxBody)
+// WriteFrame writes one length-prefixed frame body of at most limit
+// bytes: requests and responses under MaxBody, replication frames under
+// MaxReplBody.
+func WriteFrame(w io.Writer, body []byte, limit int) error {
+	if len(body) > limit {
+		return fmt.Errorf("wire: frame body %d bytes exceeds limit %d", len(body), limit)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
@@ -495,16 +497,16 @@ func WriteFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame body, rejecting oversized
-// length prefixes before allocating.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// ReadFrame reads one length-prefixed frame body of at most limit bytes,
+// rejecting a longer length prefix before allocating.
+func ReadFrame(r io.Reader, limit int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxBody {
-		return nil, fmt.Errorf("wire: frame length %d exceeds limit %d", n, MaxBody)
+	if uint64(n) > uint64(limit) {
+		return nil, fmt.Errorf("wire: frame length %d exceeds limit %d", n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -519,12 +521,12 @@ func WriteRequest(w io.Writer, req Request) error {
 	if err != nil {
 		return err
 	}
-	return WriteFrame(w, body)
+	return WriteFrame(w, body, MaxBody)
 }
 
 // ReadRequest reads and parses one framed request.
 func ReadRequest(r io.Reader) (Request, error) {
-	body, err := ReadFrame(r)
+	body, err := ReadFrame(r, MaxBody)
 	if err != nil {
 		return Request{}, err
 	}
@@ -537,12 +539,12 @@ func WriteResponse(w io.Writer, resp Response) error {
 	if err != nil {
 		return err
 	}
-	return WriteFrame(w, body)
+	return WriteFrame(w, body, MaxBody)
 }
 
 // ReadResponse reads and parses one framed response.
 func ReadResponse(r io.Reader) (Response, error) {
-	body, err := ReadFrame(r)
+	body, err := ReadFrame(r, MaxBody)
 	if err != nil {
 		return Response{}, err
 	}

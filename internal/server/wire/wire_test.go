@@ -121,10 +121,10 @@ func TestFrameLimits(t *testing.T) {
 	// A hostile length prefix must be rejected before allocation.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 1<<31)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(hdr[:]), MaxBody); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
-	if err := WriteFrame(io.Discard, make([]byte, MaxBody+1)); err == nil {
+	if err := WriteFrame(io.Discard, make([]byte, MaxBody+1), MaxBody); err == nil {
 		t.Fatal("oversized frame body accepted")
 	}
 	// A truncated body is an error, not a short read.
@@ -132,7 +132,7 @@ func TestFrameLimits(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], 10)
 	buf.Write(hdr[:])
 	buf.WriteString("short")
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := ReadFrame(&buf, MaxBody); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated frame: got %v", err)
 	}
 }

@@ -3,6 +3,9 @@
 # gofmt over every tracked .go file (bench/ included) +
 # a guard that aboram/gob.go is the only non-test Go file outside bench/
 # importing encoding/gob (the checkpoint payload codec) +
+# a guard that internal/frame/frame.go is the only non-test Go file
+# outside bench/ importing hash/crc32 (internal/frame is the one record
+# frame of every durable stream, so sealing it is one edit) +
 # vet + build + tests + the race-detector pass over the concurrent
 # packages (the sim orchestrator's worker pool — simulated cycles only,
 # the in-process TCP benches are gone — the ringoram engine, the serving
@@ -44,6 +47,11 @@ fi
 gob_users=$(git ls-files -z '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | xargs -0 grep -l '"encoding/gob"' || true)
 if [ "$gob_users" != "aboram/gob.go" ]; then
 	echo "encoding/gob imported outside aboram/gob.go: $gob_users" >&2
+	exit 1
+fi
+crc_users=$(git ls-files -z '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | xargs -0 grep -l '"hash/crc32"' || true)
+if [ "$crc_users" != "internal/frame/frame.go" ]; then
+	echo "hash/crc32 imported outside internal/frame/frame.go: $crc_users" >&2
 	exit 1
 fi
 go vet ./...
